@@ -264,18 +264,15 @@ int main(int argc, char** argv) {
   }
 
   // -- Morsel-driven intra-task parallelism: task_threads scaling ------------
-  // The group-by and the join re-run with morsel execution off (one operator
-  // chain per task, the pre-morsel path) and then at task_threads 1/2/4/8.
-  // On a single-core host the scaling curve is expected to be flat — the
-  // interesting deltas are morsel-on-at-1-thread vs the legacy chain (radix
-  // partitioning + reservation batching with zero added parallelism) and
-  // that N threads cost at most linear memory (thread-local tables).
+  // The group-by and the join run at task_threads 1/2/4/8, each thread count
+  // compared with the one-chain run. On a single-core host the scaling curve
+  // is expected to be flat; every thread count must return the same rows,
+  // and N threads may cost at most linear memory (thread-local tables).
   std::printf("\n=== Morsel-driven parallelism (task_threads scaling) ===\n\n");
   struct ParallelResult {
     const char* name;
     std::string sql;
     size_t input_rows = 0;
-    double single_chain_millis = 0;  // morsel_execution=false
     std::vector<int> threads;
     std::vector<double> millis;
     int64_t peak_bytes_at_1 = 0;
@@ -288,20 +285,17 @@ int main(int argc, char** argv) {
     p.name = queries[qi].name;
     p.sql = queries[qi].sql;
     p.input_rows = queries[qi].input_rows;
-    QueryResult legacy;
-    p.single_chain_millis =
-        best_of(p.sql, {{"morsel_execution", "false"}}, 3, &legacy);
-    std::printf("%-28s single-chain %8.1f ms\n", p.name,
-                p.single_chain_millis);
+    int64_t one_chain_rows = 0;
     for (int t : kThreadCounts) {
       QueryResult r;
       double ms = best_of(
           p.sql, {{"task_threads", std::to_string(t)}}, 3, &r);
-      if (r.total_rows != legacy.total_rows) {
+      if (t == 1) one_chain_rows = r.total_rows;  // kThreadCounts[0] == 1
+      if (r.total_rows != one_chain_rows) {
         std::fprintf(stderr, "parallelism row mismatch on %s at %d threads: "
-                     "%lld vs %lld\n", p.name, t,
+                     "%lld vs %lld at 1 thread\n", p.name, t,
                      static_cast<long long>(r.total_rows),
-                     static_cast<long long>(legacy.total_rows));
+                     static_cast<long long>(one_chain_rows));
         return 1;
       }
       p.threads.push_back(t);
@@ -310,10 +304,10 @@ int main(int argc, char** argv) {
       if (t == 1) p.peak_bytes_at_1 = peak;
       if (t == kThreadCounts.back()) p.peak_bytes_at_max = peak;
       std::printf(
-          "%-28s %2d threads %10.1f ms (%6.1f Mrows/s)  vs single-chain "
+          "%-28s %2d threads %10.1f ms (%6.1f Mrows/s)  vs 1 thread "
           "%.2fx  peak %.1f MB\n",
           p.name, t, ms, static_cast<double>(p.input_rows) / 1e3 / ms,
-          p.single_chain_millis / ms, peak / 1048576.0);
+          p.millis.front() / ms, peak / 1048576.0);
     }
     // Memory budget: thread-local radix tables may cost at most linear
     // memory in task_threads, plus one reservation quantum of batching
@@ -756,11 +750,11 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < parallel_results.size(); ++i) {
     const ParallelResult& p = parallel_results[i];
     std::fprintf(f,
-                 "    {\"query\": \"%s\", \"single_chain_millis\": %.2f,\n"
+                 "    {\"query\": \"%s\",\n"
                  "     \"peak_bytes_at_1_thread\": %lld, "
                  "\"peak_bytes_at_%d_threads\": %lld,\n"
                  "     \"runs\": [",
-                 p.name, p.single_chain_millis,
+                 p.name,
                  static_cast<long long>(p.peak_bytes_at_1),
                  kThreadCounts.back(),
                  static_cast<long long>(p.peak_bytes_at_max));

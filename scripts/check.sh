@@ -17,6 +17,12 @@ if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
   cmake --build build -j "$JOBS"
   echo "== regular tests =="
   (cd build && ctest --output-on-failure)
+  # Determinism gate: the whole suite in parallel, repeated. Test processes
+  # share /tmp and every coordinator numbers its queries from 1, so a spill
+  # or spool path that is not private to its coordinator shows up here as a
+  # wrong answer.
+  echo "== regular tests, parallel, until-fail:20 =="
+  (cd build && ctest -j"$JOBS" --repeat until-fail:20 --output-on-failure)
 fi
 
 # Chaos stage: an amplified fault-injection sweep on top of the normal suite

@@ -1,10 +1,13 @@
 #include "presto/cluster/coordinator.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <thread>
 
 #include "presto/common/fault_injection.h"
@@ -51,6 +54,26 @@ std::string QueryResult::ToString(size_t max_rows) const {
     out += "… (" + std::to_string(total_rows) + " rows total)\n";
   }
   return out;
+}
+
+Coordinator::~Coordinator() {
+  // Queries run inside ExecuteSql, so by now none writes under these roots.
+  for (const std::string& root : spill_roots_) {
+    std::error_code ignored;
+    std::filesystem::remove_all(root, ignored);
+  }
+}
+
+std::string Coordinator::NewSpillScope() {
+  static std::atomic<int64_t> next_seq{1};
+  return std::to_string(::getpid()) + "-" + std::to_string(next_seq++);
+}
+
+std::string Coordinator::SpillRoot(const std::string& area) {
+  std::string root = area + "/" + spill_scope_;
+  std::lock_guard<std::mutex> lock(spill_roots_mu_);
+  spill_roots_.insert(root);
+  return root;
 }
 
 void Coordinator::AddWorker(std::shared_ptr<Worker> worker) {
@@ -633,8 +656,8 @@ Result<QueryResult> Coordinator::ExecutePlan(int64_t query_id,
     memory_ctx.spill_enabled =
         session.Property("spill_enabled", "true") != "false";
     memory_ctx.spill_dir =
-        session.Property("spill_path", "/tmp/presto_spill") + "/query-" +
-        std::to_string(query_id);
+        SpillRoot(session.Property("spill_path", "/tmp/presto_spill")) +
+        "/query-" + std::to_string(query_id);
     memory = &memory_ctx;
     {
       std::lock_guard<std::mutex> lock(active_mu_);
@@ -739,12 +762,10 @@ Result<QueryResult> Coordinator::ExecutePlanOnce(
   // leaf task should get at least one split.
   size_t parallelism = std::max<size_t>(
       1, std::max<size_t>(workers.size(), 1) * options_.tasks_per_fragment);
-  // Morsel-driven intra-task parallelism (session morsel_execution /
-  // task_threads): tasks replicate their consume chains over a shared morsel
-  // source instead of multiplying task counts, so under morsel mode each
-  // worker runs one task per fragment and parallelism moves inside the task.
-  const bool morsel_execution =
-      session.Property("morsel_execution", "true") != "false";
+  // Morsel-driven intra-task parallelism (session task_threads): tasks
+  // replicate their consume chains over a shared morsel source instead of
+  // multiplying task counts, so each worker runs one leaf task per fragment
+  // and parallelism moves inside the task.
   int task_threads = static_cast<int>(std::min<unsigned>(
       16, std::max<unsigned>(1, std::thread::hardware_concurrency())));
   {
@@ -754,7 +775,6 @@ Result<QueryResult> Coordinator::ExecutePlanOnce(
           1, static_cast<int>(std::strtoll(prop.c_str(), nullptr, 10)));
     }
   }
-  if (!morsel_execution) task_threads = 1;
   // Soft degradation: before memory pressure reaches spill/queue/kill
   // territory, degradable groups (batch/adhoc) give up intra-task
   // parallelism. Fewer concurrent operator chains means a smaller working
@@ -771,8 +791,6 @@ Result<QueryResult> Coordinator::ExecutePlanOnce(
                     "memory pressure shrank task_threads to 1",
                     {{"reserved_bytes", worker_pool_->reserved_bytes()}});
   }
-  const size_t task_parallelism =
-      morsel_execution ? std::max<size_t>(1, workers.size()) : parallelism;
   // Partition count of hash-partitioned stages (session hash_partition_count).
   int hash_partitions = static_cast<int>(parallelism);
   {
@@ -846,16 +864,6 @@ Result<QueryResult> Coordinator::ExecutePlanOnce(
     limits.vectorized_kernels =
         session.Property("vectorized_kernels", "true") != "false";
     limits.task_threads = task_threads;
-    std::string morsel_rows = session.Property("morsel_rows", "");
-    if (!morsel_rows.empty()) {
-      int64_t parsed = std::strtoll(morsel_rows.c_str(), nullptr, 10);
-      if (parsed > 0) limits.morsel_rows = static_cast<size_t>(parsed);
-    }
-    std::string quantum = session.Property("memory_reservation_quantum", "");
-    if (!quantum.empty()) {
-      int64_t parsed = std::strtoll(quantum.c_str(), nullptr, 10);
-      if (parsed >= 0) limits.memory_quantum = parsed;
-    }
   }
   if (memory != nullptr) {
     // Task pools are added per task inside run_task; everything else about
@@ -923,10 +931,12 @@ Result<QueryResult> Coordinator::ExecutePlanOnce(
         return splits.status();
       }
       result.num_splits += static_cast<int>(splits->size());
-      // Morsel mode keeps the split count (fine-grained morsels) but runs
-      // one leaf task per worker: chains inside the task share the splits.
-      size_t num_tasks = std::min<size_t>(
-          std::max<size_t>(1, splits->size()), task_parallelism);
+      // One leaf task per worker, never more tasks than splits: the task's
+      // chains share its splits, which stay fine-grained so morsels balance
+      // across chains.
+      size_t num_tasks =
+          std::min<size_t>(std::max<size_t>(1, splits->size()),
+                           std::max<size_t>(1, workers.size()));
       // Round-robin splits across tasks.
       std::vector<std::vector<SplitPtr>> batches(num_tasks);
       for (size_t i = 0; i < splits->size(); ++i) {
@@ -971,9 +981,9 @@ Result<QueryResult> Coordinator::ExecutePlanOnce(
       // buffers they shadow. Each restart attempt builds fresh spools (the
       // old ones are deleted with their exchange).
       std::string spool_dir =
-          (memory != nullptr
-               ? memory->spill_dir
-               : "/tmp/presto_spool/query-" + std::to_string(query_id)) +
+          (memory != nullptr ? memory->spill_dir
+                             : SpillRoot("/tmp/presto_spool") + "/query-" +
+                                   std::to_string(query_id)) +
           "/spool-fragment-" + std::to_string(fragment.id);
       std::shared_ptr<MemoryPool> spool_pool;
       if (memory != nullptr) {

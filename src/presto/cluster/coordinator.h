@@ -147,6 +147,9 @@ class Coordinator : public MemoryArbiter {
     root_morsel_pool_ = std::make_unique<WorkStealingPool>(2);
   }
 
+  /// Removes the spill and spool directories this coordinator created.
+  ~Coordinator() override;
+
   // -- worker membership: elastic expansion / graceful shrink ----------------
   void AddWorker(std::shared_ptr<Worker> worker);
   /// Sends the shutdown command; the worker drains per the grace-period
@@ -301,6 +304,14 @@ class Coordinator : public MemoryArbiter {
   Status RecordFailure(int64_t query_id, const Status& status,
                        const MetricsRegistry* query_metrics);
 
+  /// "<pid>-<seq>": unique among the coordinators alive on this host.
+  static std::string NewSpillScope();
+  /// This coordinator's directory in a spill or spool area,
+  /// "<area>/<pid>-<seq>", remembered so the destructor removes it. Query
+  /// ids restart at 1 in every coordinator, so without it two coordinators
+  /// (in one process or in two) would read and delete each other's files.
+  std::string SpillRoot(const std::string& area);
+
   CatalogRegistry* catalogs_;
   CoordinatorOptions options_;
   /// Byte-weighted: entries are charged their pages' estimated bytes.
@@ -325,6 +336,10 @@ class Coordinator : public MemoryArbiter {
   std::shared_ptr<MemoryPool> worker_pool_;
   /// File system behind the spill area (fault-injection covered in tests).
   std::unique_ptr<FileSystem> spill_fs_;
+  /// This coordinator's directory name under every spill and spool area.
+  const std::string spill_scope_ = NewSpillScope();
+  std::mutex spill_roots_mu_;
+  std::set<std::string> spill_roots_;  // guarded by spill_roots_mu_
   /// Per-group memory pool layer between the worker root and query pools
   /// (only when resource groups are enabled; capped groups enforce
   /// memory_fraction at reservation time).

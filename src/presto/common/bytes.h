@@ -60,6 +60,7 @@ class ByteBuffer {
   }
 
   void PutRaw(const void* p, size_t n) {
+    if (n == 0) return;  // an empty source may be null; memcpy forbids that
     size_t old = data_.size();
     data_.resize(old + n);
     std::memcpy(data_.data() + old, p, n);

@@ -102,8 +102,8 @@ Status PartitionedExchange::ResetPartitionForReplay(int partition) {
     }
     part.pages.clear();
     part.replay = true;
+    std::lock_guard<std::mutex> replay_lock(part.replay_mu);
     part.replay_reader = nullptr;
-    part.replay_open = false;
   }
   producer_cv_.notify_all();
   consumer_cv_.notify_all();
@@ -348,11 +348,12 @@ Result<std::optional<Page>> PartitionedExchange::ReplayNextLocked(
   }
   if (!status_.ok()) return status_;
   if (part.closed) return std::optional<Page>();
-  if (!part.replay_open) {
-    // Seal + open does file I/O: drop mu_ for it. Safe — each partition has
-    // a single consumer, and only that consumer reaches the replay reader.
-    std::shared_ptr<ExchangeSpool> spool = spool_;
-    lock.unlock();
+  // Seal, open and read do file I/O: drop mu_ for them. The partition's
+  // consumers (the replicated chains of one task) take turns on its reader.
+  std::shared_ptr<ExchangeSpool> spool = spool_;
+  lock.unlock();
+  std::lock_guard<std::mutex> replay_lock(part.replay_mu);
+  if (part.replay_reader == nullptr) {
     auto reader = spool->OpenReader(partition);
     if (!reader.ok()) {
       // Any replay failure (broken spool, I/O error, fault point) degrades
@@ -361,13 +362,9 @@ Result<std::optional<Page>> PartitionedExchange::ReplayNextLocked(
       return Status::Unavailable("exchange spool replay failed: " +
                                  reader.status().message());
     }
-    lock.lock();
     part.replay_reader = std::move(*reader);
-    part.replay_open = true;
   }
-  ExchangeSpool::Reader* reader = part.replay_reader.get();
-  lock.unlock();
-  auto page = reader->Next();
+  auto page = part.replay_reader->Next();
   if (!page.ok()) {
     return Status::Unavailable("exchange spool replay failed: " +
                                page.status().message());

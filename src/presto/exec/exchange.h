@@ -141,8 +141,10 @@ class PartitionedExchange {
     /// Replay mode (stage re-run): pushes bypass the queue — the spool holds
     /// the complete history — and Next() streams the sealed spool.
     bool replay = false;
-    std::unique_ptr<ExchangeSpool::Reader> replay_reader;
-    bool replay_open = false;
+    /// Serializes the partition's consumers (one per replicated chain of the
+    /// consuming task) on the replay reader, whose file I/O runs outside mu_.
+    std::mutex replay_mu;
+    std::unique_ptr<ExchangeSpool::Reader> replay_reader;  // by replay_mu
   };
 
   // Enqueue with precomputed accounted bytes (Push computes EstimateBytes;

@@ -8,17 +8,18 @@
 
 namespace presto {
 
-SplitMorselSource::SplitMorselSource(Connector* connector,
-                                     AcceptedPushdown pushdown,
-                                     std::vector<SplitPtr> splits,
-                                     size_t morsel_rows)
-    : connector_(connector),
-      pushdown_(std::move(pushdown)),
-      splits_(std::move(splits)),
-      morsel_rows_(morsel_rows == 0 ? 65536 : morsel_rows) {}
-
-Result<std::optional<Page>> SplitMorselSource::NextMorsel() {
+Result<std::optional<Page>> SplitMorselSource::NextMorsel(
+    ScanSourceStats* scan) {
   std::lock_guard<std::mutex> lock(mu_);
+  Result<std::optional<Page>> page = NextMorselLocked();
+  ScanSourceStats total = finished_sources_;
+  if (source_ != nullptr) total.Accumulate(source_->scan_stats());
+  scan->Accumulate(total.Delta(handed_out_));
+  handed_out_ = total;
+  return page;
+}
+
+Result<std::optional<Page>> SplitMorselSource::NextMorselLocked() {
   while (true) {
     if (next_chunk_ < chunks_.size()) {
       return std::optional<Page>(chunks_[next_chunk_++]);
@@ -36,13 +37,13 @@ Result<std::optional<Page>> SplitMorselSource::NextMorsel() {
     }
     size_t n = page->num_rows();
     if (n == 0) continue;
-    if (n <= morsel_rows_) return page;
+    if (n <= kMorselRows) return page;
     // Slice an oversized page into morsel-sized zero-copy row-range wraps.
     chunks_.clear();
     next_chunk_ = 0;
     std::vector<int32_t> rows;
-    for (size_t start = 0; start < n; start += morsel_rows_) {
-      size_t end = std::min(n, start + morsel_rows_);
+    for (size_t start = 0; start < n; start += kMorselRows) {
+      size_t end = std::min(n, start + kMorselRows);
       rows.resize(end - start);
       for (size_t i = start; i < end; ++i) {
         rows[i - start] = static_cast<int32_t>(i);
@@ -52,13 +53,41 @@ Result<std::optional<Page>> SplitMorselSource::NextMorsel() {
   }
 }
 
-ScanSourceStats SplitMorselSource::TakeScanStats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ScanSourceStats total = finished_sources_;
-  if (source_ != nullptr) total.Accumulate(source_->scan_stats());
-  ScanSourceStats delta = total.Delta(handed_out_);
-  handed_out_ = total;
-  return delta;
+MorselScanOperator::MorselScanOperator(std::shared_ptr<MorselSource> source,
+                                       MetricsRegistry* metrics)
+    : source_(std::move(source)) {
+  if (metrics == nullptr) return;
+  // Same order as the deltas bumped in NextInternal.
+  static constexpr const char* kNames[] = {
+      "lakefile.pages.read",           "lakefile.pages.skipped_stats",
+      "lakefile.pages.skipped_lazy",   "lakefile.rows.pruned_late",
+      "lakefile.dict_code.filter_hits", "lakefile.bytes.read"};
+  for (size_t i = 0; i < scan_counters_.size(); ++i) {
+    scan_counters_[i] = metrics->FindOrRegister(kNames[i]);
+  }
+}
+
+Result<std::optional<Page>> MorselScanOperator::NextInternal() {
+  ScanSourceStats d;
+  Result<std::optional<Page>> page = source_->NextMorsel(&d);
+  stats_.scan_row_groups_total += d.row_groups_total;
+  stats_.scan_row_groups_skipped += d.row_groups_skipped;
+  stats_.scan_pages_total += d.pages_total;
+  stats_.scan_pages_read += d.pages_read;
+  stats_.scan_pages_skipped_stats += d.pages_skipped_stats;
+  stats_.scan_pages_skipped_lazy += d.pages_skipped_lazy;
+  stats_.scan_rows_pruned_late += d.rows_pruned_late;
+  stats_.scan_dict_code_hits += d.dict_code_filter_hits;
+  stats_.scan_bytes_read += d.bytes_read;
+  const int64_t deltas[] = {d.pages_read,          d.pages_skipped_stats,
+                            d.pages_skipped_lazy,  d.rows_pruned_late,
+                            d.dict_code_filter_hits, d.bytes_read};
+  for (size_t i = 0; i < scan_counters_.size(); ++i) {
+    if (scan_counters_[i] != nullptr && deltas[i] != 0) {
+      scan_counters_[i]->Add(deltas[i]);
+    }
+  }
+  return page;
 }
 
 Status RunParallel(WorkStealingPool* pool, int parallelism,

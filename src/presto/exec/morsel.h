@@ -1,12 +1,14 @@
 #ifndef PRESTO_EXEC_MORSEL_H_
 #define PRESTO_EXEC_MORSEL_H_
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
 
+#include "presto/common/metrics.h"
 #include "presto/common/thread_pool.h"
 #include "presto/connector/connector.h"
 #include "presto/exec/exchange.h"
@@ -16,44 +18,50 @@
 namespace presto {
 
 /// Thread-safe source of cache-sized row batches ("morsels") shared by the
-/// replicated operator chains of one morsel-parallel task. Each chain pulls
-/// its next morsel from the shared source whenever it finishes one, so work
-/// distributes itself: a chain stuck on an expensive morsel simply claims
-/// fewer, and a fast chain drains the tail (the scheduling half of
-/// morsel-driven parallelism; the work-stealing pool supplies the threads).
+/// operator chains of one task. Each chain pulls its next morsel from the
+/// shared source whenever it finishes one, so work distributes itself: a
+/// chain stuck on an expensive morsel simply claims fewer, and a fast chain
+/// drains the tail (the scheduling half of morsel-driven parallelism; the
+/// work-stealing pool supplies the threads). A single-chain task is the same
+/// thing with one puller.
 class MorselSource {
  public:
   virtual ~MorselSource() = default;
 
   /// Next morsel, or nullopt when the source is exhausted. Thread-safe;
-  /// morsels are handed out exactly once.
-  virtual Result<std::optional<Page>> NextMorsel() = 0;
-
-  /// Scan-side work counters accrued since the last call, handed out exactly
-  /// once across all chains (so per-chain folds sum to the true totals).
-  /// Non-scan sources return zeros.
-  virtual ScanSourceStats TakeScanStats() { return {}; }
+  /// morsels are handed out exactly once. Adds the scan-side work accrued
+  /// since the previous call (by any chain) to `*scan`, so every increment
+  /// is handed out exactly once and the chains' folds sum to the true
+  /// totals. Non-scan sources add nothing.
+  virtual Result<std::optional<Page>> NextMorsel(ScanSourceStats* scan) = 0;
 };
 
 /// Morsels from a leaf scan: the task's split batch is opened split by split
-/// and each page is handed out as one morsel (pages larger than
-/// `morsel_rows` are sliced into zero-copy row-range wraps first). The lock
-/// covers only the page fetch and slice bookkeeping — decoding, filtering
-/// and aggregation of the morsel all run outside it.
+/// and each page is handed out as one morsel (pages larger than kMorselRows
+/// are sliced into zero-copy row-range wraps first). The lock is held across
+/// the page source's NextPage(), which reads and decodes the page, so the
+/// chains of one task decode one page at a time; filtering, projection and
+/// aggregation of the morsel run outside it.
 class SplitMorselSource final : public MorselSource {
  public:
+  /// Target morsel size: chains load-balance at this cache-friendly
+  /// granularity.
+  static constexpr size_t kMorselRows = 65536;
+
   SplitMorselSource(Connector* connector, AcceptedPushdown pushdown,
-                    std::vector<SplitPtr> splits, size_t morsel_rows);
+                    std::vector<SplitPtr> splits)
+      : connector_(connector),
+        pushdown_(std::move(pushdown)),
+        splits_(std::move(splits)) {}
 
-  Result<std::optional<Page>> NextMorsel() override;
-
-  ScanSourceStats TakeScanStats() override;
+  Result<std::optional<Page>> NextMorsel(ScanSourceStats* scan) override;
 
  private:
+  Result<std::optional<Page>> NextMorselLocked();
+
   Connector* connector_;
   AcceptedPushdown pushdown_;
   std::vector<SplitPtr> splits_;
-  size_t morsel_rows_;
 
   std::mutex mu_;
   size_t next_split_ = 0;
@@ -61,7 +69,7 @@ class SplitMorselSource final : public MorselSource {
   std::vector<Page> chunks_;  // slices of an oversized page
   size_t next_chunk_ = 0;
   ScanSourceStats finished_sources_;  // stats of closed page sources
-  ScanSourceStats handed_out_;        // totals already returned by Take
+  ScanSourceStats handed_out_;        // totals already handed to chains
 };
 
 /// Morsels from one partition of an upstream exchange. PartitionedExchange's
@@ -72,7 +80,7 @@ class ExchangeMorselSource final : public MorselSource {
   ExchangeMorselSource(PartitionedExchange* exchange, int partition)
       : exchange_(exchange), partition_(partition) {}
 
-  Result<std::optional<Page>> NextMorsel() override {
+  Result<std::optional<Page>> NextMorsel(ScanSourceStats* /*scan*/) override {
     return exchange_->Next(partition_);
   }
 
@@ -81,38 +89,25 @@ class ExchangeMorselSource final : public MorselSource {
   int partition_;
 };
 
-/// Leaf of a replicated chain: pulls from the shared morsel source. Stamped
-/// with the plan node id of the scan / remote source it replaces, so the
+/// The one leaf operator: pulls from a (possibly shared) morsel source.
+/// Stamped with the plan node id of its table scan / remote source, so the
 /// per-chain stats merge back into that node's record and EXPLAIN ANALYZE
 /// totals reconcile exactly (each morsel is counted by exactly one chain).
+/// Scan work is folded after every morsel, so a scan abandoned early (LIMIT)
+/// still reports what it read.
 class MorselScanOperator final : public Operator {
  public:
-  explicit MorselScanOperator(std::shared_ptr<MorselSource> source)
-      : source_(std::move(source)) {}
+  /// `metrics` (may be null) receives the lakefile.* reader counters; table
+  /// scans pass the query registry, remote sources pass null.
+  MorselScanOperator(std::shared_ptr<MorselSource> source,
+                     MetricsRegistry* metrics);
 
  protected:
-  Result<std::optional<Page>> NextInternal() override {
-    ASSIGN_OR_RETURN(std::optional<Page> page, source_->NextMorsel());
-    if (!page.has_value()) {
-      // Fold whatever scan work is still unclaimed into this chain's stats;
-      // TakeScanStats hands out each increment exactly once, so the chains'
-      // merged records sum to the true scan totals.
-      ScanSourceStats d = source_->TakeScanStats();
-      stats_.scan_row_groups_total += d.row_groups_total;
-      stats_.scan_row_groups_skipped += d.row_groups_skipped;
-      stats_.scan_pages_total += d.pages_total;
-      stats_.scan_pages_read += d.pages_read;
-      stats_.scan_pages_skipped_stats += d.pages_skipped_stats;
-      stats_.scan_pages_skipped_lazy += d.pages_skipped_lazy;
-      stats_.scan_rows_pruned_late += d.rows_pruned_late;
-      stats_.scan_dict_code_hits += d.dict_code_filter_hits;
-      stats_.scan_bytes_read += d.bytes_read;
-    }
-    return page;
-  }
+  Result<std::optional<Page>> NextInternal() override;
 
  private:
   std::shared_ptr<MorselSource> source_;
+  std::array<MetricsRegistry::Counter*, 6> scan_counters_{};
 };
 
 /// Runs `body(0) .. body(parallelism-1)` with the calling thread as the

@@ -158,7 +158,6 @@ class OperatorMemory {
     arbiter_ = limits.arbiter;
     query_id_ = limits.query_id;
     killed_ = limits.query_killed;
-    quantum_ = limits.memory_quantum > 0 ? limits.memory_quantum : 0;
     if (limits.metrics != nullptr) {
       revoked_counter_ = limits.metrics->FindOrRegister("memory.revoked.bytes");
     }
@@ -190,8 +189,8 @@ class OperatorMemory {
     // tree once per quantum instead of once per page, and shrinks smaller
     // than a quantum are kept (they are reused a page later). Cap accuracy
     // degrades by at most one quantum per operator.
-    if (quantum_ > 0 && bytes > 0) {
-      bytes += quantum_ - 1 - (bytes + quantum_ - 1) % quantum_;
+    if (bytes > 0) {
+      bytes += kQuantum - 1 - (bytes + kQuantum - 1) % kQuantum;
     }
     if (bytes == bytes_) return Status::OK();
     if (bytes <= bytes_) {
@@ -249,7 +248,7 @@ class OperatorMemory {
   int64_t query_id_ = 0;
   std::shared_ptr<const std::atomic<bool>> killed_;
   MetricsRegistry::Counter* revoked_counter_ = nullptr;
-  int64_t quantum_ = 0;
+  static constexpr int64_t kQuantum = 1 << 20;
   int64_t bytes_ = 0;
 };
 
@@ -420,87 +419,6 @@ bool RowsEqual(const Page& a, const std::vector<int>& a_channels, size_t a_row,
 // Leaf operators
 // ---------------------------------------------------------------------------
 
-class TableScanOperator final : public Operator {
- public:
-  TableScanOperator(Connector* connector, AcceptedPushdown pushdown,
-                    std::vector<SplitPtr> splits, MetricsRegistry* metrics)
-      : connector_(connector),
-        pushdown_(std::move(pushdown)),
-        splits_(std::move(splits)) {
-    if (metrics != nullptr) {
-      pages_read_counter_ = metrics->FindOrRegister("lakefile.pages.read");
-      pages_skipped_stats_counter_ =
-          metrics->FindOrRegister("lakefile.pages.skipped_stats");
-      pages_skipped_lazy_counter_ =
-          metrics->FindOrRegister("lakefile.pages.skipped_lazy");
-      rows_pruned_counter_ =
-          metrics->FindOrRegister("lakefile.rows.pruned_late");
-      dict_code_hits_counter_ =
-          metrics->FindOrRegister("lakefile.dict_code.filter_hits");
-      bytes_read_counter_ = metrics->FindOrRegister("lakefile.bytes.read");
-    }
-  }
-
- protected:
-  Result<std::optional<Page>> NextInternal() override {
-    while (true) {
-      if (source_ == nullptr) {
-        if (next_split_ >= splits_.size()) return std::optional<Page>();
-        ASSIGN_OR_RETURN(source_, connector_->CreatePageSource(
-                                      splits_[next_split_++], pushdown_));
-        source_seen_ = ScanSourceStats();
-      }
-      ASSIGN_OR_RETURN(std::optional<Page> page, source_->NextPage());
-      HarvestScanStats();
-      if (!page.has_value()) {
-        source_.reset();
-        continue;
-      }
-      if (page->num_rows() == 0) continue;
-      return page;
-    }
-  }
-
- private:
-  /// Folds the source's counters-since-last-harvest into OperatorStats and
-  /// the lakefile.* metrics. Incremental (per NextPage) so EXPLAIN ANALYZE
-  /// and metrics stay live even for long splits, and exact at exhaustion.
-  void HarvestScanStats() {
-    if (source_ == nullptr) return;
-    ScanSourceStats now = source_->scan_stats();
-    ScanSourceStats d = now.Delta(source_seen_);
-    source_seen_ = now;
-    stats_.scan_row_groups_total += d.row_groups_total;
-    stats_.scan_row_groups_skipped += d.row_groups_skipped;
-    stats_.scan_pages_total += d.pages_total;
-    stats_.scan_pages_read += d.pages_read;
-    stats_.scan_pages_skipped_stats += d.pages_skipped_stats;
-    stats_.scan_pages_skipped_lazy += d.pages_skipped_lazy;
-    stats_.scan_rows_pruned_late += d.rows_pruned_late;
-    stats_.scan_dict_code_hits += d.dict_code_filter_hits;
-    stats_.scan_bytes_read += d.bytes_read;
-    Bump(pages_read_counter_, d.pages_read);
-    Bump(pages_skipped_stats_counter_, d.pages_skipped_stats);
-    Bump(pages_skipped_lazy_counter_, d.pages_skipped_lazy);
-    Bump(rows_pruned_counter_, d.rows_pruned_late);
-    Bump(dict_code_hits_counter_, d.dict_code_filter_hits);
-    Bump(bytes_read_counter_, d.bytes_read);
-  }
-
-  Connector* connector_;
-  AcceptedPushdown pushdown_;
-  std::vector<SplitPtr> splits_;
-  size_t next_split_ = 0;
-  std::unique_ptr<ConnectorPageSource> source_;
-  ScanSourceStats source_seen_;  // last harvested snapshot of source_
-  MetricsRegistry::Counter* pages_read_counter_ = nullptr;
-  MetricsRegistry::Counter* pages_skipped_stats_counter_ = nullptr;
-  MetricsRegistry::Counter* pages_skipped_lazy_counter_ = nullptr;
-  MetricsRegistry::Counter* rows_pruned_counter_ = nullptr;
-  MetricsRegistry::Counter* dict_code_hits_counter_ = nullptr;
-  MetricsRegistry::Counter* bytes_read_counter_ = nullptr;
-};
-
 class ValuesOperator final : public Operator {
  public:
   ValuesOperator(std::vector<VariablePtr> outputs,
@@ -527,21 +445,6 @@ class ValuesOperator final : public Operator {
   std::vector<VariablePtr> outputs_;
   const std::vector<std::vector<Value>>* rows_;
   bool done_ = false;
-};
-
-class RemoteSourceOperator final : public Operator {
- public:
-  RemoteSourceOperator(PartitionedExchange* exchange, int partition)
-      : exchange_(exchange), partition_(partition) {}
-
- protected:
-  Result<std::optional<Page>> NextInternal() override {
-    return exchange_->Next(partition_);
-  }
-
- private:
-  PartitionedExchange* exchange_;
-  int partition_;
 };
 
 // ---------------------------------------------------------------------------
@@ -653,23 +556,21 @@ class HashAggregationOperator final : public Operator {
     TypePtr output_type;
   };
 
-  /// `extra_chains` are the replicated morsel chains beyond `child` (empty
-  /// for a classic single-threaded task): each chain consumes into its own
-  /// thread-local radix-partitioned state, merged partition-wise after every
-  /// chain finishes — the hot consume path never takes a lock.
-  HashAggregationOperator(OperatorPtr child, std::vector<int> key_channels,
+  /// `chains` feed the aggregation (one, or the task's replicated morsel
+  /// chains): each chain consumes into its own thread-local
+  /// radix-partitioned state, merged partition-wise after every chain
+  /// finishes — the hot consume path never takes a lock.
+  HashAggregationOperator(std::vector<OperatorPtr> chains,
+                          std::vector<int> key_channels,
                           std::vector<TypePtr> key_types,
                           std::vector<AggSpec> aggs, AggregationStep step,
-                          const ExecutionLimits& limits,
-                          std::vector<OperatorPtr> extra_chains = {})
-      : child_(std::move(child)),
-        extra_chains_(std::move(extra_chains)),
+                          const ExecutionLimits& limits)
+      : chains_(std::move(chains)),
         key_channels_(std::move(key_channels)),
         key_types_(std::move(key_types)),
         aggs_(std::move(aggs)),
         step_(step) {
-    AddChild(child_.get());
-    for (const OperatorPtr& chain : extra_chains_) AddChild(chain.get());
+    for (const OperatorPtr& chain : chains_) AddChild(chain.get());
     if (limits.metrics != nullptr) {
       kernel_pages_counter_ =
           limits.metrics->FindOrRegister("exec.agg.kernel_pages");
@@ -697,10 +598,10 @@ class HashAggregationOperator final : public Operator {
     }
     metrics_ = limits.metrics;
     morsel_pool_ = limits.morsel_pool;
-    size_t num_chains = 1 + extra_chains_.size();
+    size_t num_chains = chains_.size();
     for (size_t i = 0; i < num_chains; ++i) {
       auto s = std::make_unique<LocalState>();
-      s->chain = i == 0 ? child_.get() : extra_chains_[i - 1].get();
+      s->chain = chains_[i].get();
       s->memory.Init(limits, num_chains == 1
                                  ? "op.HashAggregation"
                                  : "op.HashAggregation.t" + std::to_string(i));
@@ -833,13 +734,8 @@ class HashAggregationOperator final : public Operator {
       if (trace_recorder_ != nullptr) trace_recorder_->EndSpan(chain_span);
       return st;
     };
-    Status st;
-    if (locals_.size() == 1) {
-      st = consume_traced(0);
-    } else {
-      st = RunParallel(morsel_pool_, static_cast<int>(locals_.size()),
-                       consume_traced);
-    }
+    Status st = RunParallel(morsel_pool_, static_cast<int>(locals_.size()),
+                            consume_traced);
     // Fold per-chain counters into the shared stats record after the chains
     // join; consuming threads never touch stats_ directly.
     int64_t total_groups = 0;
@@ -1476,8 +1372,7 @@ class HashAggregationOperator final : public Operator {
   static constexpr int kRadixBits = 5;
   static constexpr size_t kRadixUpgradeGroups = 8192;
 
-  OperatorPtr child_;
-  std::vector<OperatorPtr> extra_chains_;
+  std::vector<OperatorPtr> chains_;
   std::vector<int> key_channels_;
   std::vector<TypePtr> key_types_;
   std::vector<AggSpec> aggs_;
@@ -1499,7 +1394,7 @@ class HashAggregationOperator final : public Operator {
   int radix_target_bits_ = 0;            // 0 = keyless, never partitions
   std::vector<VariablePtr> run_vars_;    // [keys..., intermediates...] types
 
-  // Per-chain states; locals_[0] belongs to child_ and survives the merge.
+  // Per-chain states; locals_[0] belongs to chains_[0] and survives the merge.
   WorkStealingPool* morsel_pool_ = nullptr;
   std::vector<std::unique_ptr<LocalState>> locals_;
 
@@ -1522,21 +1417,20 @@ class HashAggregationOperator final : public Operator {
 // materialized into a hash table (broadcast-style).
 class HashJoinOperator final : public Operator {
  public:
-  /// `extra_build_chains` are replicated morsel chains for the build side
-  /// (empty for a classic single-threaded task): the chains drain the shared
-  /// build source in parallel, then the concatenated rows are
-  /// radix-partitioned into per-partition hash tables built in parallel.
-  HashJoinOperator(OperatorPtr probe, OperatorPtr build, JoinKind kind,
+  /// `build_chains` feed the build side (one, or the task's replicated
+  /// morsel chains): the chains drain the shared build source in parallel,
+  /// then the concatenated rows are radix-partitioned into per-partition
+  /// hash tables built in parallel.
+  HashJoinOperator(OperatorPtr probe, std::vector<OperatorPtr> build_chains,
+                   JoinKind kind,
                    std::vector<int> probe_keys, std::vector<int> build_keys,
                    std::vector<TypePtr> probe_key_types,
                    std::vector<TypePtr> build_key_types,
                    std::vector<VariablePtr> build_vars, ExprPtr filter,
                    std::map<std::string, int> combined_layout,
-                   FunctionRegistry* functions, const ExecutionLimits& limits,
-                   std::vector<OperatorPtr> extra_build_chains = {})
+                   FunctionRegistry* functions, const ExecutionLimits& limits)
       : probe_(std::move(probe)),
-        build_(std::move(build)),
-        extra_build_(std::move(extra_build_chains)),
+        build_chains_(std::move(build_chains)),
         kind_(kind),
         probe_keys_(std::move(probe_keys)),
         build_keys_(std::move(build_keys)),
@@ -1547,8 +1441,7 @@ class HashJoinOperator final : public Operator {
         max_build_rows_(limits.max_join_build_rows),
         morsel_pool_(limits.morsel_pool) {
     AddChild(probe_.get());
-    AddChild(build_.get());
-    for (const OperatorPtr& chain : extra_build_) AddChild(chain.get());
+    for (const OperatorPtr& chain : build_chains_) AddChild(chain.get());
     memory_.Init(limits, "op.HashJoin");
     if (limits.metrics != nullptr) {
       build_rows_counter_ = limits.metrics->FindOrRegister("exec.join.build_rows");
@@ -1610,13 +1503,13 @@ class HashJoinOperator final : public Operator {
     // Drain the build side; with replicated morsel chains every chain
     // collects pages thread-locally and only the row/byte bookkeeping (and
     // its reservation ladder) is serialized, once per page.
-    size_t num_chains = 1 + extra_build_.size();
+    size_t num_chains = build_chains_.size();
     std::vector<std::vector<Page>> chain_pages(num_chains);
     std::mutex mu;
     int64_t build_rows = 0;   // guarded by mu when parallel
     int64_t build_bytes = 0;  // guarded by mu when parallel
     auto consume_chain = [&](int i) -> Status {
-      Operator* chain = i == 0 ? build_.get() : extra_build_[i - 1].get();
+      Operator* chain = build_chains_[i].get();
       while (true) {
         ASSIGN_OR_RETURN(std::optional<Page> page, chain->Next());
         if (!page.has_value()) return Status::OK();
@@ -1660,12 +1553,8 @@ class HashJoinOperator final : public Operator {
       if (trace_recorder_ != nullptr) trace_recorder_->EndSpan(chain_span);
       return st;
     };
-    if (num_chains == 1) {
-      RETURN_IF_ERROR(consume(0));
-    } else {
-      RETURN_IF_ERROR(RunParallel(morsel_pool_,
-                                  static_cast<int>(num_chains), consume));
-    }
+    RETURN_IF_ERROR(
+        RunParallel(morsel_pool_, static_cast<int>(num_chains), consume));
     std::vector<Page> pages;
     for (auto& collected : chain_pages) {
       for (Page& page : collected) pages.push_back(std::move(page));
@@ -1972,8 +1861,7 @@ class HashJoinOperator final : public Operator {
   };
 
   OperatorPtr probe_;
-  OperatorPtr build_;
-  std::vector<OperatorPtr> extra_build_;
+  std::vector<OperatorPtr> build_chains_;
   JoinKind kind_;
   std::vector<int> probe_keys_;
   std::vector<int> build_keys_;
@@ -2384,54 +2272,61 @@ Result<OperatorPtr> OperatorBuilder::Build(const PlanNodePtr& node) {
 }
 
 Result<std::shared_ptr<MorselSource>> OperatorBuilder::MakeMorselSource(
-    const PlanNodePtr& node) {
-  // Walk through stateless row-preserving nodes; anything stateful (limit,
-  // nested aggregation/join/sort) disqualifies the subtree — replicating it
-  // across chains would change semantics.
-  const PlanNode* cur = node.get();
-  while (cur->kind() == PlanNodeKind::kFilter ||
-         cur->kind() == PlanNodeKind::kProject) {
-    cur = cur->sources()[0].get();
-  }
-  if (cur->kind() == PlanNodeKind::kTableScan) {
-    const auto* scan = static_cast<const TableScanNode*>(cur);
-    if (!scan->accepted().has_value() || splits_ == nullptr ||
-        splits_->empty()) {
-      return std::shared_ptr<MorselSource>();
+    const PlanNode& leaf) {
+  if (leaf.kind() == PlanNodeKind::kTableScan) {
+    const auto& scan = static_cast<const TableScanNode&>(leaf);
+    if (!scan.accepted().has_value()) {
+      return Status::Internal("table scan was not negotiated: " + scan.Label());
+    }
+    if (splits_ == nullptr) {
+      return Status::Internal("no splits provided for leaf fragment");
     }
     ASSIGN_OR_RETURN(Connector * connector,
-                     catalogs_->GetConnector(scan->catalog()));
-    return std::shared_ptr<MorselSource>(new SplitMorselSource(
-        connector, *scan->accepted(), *splits_, limits_.morsel_rows));
-  }
-  if (cur->kind() == PlanNodeKind::kRemoteSource) {
-    const auto* remote = static_cast<const RemoteSourceNode*>(cur);
-    auto it = exchanges_->find(remote->fragment_id());
-    if (it == exchanges_->end()) return std::shared_ptr<MorselSource>();
-    int partition =
-        remote->source_partitioning() == PartitioningScheme::Kind::kHash
-            ? task_partition_ % it->second->num_partitions()
-            : 0;
+                     catalogs_->GetConnector(scan.catalog()));
     return std::shared_ptr<MorselSource>(
-        new ExchangeMorselSource(it->second, partition));
+        new SplitMorselSource(connector, *scan.accepted(), *splits_));
   }
-  return std::shared_ptr<MorselSource>();
+  const auto& remote = static_cast<const RemoteSourceNode&>(leaf);
+  auto it = exchanges_->find(remote.fragment_id());
+  if (it == exchanges_->end()) {
+    return Status::Internal("no exchange for fragment " +
+                            std::to_string(remote.fragment_id()));
+  }
+  // Hash-partitioned upstream: this task consumes its own partition of the
+  // exchange; gather upstreams are single-partition.
+  int partition =
+      remote.source_partitioning() == PartitioningScheme::Kind::kHash
+          ? task_partition_ % it->second->num_partitions()
+          : 0;
+  return std::shared_ptr<MorselSource>(
+      new ExchangeMorselSource(it->second, partition));
 }
 
 Result<std::vector<OperatorPtr>> OperatorBuilder::BuildParallelChains(
     const PlanNodePtr& node) {
-  std::vector<OperatorPtr> chains;
-  if (limits_.task_threads <= 1 || morsel_source_override_ != nullptr) {
-    return chains;
+  // Walk through stateless row-preserving nodes; anything stateful (limit,
+  // nested aggregation/join/sort) keeps the subtree on one chain, since
+  // replicating it would change semantics. A scan without splits has no
+  // morsels to share.
+  const PlanNode* leaf = node.get();
+  while (leaf->kind() == PlanNodeKind::kFilter ||
+         leaf->kind() == PlanNodeKind::kProject) {
+    leaf = leaf->sources()[0].get();
   }
-  ASSIGN_OR_RETURN(std::shared_ptr<MorselSource> source,
-                   MakeMorselSource(node));
-  if (source == nullptr) return chains;
+  const bool replicable =
+      leaf->kind() == PlanNodeKind::kRemoteSource ||
+      (leaf->kind() == PlanNodeKind::kTableScan && splits_ != nullptr &&
+       !splits_->empty());
+  if (replicable && limits_.task_threads > 1) {
+    ASSIGN_OR_RETURN(morsel_source_override_, MakeMorselSource(*leaf));
+  }
   // Every chain is a full copy of the subtree sharing one morsel source, so
   // each page is processed by exactly one chain and the per-node stats of
-  // the replicas sum to the single-threaded totals.
-  morsel_source_override_ = std::move(source);
-  for (int i = 0; i < limits_.task_threads; ++i) {
+  // the replicas sum to the single-chain totals.
+  const int num_chains =
+      morsel_source_override_ != nullptr ? limits_.task_threads : 1;
+  std::vector<OperatorPtr> chains;
+  for (int i = 0; i < num_chains; ++i) {
     ASSIGN_OR_RETURN(OperatorPtr chain, Build(node));
     chains.push_back(std::move(chain));
   }
@@ -2441,44 +2336,23 @@ Result<std::vector<OperatorPtr>> OperatorBuilder::BuildParallelChains(
 
 Result<OperatorPtr> OperatorBuilder::BuildNode(const PlanNodePtr& node) {
   switch (node->kind()) {
-    case PlanNodeKind::kTableScan: {
-      const auto* scan = static_cast<const TableScanNode*>(node.get());
-      if (!scan->accepted().has_value()) {
-        return Status::Internal("table scan was not negotiated: " + scan->Label());
+    case PlanNodeKind::kTableScan:
+    case PlanNodeKind::kRemoteSource: {
+      // Every leaf is a morsel scan: over the shared source while replicated
+      // chains are being built, else over a source of its own.
+      std::shared_ptr<MorselSource> source = morsel_source_override_;
+      if (source == nullptr) {
+        ASSIGN_OR_RETURN(source, MakeMorselSource(*node));
       }
-      if (morsel_source_override_ != nullptr) {
-        return OperatorPtr(new MorselScanOperator(morsel_source_override_));
-      }
-      if (splits_ == nullptr) {
-        return Status::Internal("no splits provided for leaf fragment");
-      }
-      ASSIGN_OR_RETURN(Connector * connector,
-                       catalogs_->GetConnector(scan->catalog()));
-      return OperatorPtr(new TableScanOperator(connector, *scan->accepted(),
-                                               *splits_, limits_.metrics));
+      MetricsRegistry* scan_metrics =
+          node->kind() == PlanNodeKind::kTableScan ? limits_.metrics : nullptr;
+      return OperatorPtr(
+          new MorselScanOperator(std::move(source), scan_metrics));
     }
     case PlanNodeKind::kValues: {
       const auto* values = static_cast<const ValuesNode*>(node.get());
       return OperatorPtr(new ValuesOperator(values->OutputVariables(),
                                             &values->rows()));
-    }
-    case PlanNodeKind::kRemoteSource: {
-      if (morsel_source_override_ != nullptr) {
-        return OperatorPtr(new MorselScanOperator(morsel_source_override_));
-      }
-      const auto* remote = static_cast<const RemoteSourceNode*>(node.get());
-      auto it = exchanges_->find(remote->fragment_id());
-      if (it == exchanges_->end()) {
-        return Status::Internal("no exchange for fragment " +
-                                std::to_string(remote->fragment_id()));
-      }
-      // Hash-partitioned upstream: this task consumes its own partition of
-      // the exchange; gather upstreams are single-partition.
-      int partition =
-          remote->source_partitioning() == PartitioningScheme::Kind::kHash
-              ? task_partition_ % it->second->num_partitions()
-              : 0;
-      return OperatorPtr(new RemoteSourceOperator(it->second, partition));
     }
     case PlanNodeKind::kFilter: {
       const auto* filter = static_cast<const FilterNode*>(node.get());
@@ -2503,13 +2377,6 @@ Result<OperatorPtr> OperatorBuilder::BuildNode(const PlanNodePtr& node) {
       const auto* agg = static_cast<const AggregateNode*>(node.get());
       ASSIGN_OR_RETURN(std::vector<OperatorPtr> chains,
                        BuildParallelChains(agg->sources()[0]));
-      OperatorPtr child;
-      if (chains.empty()) {
-        ASSIGN_OR_RETURN(child, Build(agg->sources()[0]));
-      } else {
-        child = std::move(chains.front());
-        chains.erase(chains.begin());
-      }
       auto layout = MakeLayout(agg->sources()[0]->OutputVariables());
       std::vector<int> key_channels;
       std::vector<TypePtr> key_types;
@@ -2539,8 +2406,8 @@ Result<OperatorPtr> OperatorBuilder::BuildNode(const PlanNodePtr& node) {
         specs.push_back(std::move(spec));
       }
       return OperatorPtr(new HashAggregationOperator(
-          std::move(child), std::move(key_channels), std::move(key_types),
-          std::move(specs), agg->step(), limits_, std::move(chains)));
+          std::move(chains), std::move(key_channels), std::move(key_types),
+          std::move(specs), agg->step(), limits_));
     }
     case PlanNodeKind::kJoin: {
       const auto* join = static_cast<const JoinNode*>(node.get());
@@ -2561,13 +2428,6 @@ Result<OperatorPtr> OperatorBuilder::BuildNode(const PlanNodePtr& node) {
       // the task thread.
       ASSIGN_OR_RETURN(std::vector<OperatorPtr> build_chains,
                        BuildParallelChains(join->sources()[1]));
-      OperatorPtr build;
-      if (build_chains.empty()) {
-        ASSIGN_OR_RETURN(build, Build(join->sources()[1]));
-      } else {
-        build = std::move(build_chains.front());
-        build_chains.erase(build_chains.begin());
-      }
       std::vector<int> probe_keys, build_keys;
       std::vector<TypePtr> probe_key_types, build_key_types;
       for (const auto& clause : join->criteria()) {
@@ -2582,11 +2442,11 @@ Result<OperatorPtr> OperatorBuilder::BuildNode(const PlanNodePtr& node) {
         build_key_types.push_back(clause.right->type());
       }
       return OperatorPtr(new HashJoinOperator(
-          std::move(probe), std::move(build), join->join_kind(),
+          std::move(probe), std::move(build_chains), join->join_kind(),
           std::move(probe_keys), std::move(build_keys),
           std::move(probe_key_types), std::move(build_key_types),
           std::move(build_vars), join->filter(), std::move(combined_layout),
-          functions_, limits_, std::move(build_chains)));
+          functions_, limits_));
     }
     case PlanNodeKind::kSort:
     case PlanNodeKind::kTopN: {

@@ -151,20 +151,13 @@ struct ExecutionLimits {
   int64_t deadline_steady_nanos = 0;
 
   // -- Morsel-driven intra-task parallelism ----------------------------------
-  /// Number of replicated operator chains per eligible task subtree (session
-  /// property task_threads). 1 = classic single-threaded task.
+  /// Number of operator chains per eligible task subtree (session property
+  /// task_threads). 1 = one chain over the same morsel source.
   int task_threads = 1;
   /// Worker-local work-stealing pool supplying helper threads for the
   /// replicated chains. Not owned; null means the calling thread runs every
   /// chain itself (correct, just serial).
   WorkStealingPool* morsel_pool = nullptr;
-  /// Target morsel size in rows: leaf scans hand out pages at most this
-  /// large so chains load-balance at cache-friendly granularity.
-  size_t morsel_rows = 65536;
-  /// Memory reservations move in steps of this many bytes (0 = byte-exact):
-  /// per-chain operator state batches its pool-tree updates so accounting
-  /// stays off the per-page hot path (session memory_reservation_quantum).
-  int64_t memory_quantum = 1 << 20;
 
   // -- Memory accounting (null/defaults = accounting off) --------------------
   /// Task-level memory pool; memory-hungry operators (aggregation, sort,
@@ -224,18 +217,16 @@ class OperatorBuilder {
  private:
   Result<OperatorPtr> BuildNode(const PlanNodePtr& node);
 
-  /// Builds `limits_.task_threads` copies of the subtree under `node`, all
-  /// pulling from one shared morsel source, for a parent that merges their
-  /// partial states (aggregation consume, join build). Returns an empty
-  /// vector when the subtree is not eligible (stateful nodes, no splits) or
-  /// parallelism is off.
+  /// The operator chains a merging parent (aggregation consume, join build)
+  /// drains; never empty. `limits_.task_threads` copies of the subtree under
+  /// `node` share one morsel source when the subtree is a chain of stateless
+  /// row-preserving nodes over a table scan with splits or a remote source;
+  /// any other subtree is the one plain Build(node).
   Result<std::vector<OperatorPtr>> BuildParallelChains(const PlanNodePtr& node);
 
-  /// The shared morsel source for the subtree, or null if ineligible: the
-  /// subtree must be a chain of stateless row-preserving nodes over a single
-  /// negotiated table scan (with splits) or remote source.
-  Result<std::shared_ptr<MorselSource>> MakeMorselSource(
-      const PlanNodePtr& node);
+  /// The morsel source a table scan (the task's splits) or a remote source
+  /// (the task's partition of the upstream exchange) reads from.
+  Result<std::shared_ptr<MorselSource>> MakeMorselSource(const PlanNode& leaf);
 
   const CatalogRegistry* catalogs_;
   FunctionRegistry* functions_;
@@ -243,8 +234,8 @@ class OperatorBuilder {
   const std::vector<SplitPtr>* splits_;
   ExecutionLimits limits_;
   int task_partition_ = 0;
-  /// Non-null while building replicated chains: leaf scan / remote source
-  /// nodes become MorselScanOperators over this shared source.
+  /// Non-null while building replicated chains: the leaf of every chain
+  /// reads this shared source instead of one of its own.
   std::shared_ptr<MorselSource> morsel_source_override_;
 };
 

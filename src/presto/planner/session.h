@@ -40,8 +40,10 @@ struct Session {
   ///                            hit and merge them on output; off makes
   ///                            exceeding query_max_memory a
   ///                            kResourceExhausted failure
-  ///   spill_path             = spill-area directory; each query spills
-  ///                            under <spill_path>/query-<id>
+  ///   spill_path             = spill-area directory; each coordinator
+  ///                            spills under <spill_path>/<pid>-<seq>
+  ///                            (removed when it is destroyed), each query
+  ///                            under query-<id> within that
   ///                            (default /tmp/presto_spill)
   ///   query_queue_max        = admission-control queue depth: queries
   ///                            arriving while reserved worker memory is
@@ -57,23 +59,12 @@ struct Session {
   ///   memory_accounting      = "true" (default) | "false": disables the
   ///                            memory-pool hierarchy entirely (used to
   ///                            measure reservation overhead in benches)
-  ///   morsel_execution       = "true" (default) | "false": split leaf
-  ///                            scans into cache-sized morsels pulled by a
-  ///                            worker-local work-stealing pool; off runs
-  ///                            one operator chain per task and forces
-  ///                            task_threads = 1
-  ///   task_threads           = operator chains per task under morsel
-  ///                            execution; each chain owns thread-local
-  ///                            radix-partitioned aggregation/join state
-  ///                            merged partition-wise at finalize (default
-  ///                            min(16, hardware threads))
-  ///   morsel_rows            = target rows per morsel; leaf splits and
-  ///                            exchange pages are re-chunked to about this
-  ///                            granularity (default 65536)
-  ///   memory_reservation_quantum = operator reservations are rounded up to
-  ///                            this many bytes so the pool tree is touched
-  ///                            once per quantum, not once per page; 0
-  ///                            reserves exact sizes (default 1 MiB)
+  ///   task_threads           = operator chains per task over one shared
+  ///                            morsel source (1 = one chain); each chain
+  ///                            owns thread-local radix-partitioned
+  ///                            aggregation/join state merged partition-wise
+  ///                            at finalize (default min(16, hardware
+  ///                            threads))
   ///   query_trace            = "false" (default) | "true": record the
   ///                            query's span tree (query -> stage -> task ->
   ///                            chain -> operator, plus admission/exchange/

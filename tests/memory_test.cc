@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <thread>
 
 #include "presto/cache/lru_cache.h"
@@ -789,6 +793,65 @@ TEST(MemoryCountersTest, ReservationsVisibleOnHappyPath) {
       "SELECT k, count(*), sum(v) FROM mem.raw.t GROUP BY k", off);
   ASSERT_TRUE(unaccounted.ok()) << unaccounted.status().ToString();
   EXPECT_EQ(unaccounted->exec_metrics.count("memory.query.peak_bytes"), 0u);
+}
+
+// Two coordinators in one process share a spill_path and both number their
+// queries from 1. Each must spill under its own directory, so neither reads
+// or deletes the other's run files, and each removes that directory when it
+// is destroyed.
+TEST(SpillIsolationTest, TwoClustersShareSpillPathConcurrently) {
+  const std::string spill_path = ::testing::TempDir() +
+                                 "presto_spill_isolation_" +
+                                 std::to_string(::getpid());
+  const std::string sql =
+      "SELECT k_int, k_str, count(*), sum(v_int) FROM mem.raw.facts "
+      "GROUP BY k_int, k_str";
+  std::vector<std::unique_ptr<PrestoCluster>> clusters;
+  for (int c = 0; c < 2; ++c) {
+    clusters.push_back(std::make_unique<PrestoCluster>(
+        "spill-isolation-" + std::to_string(c), 2, 2));
+    auto memory = std::make_shared<MemoryConnector>();
+    LoadRandomFacts(memory.get(), 20, 400);
+    ASSERT_TRUE(
+        clusters.back()->catalogs().RegisterCatalog("mem", memory).ok());
+  }
+  auto reference = clusters[0]->Execute(sql, Session());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const std::vector<std::string> expected = SortedRows(*reference);
+
+  Session tight;
+  tight.properties["query_max_memory"] = "65536";
+  tight.properties["spill_path"] = spill_path;
+  std::vector<std::vector<std::string>> failures(clusters.size());
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < clusters.size(); ++c) {
+    threads.emplace_back([&, c] {
+      for (int run = 0; run < 4; ++run) {
+        auto result = clusters[c]->Execute(sql, tight);
+        std::string label = "run " + std::to_string(run) + ": ";
+        if (!result.ok()) {
+          failures[c].push_back(label + result.status().ToString());
+        } else if (result->exec_metrics["spill.run.written"] == 0) {
+          failures[c].push_back(label + "did not spill");
+        } else if (SortedRows(*result) != expected) {
+          failures[c].push_back(label + "returned wrong rows");
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t c = 0; c < clusters.size(); ++c) {
+    for (const std::string& failure : failures[c]) {
+      ADD_FAILURE() << "cluster " << c << " " << failure;
+    }
+  }
+
+  clusters.clear();
+  EXPECT_TRUE(!std::filesystem::exists(spill_path) ||
+              std::filesystem::is_empty(spill_path))
+      << "spill files left behind under " << spill_path;
+  std::error_code ignored;
+  std::filesystem::remove_all(spill_path, ignored);
 }
 
 }  // namespace

@@ -281,6 +281,45 @@ TEST(ObservabilityTest, ExplainAnalyzeShowsLazyScanStatsAndEnforcedPushdown) {
   auto result = cluster.Execute(sql, session);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->total_rows, 40);
+
+  // One scan-accounting path: at one chain and at four, for the plain scan,
+  // an aggregation (whose scan runs as replicated morsel chains) and a LIMIT
+  // that abandons the scan early, every lakefile.* exec metric equals the
+  // sum of its scan_* field over the TableScan records.
+  const std::string limit_sql = "SELECT v FROM lake.raw.pts LIMIT 5";
+  for (const char* threads : {"1", "4"}) {
+    Session threaded;
+    threaded.properties["task_threads"] = threads;
+    for (const std::string& query :
+         {sql,
+          std::string("SELECT count(*), sum(v) FROM lake.raw.pts WHERE k < 40"),
+          limit_sql}) {
+      SCOPED_TRACE(query + " at task_threads=" + threads);
+      auto run = cluster.Execute("EXPLAIN ANALYZE " + query, threaded);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      OperatorStats scans;
+      for (const auto& [id, op] : run->stats.operators) {
+        if (op.operator_type == "TableScan") scans.Merge(op);
+      }
+      std::map<std::string, int64_t>& metrics = run->exec_metrics;
+      EXPECT_EQ(metrics["lakefile.pages.read"], scans.scan_pages_read);
+      EXPECT_EQ(metrics["lakefile.pages.skipped_stats"],
+                scans.scan_pages_skipped_stats);
+      EXPECT_EQ(metrics["lakefile.pages.skipped_lazy"],
+                scans.scan_pages_skipped_lazy);
+      EXPECT_EQ(metrics["lakefile.rows.pruned_late"],
+                scans.scan_rows_pruned_late);
+      EXPECT_EQ(metrics["lakefile.dict_code.filter_hits"],
+                scans.scan_dict_code_hits);
+      EXPECT_EQ(metrics["lakefile.bytes.read"], scans.scan_bytes_read);
+      EXPECT_GT(metrics["lakefile.pages.read"], 0);
+      EXPECT_GT(metrics["lakefile.bytes.read"], 0);
+      if (query != limit_sql) {
+        EXPECT_GT(metrics["lakefile.pages.skipped_stats"], 0);
+        EXPECT_GT(metrics["lakefile.rows.pruned_late"], 0);
+      }
+    }
+  }
 }
 
 TEST(ObservabilityTest, ExchangePeakStaysWithinSessionBudget) {
