@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "presto/cluster/cluster.h"
@@ -513,9 +514,10 @@ int main(int argc, char** argv) {
   // -- Memory management: spill throughput and reservation overhead ----------
   // The same 10M-row group-by runs unconstrained (hash tables fully
   // in memory) and under a query_max_memory cap small enough that the
-  // aggregation revokes itself into sorted spill runs and merge-reads them on
-  // output. Row counts must match exactly; the slowdown is the price of
-  // running a query that does not fit. Separately, memory_accounting=false
+  // aggregation revokes itself into spill runs ordered by key hash, then
+  // merges them on output one hash batch at a time through a bounded state.
+  // Row counts must match exactly; the slowdown is the price of running a
+  // query that does not fit. Separately, memory_accounting=false
   // strips every pool reservation out of the hot path — with lock-free
   // per-level atomics the accounted run must stay within a 2% budget.
   std::printf("\n=== Spill vs in-memory, reservation overhead ===\n\n");
@@ -707,7 +709,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"engine_kernels\",\n  \"results\": [\n");
+  std::fprintf(f,
+               "{\n  \"bench\": \"engine_kernels\",\n"
+               "  \"host\": {\"cores\": %u, \"build_type\": \"%s\"},\n"
+               "  \"results\": [\n",
+               std::thread::hardware_concurrency(), PRESTO_BUILD_TYPE);
   for (size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];
     std::fprintf(

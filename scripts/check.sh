@@ -40,6 +40,7 @@ CHAOS_ITERS="${PRESTO_CHAOS_ITERS:-8}"
 # killer's cross-thread cancellation. The acceptance-scale spill test is
 # shrunk for sanitizer speed (full 10M rows runs in the regular suite).
 MEMORY_FILTER='MemoryPoolTest.*:SpillDifferentialTest.*:SpillLargeScaleTest.*'
+MEMORY_FILTER="$MEMORY_FILTER:SpillMergeTest.*"
 MEMORY_FILTER="$MEMORY_FILTER:AdmissionTest.*:LowMemoryKillerTest.*"
 MEMORY_FILTER="$MEMORY_FILTER:ExchangeMemoryTest.*:MemoryCountersTest.*"
 MEMORY_SCALE_ROWS="${PRESTO_SPILL_SCALE_ROWS:-2000000}"

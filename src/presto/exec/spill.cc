@@ -1,10 +1,12 @@
 #include "presto/exec/spill.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "presto/common/bytes.h"
 #include "presto/common/fault_injection.h"
 #include "presto/common/trace.h"
+#include "presto/exec/kernels/kernels.h"
 #include "presto/expr/serialization.h"
 #include "presto/vector/vector_builder.h"
 
@@ -109,6 +111,24 @@ Result<VectorPtr> ReadColumn(const TypePtr& type, size_t num_rows,
     default:
       return Status::Corruption("spill: unknown column tag " +
                                 std::to_string(tag));
+  }
+}
+
+// Restores a binary min-heap under `less` after its top entry grew (the
+// merges' one step per row: advance the smallest source, sift it down).
+template <typename T, typename Less>
+void SiftDownTop(std::vector<T>* heap, Less less) {
+  size_t n = heap->size();
+  size_t i = 0;
+  while (true) {
+    size_t smallest = i;
+    size_t left = 2 * i + 1;
+    size_t right = left + 1;
+    if (left < n && less((*heap)[left], (*heap)[smallest])) smallest = left;
+    if (right < n && less((*heap)[right], (*heap)[smallest])) smallest = right;
+    if (smallest == i) return;
+    std::swap((*heap)[i], (*heap)[smallest]);
+    i = smallest;
   }
 }
 
@@ -229,6 +249,7 @@ Result<std::unique_ptr<SpillFile::Reader>> SpillFile::OpenReader() const {
     reader->types_.push_back(std::move(type));
   }
   reader->offset_ = 8 + header_len;
+  reader->CountRead(reader->offset_);
   return reader;
 }
 
@@ -244,16 +265,16 @@ Result<std::optional<Page>> SpillFile::Reader::Next() {
   ByteReader len_reader(len_bytes, 4);
   ASSIGN_OR_RETURN(uint32_t block_len, len_reader.ReadU32());
   offset_ += 4;
-  if (block_len == 0) return std::optional<Page>();
+  if (block_len == 0) {
+    CountRead(4);  // the end marker
+    return std::optional<Page>();
+  }
 
   std::vector<uint8_t> block(block_len);
   ASSIGN_OR_RETURN(n, file_->Read(offset_, block_len, block.data()));
   if (n < block_len) return Status::Corruption("spill: truncated block");
   offset_ += block_len;
-  if (bytes_read_counter_ != nullptr) {
-    bytes_read_counter_->Add(static_cast<int64_t>(block_len) + 4);
-  }
-  AddThreadSpillReadBytes(static_cast<int64_t>(block_len) + 4);
+  CountRead(static_cast<int64_t>(block_len) + 4);
 
   ByteReader reader(block);
   ASSIGN_OR_RETURN(uint64_t num_rows, reader.ReadVarint());
@@ -264,6 +285,11 @@ Result<std::optional<Page>> SpillFile::Reader::Next() {
     columns.push_back(std::move(col));
   }
   return std::optional<Page>(Page(std::move(columns), num_rows));
+}
+
+void SpillFile::Reader::CountRead(int64_t bytes) {
+  if (bytes_read_counter_ != nullptr) bytes_read_counter_->Add(bytes);
+  AddThreadSpillReadBytes(bytes);
 }
 
 void SpillFile::Remove() {
@@ -301,78 +327,148 @@ Result<std::vector<std::unique_ptr<SpillFile::Reader>>> Spiller::OpenAllRuns()
   return readers;
 }
 
-namespace {
-std::vector<std::vector<Page>> WrapSingleRun(std::vector<Page> run) {
-  std::vector<std::vector<Page>> runs;
-  if (!run.empty()) runs.push_back(std::move(run));
-  return runs;
+Result<bool> MergeSource::NextPage() {
+  while (true) {
+    if (reader_ != nullptr) {
+      ASSIGN_OR_RETURN(std::optional<Page> page, reader_->Next());
+      if (!page.has_value()) return false;
+      page_ = std::move(*page);
+    } else {
+      if (memory_index_ >= memory_pages_.size()) return false;
+      page_ = std::move(memory_pages_[memory_index_++]);
+    }
+    if (!page_.empty()) return true;
+  }
 }
-}  // namespace
 
+// A binary min-heap of source indices; heap_[0] is the current row. Advance
+// moves the top source one row forward and restores the heap with one
+// sift-down, so each row costs O(log runs) comparator calls.
 SpillMergeCursor::SpillMergeCursor(
     std::vector<std::unique_ptr<SpillFile::Reader>> readers,
     std::vector<Page> in_memory_run, Comparator cmp)
-    : SpillMergeCursor(std::move(readers),
-                       WrapSingleRun(std::move(in_memory_run)),
-                       std::move(cmp)) {}
-
-SpillMergeCursor::SpillMergeCursor(
-    std::vector<std::unique_ptr<SpillFile::Reader>> readers,
-    std::vector<std::vector<Page>> in_memory_runs, Comparator cmp)
     : cmp_(std::move(cmp)) {
   for (auto& reader : readers) {
-    Source s;
-    s.reader = std::move(reader);
-    sources_.push_back(std::move(s));
+    sources_.emplace_back(MergeSource(std::move(reader)));
   }
-  for (auto& run : in_memory_runs) {
-    if (run.empty()) continue;
-    Source s;
-    s.memory_pages = std::move(run);
-    sources_.push_back(std::move(s));
+  if (!in_memory_run.empty()) {
+    sources_.emplace_back(MergeSource(std::move(in_memory_run)));
   }
 }
 
-Status SpillMergeCursor::LoadIfNeeded(Source* s) {
-  while (!s->exhausted && (!s->loaded || s->row >= s->page.num_rows())) {
-    if (s->reader != nullptr) {
-      ASSIGN_OR_RETURN(std::optional<Page> page, s->reader->Next());
-      if (!page.has_value()) {
-        s->exhausted = true;
-        break;
-      }
-      s->page = std::move(*page);
-    } else {
-      if (s->memory_index >= s->memory_pages.size()) {
-        s->exhausted = true;
-        break;
-      }
-      s->page = std::move(s->memory_pages[s->memory_index++]);
-    }
-    s->row = 0;
-    s->loaded = true;
-  }
-  return Status::OK();
+bool SpillMergeCursor::Less(size_t a, size_t b) const {
+  const Source& sa = sources_[a];
+  const Source& sb = sources_[b];
+  int cmp = cmp_(sa.source.page(), sa.row, sb.source.page(), sb.row);
+  return cmp != 0 ? cmp < 0 : a < b;
 }
 
 Result<bool> SpillMergeCursor::Advance() {
-  if (started_) {
-    sources_[current_].row++;
+  if (!started_) {
+    started_ = true;
+    for (size_t i = 0; i < sources_.size(); ++i) {
+      ASSIGN_OR_RETURN(bool loaded, sources_[i].source.NextPage());
+      if (loaded) heap_.push_back(i);
+    }
+    std::make_heap(heap_.begin(), heap_.end(),
+                   [this](size_t a, size_t b) { return Less(b, a); });
+    return !heap_.empty();
   }
-  started_ = true;
-  size_t best = sources_.size();
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    Source* s = &sources_[i];
-    RETURN_IF_ERROR(LoadIfNeeded(s));
-    if (s->exhausted) continue;
-    if (best == sources_.size() ||
-        cmp_(s->page, s->row, sources_[best].page, sources_[best].row) < 0) {
-      best = i;
+  if (heap_.empty()) return false;
+  Source& top = sources_[heap_[0]];
+  if (++top.row >= top.source.page().num_rows()) {
+    top.row = 0;
+    ASSIGN_OR_RETURN(bool loaded, top.source.NextPage());
+    if (!loaded) {
+      heap_[0] = heap_.back();
+      heap_.pop_back();
     }
   }
-  if (best == sources_.size()) return false;
-  current_ = best;
+  SiftDownTop(&heap_, [this](size_t a, size_t b) { return Less(a, b); });
+  return !heap_.empty();
+}
+
+HashOrderedMerge::HashOrderedMerge(
+    std::vector<std::unique_ptr<SpillFile::Reader>> readers,
+    std::vector<std::vector<Page>> memory_runs, size_t num_keys) {
+  for (auto& reader : readers) {
+    sources_.emplace_back(MergeSource(std::move(reader)));
+  }
+  for (auto& run : memory_runs) {
+    if (!run.empty()) sources_.emplace_back(MergeSource(std::move(run)));
+  }
+  for (size_t k = 0; k < num_keys; ++k) {
+    key_channels_.push_back(static_cast<int>(k));
+  }
+}
+
+Result<bool> HashOrderedMerge::LoadPage(Source* s) {
+  s->row = 0;
+  s->slice_begin = 0;
+  ASSIGN_OR_RETURN(bool loaded, s->source.NextPage());
+  if (!loaded) {
+    s->exhausted = true;
+    s->hashes.reset();
+    return false;
+  }
+  auto hashes = std::make_shared<std::vector<uint64_t>>();
+  kernels::HashPage(s->source.page(), key_channels_, hashes.get());
+  s->hashes = std::move(hashes);
   return true;
+}
+
+Result<std::vector<HashOrderedMerge::Slice>> HashOrderedMerge::NextBatch(
+    size_t min_rows) {
+  if (!started_) {
+    started_ = true;
+    for (size_t i = 0; i < sources_.size(); ++i) {
+      ASSIGN_OR_RETURN(bool loaded, LoadPage(&sources_[i]));
+      if (loaded) {
+        heap_.push_back({(*sources_[i].hashes)[0], static_cast<uint32_t>(i)});
+      }
+    }
+    std::make_heap(heap_.begin(), heap_.end(),
+                   [](const HeapEntry& a, const HeapEntry& b) { return b < a; });
+  }
+  // (source index, slice); a source whose page ends inside the batch
+  // contributes one slice per page.
+  std::vector<std::pair<uint32_t, Slice>> slices;
+  size_t rows = 0;
+  uint64_t last_hash = 0;
+  while (!heap_.empty()) {
+    HeapEntry& top = heap_[0];
+    if (rows > 0 && rows >= min_rows && top.hash != last_hash) break;
+    last_hash = top.hash;
+    ++rows;
+    Source& s = sources_[top.source];
+    if (++s.row < s.source.page().num_rows()) {
+      top.hash = (*s.hashes)[s.row];
+    } else {
+      slices.push_back(
+          {top.source, Slice{s.source.page(), s.hashes, s.slice_begin, s.row}});
+      ASSIGN_OR_RETURN(bool loaded, LoadPage(&s));
+      if (loaded) {
+        top.hash = (*s.hashes)[0];
+      } else {
+        heap_[0] = heap_.back();
+        heap_.pop_back();
+      }
+    }
+    SiftDownTop(&heap_, std::less<HeapEntry>());
+  }
+  for (size_t i = 0; i < sources_.size(); ++i) {
+    Source& s = sources_[i];
+    if (s.exhausted || s.row == s.slice_begin) continue;
+    slices.push_back({static_cast<uint32_t>(i),
+                      Slice{s.source.page(), s.hashes, s.slice_begin, s.row}});
+    s.slice_begin = s.row;
+  }
+  std::stable_sort(slices.begin(), slices.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<Slice> batch;
+  batch.reserve(slices.size());
+  for (auto& entry : slices) batch.push_back(std::move(entry.second));
+  return batch;
 }
 
 }  // namespace presto

@@ -25,8 +25,9 @@ Result<Page> DeserializeSpillPage(ByteReader* reader);
 
 /// Revocable-memory spill area for a single operator. When an operator's
 /// memory reservation fails, it revokes itself: the in-memory state is
-/// sorted, written out as one run file, and memory is released; on output
-/// the sorted runs are merge-read back. Runs live behind the `fs` layer
+/// sorted (aggregation: by key hash; ORDER BY: by the sort keys), written out
+/// as one run file, and memory is released; on output the sorted runs are
+/// merge-read back. Runs live behind the `fs` layer
 /// (LocalFileSystem in production, MemoryFileSystem in tests) so the fault
 /// injector's spill.write / spill.read points cover disk trouble the same
 /// way they cover connector I/O.
@@ -40,7 +41,8 @@ Result<Page> DeserializeSpillPage(ByteReader* reader);
 ///   trailer: varint 0 (end of run)
 ///
 /// Counters (per-query registry, may be null): spill.run.written,
-/// spill.byte.written, spill.byte.read.
+/// spill.byte.written, spill.byte.read. A run read to its end adds exactly
+/// its written bytes to spill.byte.read.
 class SpillFile {
  public:
   SpillFile(FileSystem* fs, std::string path, MetricsRegistry* metrics);
@@ -61,6 +63,10 @@ class SpillFile {
 
    private:
     friend class SpillFile;
+    /// Counts `bytes` of the run as read. Header, blocks and end marker all
+    /// count, so a run read to its end reads exactly bytes_written().
+    void CountRead(int64_t bytes);
+
     std::shared_ptr<RandomAccessFile> file_;
     std::vector<TypePtr> types_;
     uint64_t offset_ = 0;
@@ -91,7 +97,7 @@ class Spiller {
   Spiller(const Spiller&) = delete;
   Spiller& operator=(const Spiller&) = delete;
 
-  /// Spills `pages` as one sorted run.
+  /// Spills `pages` (already in run order) as one run.
   Status SpillRun(const std::vector<Page>& pages);
 
   int num_runs() const { return static_cast<int>(runs_.size()); }
@@ -108,11 +114,32 @@ class Spiller {
   int64_t total_bytes_ = 0;
 };
 
-/// Streaming k-way merge over sorted spill runs (plus optionally one final
-/// in-memory run). `Comparator(page_a, row_a, page_b, row_b)` returns <0,
-/// 0, >0 and must match the order the runs were written in. The cursor
-/// yields globally ordered rows one at a time; callers batch them back into
-/// pages.
+/// One input of a k-way merge: a spill run read back page by page, or the
+/// pages of a run that never left memory.
+class MergeSource {
+ public:
+  explicit MergeSource(std::unique_ptr<SpillFile::Reader> reader)
+      : reader_(std::move(reader)) {}
+  explicit MergeSource(std::vector<Page> pages)
+      : memory_pages_(std::move(pages)) {}
+
+  /// Moves page() to the run's next non-empty page; false at end of run.
+  Result<bool> NextPage();
+  const Page& page() const { return page_; }
+
+ private:
+  std::unique_ptr<SpillFile::Reader> reader_;  // null for a memory run
+  std::vector<Page> memory_pages_;
+  size_t memory_index_ = 0;
+  Page page_;
+};
+
+/// Streaming k-way merge over sorted spill runs plus one final in-memory
+/// run (the ORDER BY spill). `Comparator(page_a, row_a, page_b, row_b)`
+/// returns <0, 0, >0 and must match the order the runs were written in. A
+/// binary heap ordered by (comparator, source index) yields the rows one at a
+/// time in O(log runs) comparisons each; equal rows come lowest source first,
+/// so the merge is stable in run order. Callers batch rows back into pages.
 class SpillMergeCursor {
  public:
   using Comparator = std::function<int(const Page&, size_t, const Page&, size_t)>;
@@ -120,35 +147,79 @@ class SpillMergeCursor {
   SpillMergeCursor(std::vector<std::unique_ptr<SpillFile::Reader>> readers,
                    std::vector<Page> in_memory_run, Comparator cmp);
 
-  /// Multi-memory-run overload: each inner vector is one independently
-  /// sorted in-memory run (one per morsel chain of a parallel aggregation).
-  SpillMergeCursor(std::vector<std::unique_ptr<SpillFile::Reader>> readers,
-                   std::vector<std::vector<Page>> in_memory_runs,
-                   Comparator cmp);
-
   /// Positions on the smallest remaining row. Returns false at end of data.
   Result<bool> Advance();
 
   /// Current row (valid after Advance() returned true).
-  const Page& page() const { return sources_[current_].page; }
-  size_t row() const { return sources_[current_].row; }
+  const Page& page() const { return sources_[heap_[0]].source.page(); }
+  size_t row() const { return sources_[heap_[0]].row; }
 
  private:
   struct Source {
-    std::unique_ptr<SpillFile::Reader> reader;  // null for the memory run
-    std::vector<Page> memory_pages;             // memory-run backing
-    size_t memory_index = 0;
-    Page page;
+    explicit Source(MergeSource s) : source(std::move(s)) {}
+    MergeSource source;
     size_t row = 0;
-    bool exhausted = false;
-    bool loaded = false;
   };
 
-  Status LoadIfNeeded(Source* s);
+  bool Less(size_t a, size_t b) const;
 
   std::vector<Source> sources_;
+  std::vector<size_t> heap_;  // source indices; heap_[0] is the current row
   Comparator cmp_;
-  size_t current_ = 0;
+  bool started_ = false;
+};
+
+/// Streaming k-way merge over runs ordered by the 64-bit content hash of
+/// their leading `num_keys` columns (kernels::HashPage; row order breaks
+/// ties), the aggregation spill. A binary heap on (current hash, source
+/// index) merges the runs; the merged stream is cut into batches, each
+/// ending only at a hash change, so all rows of one key land in one batch
+/// and a batch can be aggregated on its own. Equal keys must hash equally
+/// in every run, which holds for content hashes (FlatVector::HashAt folds
+/// -0.0 into 0.0) and not for hashes of interned ids. The working set is one
+/// page per run plus the batch.
+class HashOrderedMerge {
+ public:
+  /// Rows [begin, end) of one run page, with the page's key hashes.
+  struct Slice {
+    Page page;
+    std::shared_ptr<const std::vector<uint64_t>> hashes;
+    size_t begin = 0;
+    size_t end = 0;
+  };
+
+  HashOrderedMerge(std::vector<std::unique_ptr<SpillFile::Reader>> readers,
+                   std::vector<std::vector<Page>> memory_runs,
+                   size_t num_keys);
+
+  /// The next batch: at least `min_rows` rows unless the runs end first,
+  /// then up to the next hash change. Slices come in source order, so each
+  /// key's rows fold in run order. Empty at end of data.
+  Result<std::vector<Slice>> NextBatch(size_t min_rows);
+
+ private:
+  struct Source {
+    explicit Source(MergeSource s) : source(std::move(s)) {}
+    MergeSource source;
+    std::shared_ptr<const std::vector<uint64_t>> hashes;
+    size_t row = 0;
+    size_t slice_begin = 0;
+    bool exhausted = false;
+  };
+  struct HeapEntry {
+    uint64_t hash = 0;
+    uint32_t source = 0;
+    bool operator<(const HeapEntry& o) const {
+      return hash != o.hash ? hash < o.hash : source < o.source;
+    }
+  };
+
+  /// Loads the source's next page and hashes its keys; false at end of run.
+  Result<bool> LoadPage(Source* s);
+
+  std::vector<Source> sources_;
+  std::vector<HeapEntry> heap_;  // heap_[0] is the smallest current row
+  std::vector<int> key_channels_;
   bool started_ = false;
 };
 
