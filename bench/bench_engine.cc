@@ -1,9 +1,8 @@
-// Engine hot-path bench: typed columnar kernels vs the Value-boxed fallback
-// on TPC-H-shaped aggregation and join queries, run end-to-end through the
-// coordinator (parse -> plan -> fragment -> partial/final aggregation).
-// The only knob flipped between runs is the session property
-// vectorized_kernels, so the delta isolates the kernel layer: normalized-key
-// group tables and columnar accumulators vs per-row Value boxing.
+// Engine hot-path bench: TPC-H-shaped aggregation and join queries on the
+// columnar kernel layer (normalized-key tables, grouped accumulators), run
+// end-to-end through the coordinator (parse -> plan -> fragment ->
+// partial/final aggregation), plus the overhead, shuffle, parallelism and
+// scan sections below.
 //
 // Emits machine-readable results to BENCH_engine.json (path overridable via
 // argv[1]).
@@ -61,7 +60,6 @@ struct BenchResult {
   std::string sql;
   size_t input_rows = 0;
   double kernel_millis = 0;
-  double boxed_millis = 0;
   int64_t result_rows = 0;
   int64_t groups_created = 0;
   int64_t hash_probes = 0;
@@ -159,32 +157,28 @@ int main(int argc, char** argv) {
     return best;
   };
 
-  std::printf("=== Engine kernels vs boxed fallback ===\n\n");
+  std::printf("=== Engine kernels ===\n\n");
   std::vector<BenchResult> results;
   for (const QuerySpec& q : queries) {
     BenchResult r;
     r.query_name = q.name;
     r.sql = q.sql;
     r.input_rows = q.input_rows;
-    QueryResult kernel_result, boxed_result;
-    r.kernel_millis =
-        best_of(q.sql, {{"vectorized_kernels", "true"}}, 3, &kernel_result);
-    r.boxed_millis =
-        best_of(q.sql, {{"vectorized_kernels", "false"}}, 2, &boxed_result);
+    QueryResult kernel_result;
+    r.kernel_millis = best_of(q.sql, {}, 3, &kernel_result);
     r.result_rows = kernel_result.total_rows;
     r.groups_created = kernel_result.exec_metrics["exec.agg.groups_created"];
     r.hash_probes = kernel_result.exec_metrics["exec.agg.hash_probes"] +
                     kernel_result.exec_metrics["exec.join.hash_probes"];
-    if (kernel_result.exec_metrics["exec.agg.fallback_pages"] +
-            kernel_result.exec_metrics["exec.join.fallback_pages"] !=
-        0) {
+    // Every aggregate here has a columnar kernel: a page folded through the
+    // row-at-a-time Accumulator adapter means a kernel went missing.
+    if (kernel_result.exec_metrics["exec.agg.fallback_pages"] != 0) {
       std::fprintf(stderr, "kernel run fell back on %s\n", q.name);
       return 1;
     }
-    double speedup = r.boxed_millis / r.kernel_millis;
     double kernel_mrps = static_cast<double>(q.input_rows) / 1e3 / r.kernel_millis;
-    std::printf("%-28s kernel %8.1f ms (%6.1f Mrows/s)  boxed %8.1f ms  speedup %.2fx\n",
-                q.name, r.kernel_millis, kernel_mrps, r.boxed_millis, speedup);
+    std::printf("%-28s kernel %8.1f ms (%6.1f Mrows/s)\n", q.name,
+                r.kernel_millis, kernel_mrps);
     results.push_back(std::move(r));
   }
 
@@ -719,13 +713,10 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "    {\"query\": \"%s\", \"input_rows\": %zu, \"result_rows\": %lld,\n"
-        "     \"kernel_millis\": %.2f, \"boxed_millis\": %.2f, "
-        "\"speedup\": %.2f,\n"
-        "     \"kernel_mrows_per_sec\": %.1f, \"groups_created\": %lld, "
-        "\"hash_probes\": %lld}%s\n",
+        "     \"kernel_millis\": %.2f, \"kernel_mrows_per_sec\": %.1f, "
+        "\"groups_created\": %lld, \"hash_probes\": %lld}%s\n",
         r.query_name.c_str(), r.input_rows,
-        static_cast<long long>(r.result_rows), r.kernel_millis, r.boxed_millis,
-        r.boxed_millis / r.kernel_millis,
+        static_cast<long long>(r.result_rows), r.kernel_millis,
         static_cast<double>(r.input_rows) / 1e3 / r.kernel_millis,
         static_cast<long long>(r.groups_created),
         static_cast<long long>(r.hash_probes),

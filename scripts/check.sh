@@ -37,10 +37,11 @@ CHAOS_ITERS="${PRESTO_CHAOS_ITERS:-8}"
 # Memory-pressure stage: the spill / admission / low-memory-killer paths all
 # run with tiny query_max_memory caps, so re-running them under the
 # sanitizers shakes out races in reservation walks, revocation, and the
-# killer's cross-thread cancellation. The acceptance-scale spill test is
-# shrunk for sanitizer speed (full 10M rows runs in the regular suite).
+# killer's cross-thread cancellation (SpillDifferentialTest also holds the
+# ROW-key, 65-key, adapter and NaN-key group-bys). The acceptance-scale spill
+# test is shrunk for sanitizer speed (full 10M rows runs in the regular suite).
 MEMORY_FILTER='MemoryPoolTest.*:SpillDifferentialTest.*:SpillLargeScaleTest.*'
-MEMORY_FILTER="$MEMORY_FILTER:SpillMergeTest.*"
+MEMORY_FILTER="$MEMORY_FILTER:SpillMergeTest.*:SpillIsolationTest.*"
 MEMORY_FILTER="$MEMORY_FILTER:AdmissionTest.*:LowMemoryKillerTest.*"
 MEMORY_FILTER="$MEMORY_FILTER:ExchangeMemoryTest.*:MemoryCountersTest.*"
 MEMORY_SCALE_ROWS="${PRESTO_SPILL_SCALE_ROWS:-2000000}"
@@ -48,8 +49,10 @@ MEMORY_SCALE_ROWS="${PRESTO_SPILL_SCALE_ROWS:-2000000}"
 # Morsel stage: the work-stealing pool and the differential tests that drive
 # parallel operator chains at 2 and 8 threads — the paths where a hot-path
 # lock would hide and a missed happens-before would race (thread-local radix
-# tables merged at finalize, claim-slot protocol, batched reservations).
+# tables merged at finalize, claim-slot protocol, batched reservations) —
+# plus the aggregation/join differential against the reference evaluator.
 MORSEL_FILTER='WorkStealingPoolTest.*:RunParallelTest.*:MorselDifferentialTest.*'
+MORSEL_FILTER="$MORSEL_FILTER:KernelDifferentialTest.*"
 
 # Lazy-scan stage: the v2 page reader (page skipping, dictionary-code
 # predicates, late materialization), the legacy-vs-lazy differential sweep,

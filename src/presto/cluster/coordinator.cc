@@ -645,8 +645,7 @@ Result<QueryResult> Coordinator::ExecutePlan(int64_t query_id,
         ->Add(queued_nanos);
   }
   if (!admitted.ok()) {
-    if (admitted.message().find("query deadline exceeded") !=
-        std::string::npos) {
+    if (admitted.code() == StatusCode::kDeadlineExceeded) {
       metrics_.Increment("query.timeout");
     }
     return RecordFailure(query_id, admitted, &query_metrics);
@@ -753,8 +752,7 @@ Result<QueryResult> Coordinator::ExecutePlan(int64_t query_id,
     Status readmitted = AdmitQuery(query_id, group.name, query_queue_max,
                                    deadline_steady_nanos);
     if (!readmitted.ok()) {
-      if (readmitted.message().find("query deadline exceeded") !=
-          std::string::npos) {
+      if (readmitted.code() == StatusCode::kDeadlineExceeded) {
         metrics_.Increment("query.timeout");
       }
       return RecordFailure(query_id, readmitted, &query_metrics);
@@ -765,8 +763,7 @@ Result<QueryResult> Coordinator::ExecutePlan(int64_t query_id,
                               &group, trace);
   }
   if (!attempt.ok()) {
-    if (attempt.status().message().find("query deadline exceeded") !=
-        std::string::npos) {
+    if (attempt.status().code() == StatusCode::kDeadlineExceeded) {
       metrics_.Increment("query.timeout");
     }
     return RecordFailure(query_id, attempt.status(), &query_metrics);
@@ -919,8 +916,6 @@ Result<QueryResult> Coordinator::ExecutePlanOnce(
     if (!max_build.empty()) {
       limits.max_join_build_rows = std::strtoll(max_build.c_str(), nullptr, 10);
     }
-    limits.vectorized_kernels =
-        session.Property("vectorized_kernels", "true") != "false";
     limits.task_threads = task_threads;
   }
   if (memory != nullptr) {
@@ -1593,7 +1588,8 @@ Result<QueryResult> Coordinator::ExecutePlanOnce(
         mark_finished();
         finalize_failed(
             task->state, task->partition,
-            Status::Unavailable("query deadline exceeded (query_timeout_millis)"),
+            Status::DeadlineExceeded(
+                "query deadline exceeded (query_timeout_millis)"),
             task->attempt, buffer_leaf_output);
         latch->Done();
         return;

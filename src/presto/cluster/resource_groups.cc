@@ -220,7 +220,7 @@ Status ResourceGroupManager::Wait(const std::string& group, int64_t query_id,
     const int64_t waited = now - waiter->enqueued_steady_nanos;
     Status exit = Status::OK();
     if (deadline_steady_nanos > 0 && now >= deadline_steady_nanos) {
-      exit = Status::Unavailable(
+      exit = Status::DeadlineExceeded(
           "query deadline exceeded (query_timeout_millis) while queued for "
           "admission");
     } else if (group_timeout_nanos > 0 && waited >= group_timeout_nanos) {

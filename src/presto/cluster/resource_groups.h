@@ -99,8 +99,7 @@ class ResourceGroupManager {
 
   /// Blocks until the queued query is admitted (OK), shed by the group's
   /// queued-time deadline (kRejected), or past its own query deadline
-  /// (kUnavailable carrying "query deadline exceeded", so the existing
-  /// timeout plumbing classifies it). Must follow a TryAdmit that queued.
+  /// (kDeadlineExceeded). Must follow a TryAdmit that queued.
   Status Wait(const std::string& group, int64_t query_id,
               int64_t deadline_steady_nanos);
 

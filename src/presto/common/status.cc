@@ -34,6 +34,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "USER_ERROR";
     case StatusCode::kRejected:
       return "REJECTED";
+    case StatusCode::kDeadlineExceeded:
+      return "DEADLINE_EXCEEDED";
   }
   return "UNKNOWN";
 }

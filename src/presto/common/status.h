@@ -26,6 +26,7 @@ enum class StatusCode {
   kSchemaViolation,   // schema-evolution rule violations
   kUserError,         // semantic analysis errors surfaced to the query author
   kRejected,          // load shed: the cluster refused to even queue the work
+  kDeadlineExceeded,  // query_timeout_millis passed; never retried
 };
 
 /// Returns a human-readable name for a status code, e.g. "IO_ERROR".
@@ -71,6 +72,9 @@ class Status {
   }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
+  }
+  static Status DeadlineExceeded(std::string msg) {
+    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
   static Status SyntaxError(std::string msg) {
     return Status(StatusCode::kSyntaxError, std::move(msg));

@@ -13,7 +13,8 @@ namespace presto {
 namespace {
 
 Status DeadlineStatus() {
-  return Status::Unavailable("query deadline exceeded (query_timeout_millis)");
+  return Status::DeadlineExceeded(
+      "query deadline exceeded (query_timeout_millis)");
 }
 
 std::chrono::steady_clock::time_point ToTimePoint(int64_t steady_nanos) {

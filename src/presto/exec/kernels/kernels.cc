@@ -1,6 +1,11 @@
 #include "presto/exec/kernels/kernels.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
+
+#include "presto/vector/vector_builder.h"
 
 namespace presto {
 namespace kernels {
@@ -8,9 +13,11 @@ namespace kernels {
 namespace {
 
 // Normalizes a double key slot: -0.0 folds to 0.0 so it groups/joins with
-// 0.0, matching Value::Hash / Value::Compare semantics.
+// 0.0, and every NaN payload folds to one NaN, matching FlatVector::HashAt
+// and Value::Hash.
 inline uint64_t NormalizeDouble(double d) {
   if (d == 0.0) d = 0.0;
+  if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
   uint64_t bits;
   std::memcpy(&bits, &d, sizeof(d));
   return bits;
@@ -122,7 +129,7 @@ void CollectNullFlags(const Vector& vector, std::vector<uint8_t>* out) {
 }
 
 // ---------------------------------------------------------------------------
-// StringPool
+// StringPool / ValuePool
 // ---------------------------------------------------------------------------
 
 uint32_t StringPool::Intern(std::string_view s) {
@@ -148,20 +155,30 @@ std::optional<uint32_t> StringPool::Find(std::string_view s) const {
   return it->second;
 }
 
+uint32_t ValuePool::Intern(const Value& value) {
+  if (auto id = Find(value)) return *id;
+  uint32_t id = static_cast<uint32_t>(values_.size());
+  values_.push_back(value);
+  ids_.emplace(value.Hash(), id);
+  return id;
+}
+
+std::optional<uint32_t> ValuePool::Find(const Value& value) const {
+  auto [begin, end] = ids_.equal_range(value.Hash());
+  for (auto it = begin; it != end; ++it) {
+    if (values_[it->second].Equals(value)) return it->second;
+  }
+  return std::nullopt;
+}
+
 // ---------------------------------------------------------------------------
 // NormalizedKeyTable
 // ---------------------------------------------------------------------------
 
-bool NormalizedKeyTable::SupportsKeyKinds(const std::vector<TypeKind>& kinds) {
-  if (kinds.size() > 64) return false;  // null bitmask width
-  for (TypeKind kind : kinds) {
-    if (!IsScalarKind(kind)) return false;
-  }
-  return true;
-}
-
 NormalizedKeyTable::NormalizedKeyTable(std::vector<TypeKind> key_kinds)
-    : key_kinds_(std::move(key_kinds)), num_keys_(key_kinds_.size()) {}
+    : key_kinds_(std::move(key_kinds)),
+      num_keys_(key_kinds_.size()),
+      row_width_(num_keys_ + (num_keys_ + 63) / 64) {}
 
 void NormalizedKeyTable::Rehash(size_t new_capacity) {
   capacity_ = new_capacity;
@@ -183,17 +200,15 @@ void NormalizedKeyTable::ReserveFor(size_t additional_groups) {
 
 int64_t NormalizedKeyTable::EstimateBytes() const {
   return static_cast<int64_t>(key_data_.size() * sizeof(uint64_t) +
-                              null_masks_.size() * sizeof(uint64_t) +
                               group_hashes_.size() * sizeof(uint64_t) +
                               table_.size() * sizeof(int32_t)) +
-         strings_.EstimateBytes();
+         strings_.EstimateBytes() + values_.EstimateBytes();
 }
 
 void NormalizedKeyTable::EnsureGlobalGroup() {
   if (num_groups_ > 0) return;
   ReserveFor(1);
-  for (size_t k = 0; k < num_keys_; ++k) key_data_.push_back(0);
-  null_masks_.push_back(0);
+  key_data_.resize(key_data_.size() + row_width_, 0);
   group_hashes_.push_back(0);
   size_t mask = capacity_ - 1;
   size_t idx = 0 & mask;
@@ -208,16 +223,16 @@ Result<int64_t> NormalizedKeyTable::MapRows(const Page& page,
                                             bool skip_null_keys,
                                             std::vector<int32_t>* group_ids) {
   const size_t n = page.num_rows();
-  scratch_slots_.assign(n * num_keys_, 0);
-  scratch_null_masks_.assign(n, 0);
+  scratch_slots_.assign(n * row_width_, 0);
   scratch_miss_.assign(n, 0);
 
   // -- Normalize every key column into fixed-width slots. ---------------------
   for (size_t k = 0; k < num_keys_; ++k) {
     const Vector& col = *page.column(channels[k]);
-    uint64_t* slots = scratch_slots_.data() + k;  // strided by num_keys_
-    const uint64_t null_bit = uint64_t{1} << k;
-    auto set_null = [&](size_t i) { scratch_null_masks_[i] |= null_bit; };
+    uint64_t* slots = scratch_slots_.data() + k;  // strided by row_width_
+    uint64_t* null_words = scratch_slots_.data() + num_keys_ + (k >> 6);
+    const uint64_t null_bit = uint64_t{1} << (k & 63);
+    auto set_null = [&](size_t i) { null_words[i * row_width_] |= null_bit; };
     switch (key_kinds_[k]) {
       case TypeKind::kBoolean: {
         TypedColumn<uint8_t> tc;
@@ -228,7 +243,7 @@ Result<int64_t> NormalizedKeyTable::MapRows(const Page& page,
           if (tc.IsNull(i)) {
             set_null(i);
           } else {
-            slots[i * num_keys_] = tc.At(i) != 0 ? 1 : 0;
+            slots[i * row_width_] = tc.At(i) != 0 ? 1 : 0;
           }
         }
         break;
@@ -242,7 +257,7 @@ Result<int64_t> NormalizedKeyTable::MapRows(const Page& page,
           if (tc.IsNull(i)) {
             set_null(i);
           } else {
-            slots[i * num_keys_] = NormalizeDouble(tc.At(i));
+            slots[i * row_width_] = NormalizeDouble(tc.At(i));
           }
         }
         break;
@@ -277,7 +292,7 @@ Result<int64_t> NormalizedKeyTable::MapRows(const Page& page,
             } else if (base_miss[tc.indices[i]] != 0) {
               scratch_miss_[i] = 1;
             } else {
-              slots[i * num_keys_] = base_ids[tc.indices[i]];
+              slots[i * row_width_] = base_ids[tc.indices[i]];
             }
           }
         } else {
@@ -285,12 +300,32 @@ Result<int64_t> NormalizedKeyTable::MapRows(const Page& page,
             if (tc.IsNull(i)) {
               set_null(i);
             } else if (insert_missing) {
-              slots[i * num_keys_] = strings_.Intern(tc.At(i));
+              slots[i * row_width_] = strings_.Intern(tc.At(i));
             } else if (auto id = strings_.Find(tc.At(i))) {
-              slots[i * num_keys_] = *id;
+              slots[i * row_width_] = *id;
             } else {
               scratch_miss_[i] = 1;
             }
+          }
+        }
+        break;
+      }
+      case TypeKind::kRow:
+      case TypeKind::kArray:
+      case TypeKind::kMap: {
+        // Nested keys box once per row and intern like strings.
+        for (size_t i = 0; i < n; ++i) {
+          if (col.IsNull(i)) {
+            set_null(i);
+            continue;
+          }
+          Value value = col.GetValue(i);
+          if (insert_missing) {
+            slots[i * row_width_] = values_.Intern(value);
+          } else if (auto id = values_.Find(value)) {
+            slots[i * row_width_] = *id;
+          } else {
+            scratch_miss_[i] = 1;
           }
         }
         break;
@@ -304,7 +339,7 @@ Result<int64_t> NormalizedKeyTable::MapRows(const Page& page,
           if (tc.IsNull(i)) {
             set_null(i);
           } else {
-            slots[i * num_keys_] = static_cast<uint64_t>(tc.At(i));
+            slots[i * row_width_] = static_cast<uint64_t>(tc.At(i));
           }
         }
         break;
@@ -316,12 +351,10 @@ Result<int64_t> NormalizedKeyTable::MapRows(const Page& page,
   scratch_hashes_.assign(n, 0);
   for (size_t i = 0; i < n; ++i) {
     uint64_t h = 0;
-    const uint64_t* row_slots = scratch_slots_.data() + i * num_keys_;
-    uint64_t null_mask = scratch_null_masks_[i];
+    const uint64_t* row_slots = scratch_slots_.data() + i * row_width_;
     for (size_t k = 0; k < num_keys_; ++k) {
-      uint64_t slot_hash = (null_mask >> k) & 1
-                               ? kNullHash
-                               : HashMix64(row_slots[k]);
+      uint64_t slot_hash =
+          IsNullKey(row_slots, k) ? kNullHash : HashMix64(row_slots[k]);
       h = HashCombine(h, slot_hash);
     }
     scratch_hashes_[i] = h;
@@ -333,8 +366,11 @@ Result<int64_t> NormalizedKeyTable::MapRows(const Page& page,
   const size_t mask = capacity_ == 0 ? 0 : capacity_ - 1;
   group_ids->reserve(group_ids->size() + n);
   for (size_t i = 0; i < n; ++i) {
+    const uint64_t* row_slots = scratch_slots_.data() + i * row_width_;
     if (scratch_miss_[i] != 0 ||
-        (skip_null_keys && scratch_null_masks_[i] != 0)) {
+        (skip_null_keys &&
+         std::any_of(row_slots + num_keys_, row_slots + row_width_,
+                     [](uint64_t word) { return word != 0; }))) {
       group_ids->push_back(kNoGroup);
       continue;
     }
@@ -343,8 +379,6 @@ Result<int64_t> NormalizedKeyTable::MapRows(const Page& page,
       continue;
     }
     const uint64_t h = scratch_hashes_[i];
-    const uint64_t* row_slots = scratch_slots_.data() + i * num_keys_;
-    const uint64_t row_null_mask = scratch_null_masks_[i];
     size_t idx = h & mask;
     int32_t gid = kNoGroup;
     while (true) {
@@ -353,8 +387,7 @@ Result<int64_t> NormalizedKeyTable::MapRows(const Page& page,
       if (slot == 0) {
         if (insert_missing) {
           gid = static_cast<int32_t>(num_groups_);
-          key_data_.insert(key_data_.end(), row_slots, row_slots + num_keys_);
-          null_masks_.push_back(row_null_mask);
+          key_data_.insert(key_data_.end(), row_slots, row_slots + row_width_);
           group_hashes_.push_back(h);
           table_[idx] = gid + 1;
           ++num_groups_;
@@ -362,12 +395,13 @@ Result<int64_t> NormalizedKeyTable::MapRows(const Page& page,
         break;
       }
       const int32_t g = slot - 1;
-      if (group_hashes_[g] == h && null_masks_[g] == row_null_mask) {
-        const uint64_t* group_slots = key_data_.data() + g * num_keys_;
+      if (group_hashes_[g] == h) {
+        const uint64_t* group_slots = key_data_.data() + g * row_width_;
         bool equal = true;
-        for (size_t k = 0; k < num_keys_; ++k) {
-          // Null slots hold 0 on both sides, so a plain compare is exact.
-          if (group_slots[k] != row_slots[k]) {
+        for (size_t w = 0; w < row_width_; ++w) {
+          // Null slots hold 0 on both sides and the trailing null words
+          // compare too, so a plain word compare is exact.
+          if (group_slots[w] != row_slots[w]) {
             equal = false;
             break;
           }
@@ -389,21 +423,21 @@ Result<std::vector<VectorPtr>> NormalizedKeyTable::BuildKeyColumns(
   std::vector<VectorPtr> out;
   out.reserve(num_keys_);
   for (size_t k = 0; k < num_keys_; ++k) {
-    const uint64_t null_bit = uint64_t{1} << k;
     std::vector<uint8_t> nulls(num_groups_, 0);
     bool any_null = false;
     for (size_t g = 0; g < num_groups_; ++g) {
-      if ((null_masks_[g] & null_bit) != 0) {
+      if (IsNullKey(key_data_.data() + g * row_width_, k)) {
         nulls[g] = 1;
         any_null = true;
       }
     }
     if (!any_null) nulls.clear();
+    auto slot = [&](size_t g) { return key_data_[g * row_width_ + k]; };
     switch (key_kinds_[k]) {
       case TypeKind::kBoolean: {
         std::vector<uint8_t> values(num_groups_);
         for (size_t g = 0; g < num_groups_; ++g) {
-          values[g] = static_cast<uint8_t>(key_data_[g * num_keys_ + k]);
+          values[g] = static_cast<uint8_t>(slot(g));
         }
         out.push_back(std::make_shared<BoolVector>(
             key_types[k], std::move(values), std::move(nulls)));
@@ -412,7 +446,7 @@ Result<std::vector<VectorPtr>> NormalizedKeyTable::BuildKeyColumns(
       case TypeKind::kDouble: {
         std::vector<double> values(num_groups_);
         for (size_t g = 0; g < num_groups_; ++g) {
-          uint64_t bits = key_data_[g * num_keys_ + k];
+          uint64_t bits = slot(g);
           double d;
           std::memcpy(&d, &bits, sizeof(d));
           values[g] = d;
@@ -425,17 +459,31 @@ Result<std::vector<VectorPtr>> NormalizedKeyTable::BuildKeyColumns(
         std::vector<std::string> values(num_groups_);
         for (size_t g = 0; g < num_groups_; ++g) {
           if (!nulls.empty() && nulls[g] != 0) continue;
-          values[g] =
-              strings_.at(static_cast<uint32_t>(key_data_[g * num_keys_ + k]));
+          values[g] = strings_.at(static_cast<uint32_t>(slot(g)));
         }
         out.push_back(std::make_shared<StringVector>(
             key_types[k], std::move(values), std::move(nulls)));
         break;
       }
+      case TypeKind::kRow:
+      case TypeKind::kArray:
+      case TypeKind::kMap: {
+        VectorBuilder builder(key_types[k]);
+        for (size_t g = 0; g < num_groups_; ++g) {
+          if (!nulls.empty() && nulls[g] != 0) {
+            builder.AppendNull();
+          } else {
+            RETURN_IF_ERROR(
+                builder.Append(values_.at(static_cast<uint32_t>(slot(g)))));
+          }
+        }
+        out.push_back(builder.Build());
+        break;
+      }
       default: {
         std::vector<int64_t> values(num_groups_);
         for (size_t g = 0; g < num_groups_; ++g) {
-          values[g] = static_cast<int64_t>(key_data_[g * num_keys_ + k]);
+          values[g] = static_cast<int64_t>(slot(g));
         }
         out.push_back(std::make_shared<Int64Vector>(
             key_types[k], std::move(values), std::move(nulls)));
@@ -452,6 +500,19 @@ Result<std::vector<VectorPtr>> NormalizedKeyTable::BuildKeyColumns(
 
 namespace {
 
+// Output null flags: NULL for every group that saw no input; empty when
+// every group did.
+std::vector<uint8_t> NullsWhereUnset(const std::vector<uint8_t>& has) {
+  std::vector<uint8_t> nulls(has.size(), 0);
+  bool any_null = false;
+  for (size_t g = 0; g < has.size(); ++g) {
+    nulls[g] = has[g] == 0;
+    any_null = any_null || nulls[g] != 0;
+  }
+  if (!any_null) nulls.clear();
+  return nulls;
+}
+
 class CountGrouped final : public GroupedAccumulator {
  public:
   explicit CountGrouped(bool count_non_null)
@@ -461,15 +522,15 @@ class CountGrouped final : public GroupedAccumulator {
     if (counts_.size() < num_groups) counts_.resize(num_groups, 0);
   }
 
-  Status AddBatch(const VectorPtr* arg, const int32_t* groups,
+  Status AddBatch(const std::vector<VectorPtr>& args, const int32_t* groups,
                   size_t n) override {
-    if (!count_non_null_ || arg == nullptr) {
+    if (!count_non_null_ || args.empty()) {
       for (size_t i = 0; i < n; ++i) {
         if (groups[i] >= 0) ++counts_[groups[i]];
       }
       return Status::OK();
     }
-    CollectNullFlags(**arg, &null_scratch_);
+    CollectNullFlags(*args[0], &null_scratch_);
     for (size_t i = 0; i < n; ++i) {
       if (groups[i] >= 0 && null_scratch_[i] == 0) ++counts_[groups[i]];
     }
@@ -512,10 +573,10 @@ class SumGrouped final : public GroupedAccumulator {
     }
   }
 
-  Status AddBatch(const VectorPtr* arg, const int32_t* groups,
+  Status AddBatch(const std::vector<VectorPtr>& args, const int32_t* groups,
                   size_t n) override {
     TypedColumn<T> tc;
-    if (arg == nullptr || !TryDecode(**arg, &tc)) {
+    if (args.empty() || !TryDecode(*args[0], &tc)) {
       return Status::Internal("sum kernel: argument decode failed");
     }
     for (size_t i = 0; i < n; ++i) {
@@ -529,23 +590,13 @@ class SumGrouped final : public GroupedAccumulator {
 
   Status MergeBatch(const VectorPtr& arg, const int32_t* groups,
                     size_t n) override {
-    return AddBatch(&arg, groups, n);  // sum-of-sums
+    return AddBatch({arg}, groups, n);  // sum-of-sums
   }
 
   Result<VectorPtr> Build(bool) const override {
-    std::vector<T> values(sums_.begin(), sums_.end());
-    std::vector<uint8_t> nulls;
-    bool any_null = false;
-    nulls.resize(has_.size(), 0);
-    for (size_t g = 0; g < has_.size(); ++g) {
-      if (has_[g] == 0) {
-        nulls[g] = 1;
-        any_null = true;
-      }
-    }
-    if (!any_null) nulls.clear();
-    return VectorPtr(std::make_shared<FlatVector<T>>(type_, std::move(values),
-                                                     std::move(nulls)));
+    return VectorPtr(std::make_shared<FlatVector<T>>(
+        type_, std::vector<T>(sums_.begin(), sums_.end()),
+        NullsWhereUnset(has_)));
   }
 
  private:
@@ -566,10 +617,10 @@ class MinMaxGrouped final : public GroupedAccumulator {
     }
   }
 
-  Status AddBatch(const VectorPtr* arg, const int32_t* groups,
+  Status AddBatch(const std::vector<VectorPtr>& args, const int32_t* groups,
                   size_t n) override {
     TypedColumn<T> tc;
-    if (arg == nullptr || !TryDecode(**arg, &tc)) {
+    if (args.empty() || !TryDecode(*args[0], &tc)) {
       return Status::Internal("min/max kernel: argument decode failed");
     }
     for (size_t i = 0; i < n; ++i) {
@@ -586,23 +637,13 @@ class MinMaxGrouped final : public GroupedAccumulator {
 
   Status MergeBatch(const VectorPtr& arg, const int32_t* groups,
                     size_t n) override {
-    return AddBatch(&arg, groups, n);
+    return AddBatch({arg}, groups, n);
   }
 
   Result<VectorPtr> Build(bool) const override {
-    std::vector<T> values(best_.begin(), best_.end());
-    std::vector<uint8_t> nulls;
-    bool any_null = false;
-    nulls.resize(has_.size(), 0);
-    for (size_t g = 0; g < has_.size(); ++g) {
-      if (has_[g] == 0) {
-        nulls[g] = 1;
-        any_null = true;
-      }
-    }
-    if (!any_null) nulls.clear();
-    return VectorPtr(std::make_shared<FlatVector<T>>(type_, std::move(values),
-                                                     std::move(nulls)));
+    return VectorPtr(std::make_shared<FlatVector<T>>(
+        type_, std::vector<T>(best_.begin(), best_.end()),
+        NullsWhereUnset(has_)));
   }
 
  private:
@@ -623,11 +664,11 @@ class AvgGrouped final : public GroupedAccumulator {
     }
   }
 
-  Status AddBatch(const VectorPtr* arg, const int32_t* groups,
+  Status AddBatch(const std::vector<VectorPtr>& args, const int32_t* groups,
                   size_t n) override {
-    if (arg == nullptr) return Status::Internal("avg kernel: missing argument");
+    if (args.empty()) return Status::Internal("avg kernel: missing argument");
     TypedColumn<double> td;
-    if (TryDecode(**arg, &td)) {
+    if (TryDecode(*args[0], &td)) {
       for (size_t i = 0; i < n; ++i) {
         int32_t g = groups[i];
         if (g < 0 || td.IsNull(i)) continue;
@@ -637,7 +678,7 @@ class AvgGrouped final : public GroupedAccumulator {
       return Status::OK();
     }
     TypedColumn<int64_t> ti;
-    if (TryDecode(**arg, &ti)) {
+    if (TryDecode(*args[0], &ti)) {
       for (size_t i = 0; i < n; ++i) {
         int32_t g = groups[i];
         if (g < 0 || ti.IsNull(i)) continue;
@@ -708,9 +749,76 @@ class AvgGrouped final : public GroupedAccumulator {
   std::vector<int64_t> counts_;
 };
 
-}  // namespace
+// Row-at-a-time adapter: one registry Accumulator per group, for aggregates
+// without a columnar kernel (count_if, approx_distinct, count_distinct,
+// build_geo_index, ...).
+class AccumulatorAdapter final : public GroupedAccumulator {
+ public:
+  AccumulatorAdapter(const AggregateFunction& function, TypePtr output_type)
+      : factory_(function.factory),
+        intermediate_type_(function.intermediate_type),
+        output_type_(std::move(output_type)) {}
 
-std::unique_ptr<GroupedAccumulator> MakeGroupedAccumulator(
+  bool columnar() const override { return false; }
+
+  void EnsureGroups(size_t num_groups) override {
+    while (states_.size() < num_groups) states_.push_back(factory_());
+  }
+
+  Status AddBatch(const std::vector<VectorPtr>& args, const int32_t* groups,
+                  size_t n) override {
+    // Registry accumulators static_cast their arguments to flat vectors.
+    std::vector<VectorPtr> flat(args.size());
+    for (size_t a = 0; a < args.size(); ++a) {
+      ASSIGN_OR_RETURN(flat[a], Vector::Flatten(args[a]));
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (groups[i] >= 0) states_[groups[i]]->Add(flat, i);
+    }
+    return Status::OK();
+  }
+
+  Status MergeBatch(const VectorPtr& arg, const int32_t* groups,
+                    size_t n) override {
+    for (size_t i = 0; i < n; ++i) {
+      if (groups[i] >= 0) states_[groups[i]]->MergeIntermediate(arg->GetValue(i));
+    }
+    return Status::OK();
+  }
+
+  Result<VectorPtr> Build(bool intermediate) const override {
+    VectorBuilder builder(intermediate ? intermediate_type_ : output_type_);
+    for (const auto& state : states_) {
+      RETURN_IF_ERROR(
+          builder.Append(intermediate ? state->Intermediate() : state->Final()));
+    }
+    return builder.Build();
+  }
+
+ private:
+  std::function<std::unique_ptr<Accumulator>()> factory_;
+  TypePtr intermediate_type_;
+  TypePtr output_type_;
+  std::vector<std::unique_ptr<Accumulator>> states_;
+};
+
+template <bool kIsMin>
+std::unique_ptr<GroupedAccumulator> MakeMinMax(TypeKind kind,
+                                               const TypePtr& type) {
+  if (IsIntegerLike(kind)) {
+    return std::make_unique<MinMaxGrouped<int64_t, kIsMin>>(type);
+  }
+  if (kind == TypeKind::kDouble) {
+    return std::make_unique<MinMaxGrouped<double, kIsMin>>(type);
+  }
+  if (kind == TypeKind::kVarchar) {
+    return std::make_unique<MinMaxGrouped<std::string, kIsMin>>(type);
+  }
+  return nullptr;
+}
+
+// The columnar kernel for `function`, or nullptr when it has none.
+std::unique_ptr<GroupedAccumulator> MakeColumnarKernel(
     const AggregateFunction& function, const TypePtr& output_type) {
   const std::string& name = function.handle.name;
   const std::vector<TypePtr>& args = function.handle.argument_types;
@@ -732,25 +840,18 @@ std::unique_ptr<GroupedAccumulator> MakeGroupedAccumulator(
       (IsIntegerLike(arg_kind) || arg_kind == TypeKind::kDouble)) {
     return std::make_unique<AvgGrouped>(function.intermediate_type);
   }
-  if (name == "min" || name == "max") {
-    const bool is_min = name == "min";
-    if (IsIntegerLike(arg_kind)) {
-      if (is_min) return std::make_unique<MinMaxGrouped<int64_t, true>>(output_type);
-      return std::make_unique<MinMaxGrouped<int64_t, false>>(output_type);
-    }
-    if (arg_kind == TypeKind::kDouble) {
-      if (is_min) return std::make_unique<MinMaxGrouped<double, true>>(output_type);
-      return std::make_unique<MinMaxGrouped<double, false>>(output_type);
-    }
-    if (arg_kind == TypeKind::kVarchar) {
-      if (is_min) {
-        return std::make_unique<MinMaxGrouped<std::string, true>>(output_type);
-      }
-      return std::make_unique<MinMaxGrouped<std::string, false>>(output_type);
-    }
-    return nullptr;
-  }
+  if (name == "min") return MakeMinMax<true>(arg_kind, output_type);
+  if (name == "max") return MakeMinMax<false>(arg_kind, output_type);
   return nullptr;
+}
+
+}  // namespace
+
+std::unique_ptr<GroupedAccumulator> MakeGroupedAccumulator(
+    const AggregateFunction& function, const TypePtr& output_type) {
+  auto kernel = MakeColumnarKernel(function, output_type);
+  if (kernel != nullptr) return kernel;
+  return std::make_unique<AccumulatorAdapter>(function, output_type);
 }
 
 // ---------------------------------------------------------------------------

@@ -74,7 +74,6 @@ class StringPool {
   /// the table, i.e. a guaranteed miss.
   std::optional<uint32_t> Find(std::string_view s) const;
   const std::string& at(uint32_t id) const { return strings_[id]; }
-  size_t size() const { return strings_.size(); }
 
   /// Approximate bytes held by the interned strings (operator memory stats).
   int64_t EstimateBytes() const;
@@ -84,6 +83,27 @@ class StringPool {
   std::unordered_map<std::string_view, uint32_t> ids_;
 };
 
+/// Maps distinct nested (ROW/ARRAY/MAP) key values to dense uint32 ids,
+/// bucketed by Value::Hash and compared with Value::Equals, so nested keys
+/// become fixed-width slots like interned strings. One representative Value
+/// is kept per id.
+class ValuePool {
+ public:
+  uint32_t Intern(const Value& value);
+  std::optional<uint32_t> Find(const Value& value) const;
+  const Value& at(uint32_t id) const { return values_[id]; }
+
+  /// Approximate bytes held by the representatives (operator memory stats):
+  /// a fixed per-value figure, nested payloads are not walked.
+  int64_t EstimateBytes() const {
+    return static_cast<int64_t>(values_.size()) * 64;
+  }
+
+ private:
+  std::vector<Value> values_;
+  std::unordered_multimap<uint64_t, uint32_t> ids_;  // Value::Hash -> id
+};
+
 // ---------------------------------------------------------------------------
 // NormalizedKeyTable: flat open-addressing group table on fixed-width keys
 // ---------------------------------------------------------------------------
@@ -91,15 +111,15 @@ class StringPool {
 /// Hash table used by both hash aggregation (group-by keys -> group id) and
 /// hash join (build keys -> key id, with the caller chaining duplicate build
 /// rows). Keys are normalized to fixed-width 64-bit slots (ints as-is,
-/// doubles bit-cast with -0.0 folded to 0.0, booleans 0/1, strings interned
-/// to pool ids) plus a per-row null bitmask, stored inline in one contiguous
-/// arena — no std::vector<Value> per group, no per-row virtual dispatch.
+/// doubles bit-cast with -0.0 folded to 0.0 and every NaN to one NaN,
+/// booleans 0/1, strings and nested values interned to pool ids). Each row
+/// is its key slots followed by ceil(keys/64) null-flag words, stored inline
+/// in one contiguous arena, so one word compare covers values and nulls for
+/// any number of keys — no std::vector<Value> per group, no per-row virtual
+/// dispatch for scalar keys.
 class NormalizedKeyTable {
  public:
   static constexpr int32_t kNoGroup = -1;
-
-  /// True when every key kind can be normalized (all scalar kinds).
-  static bool SupportsKeyKinds(const std::vector<TypeKind>& kinds);
 
   explicit NormalizedKeyTable(std::vector<TypeKind> key_kinds);
 
@@ -121,8 +141,8 @@ class NormalizedKeyTable {
   size_t num_groups() const { return num_groups_; }
 
   /// Approximate bytes held by the table: group key arena, open-addressing
-  /// slots, and interned strings. Feeds operator memory stats
-  /// (exec.agg.table_bytes / exec.join.table_bytes).
+  /// slots, and interned strings and nested values. Feeds operator memory
+  /// stats (exec.agg.table_bytes / exec.join.table_bytes).
   int64_t EstimateBytes() const;
 
   /// Rebuilds the key columns, one row per group in creation order.
@@ -132,14 +152,18 @@ class NormalizedKeyTable {
  private:
   void ReserveFor(size_t additional_groups);
   void Rehash(size_t new_capacity);
+  bool IsNullKey(const uint64_t* row, size_t k) const {
+    return (row[num_keys_ + (k >> 6)] >> (k & 63)) & 1;
+  }
 
   std::vector<TypeKind> key_kinds_;
   size_t num_keys_;
+  size_t row_width_;  // num_keys_ slots + ceil(num_keys_ / 64) null words
   StringPool strings_;
+  ValuePool values_;
 
-  // Group storage: group g's keys live at key_data_[g*num_keys_ ..].
+  // Group storage: group g's row lives at key_data_[g*row_width_ ..].
   std::vector<uint64_t> key_data_;
-  std::vector<uint64_t> null_masks_;
   std::vector<uint64_t> group_hashes_;
 
   // Open-addressing slots holding group id + 1 (0 == empty).
@@ -150,7 +174,6 @@ class NormalizedKeyTable {
 
   // Per-batch scratch (reused across pages).
   std::vector<uint64_t> scratch_slots_;
-  std::vector<uint64_t> scratch_null_masks_;
   std::vector<uint64_t> scratch_hashes_;
   std::vector<uint8_t> scratch_miss_;
 };
@@ -166,14 +189,18 @@ class GroupedAccumulator {
  public:
   virtual ~GroupedAccumulator() = default;
 
+  /// False for the row-at-a-time adapter over a registry Accumulator; the
+  /// operator counts its pages as fallback pages.
+  virtual bool columnar() const { return true; }
+
   /// Grows state to cover groups [0, num_groups).
   virtual void EnsureGroups(size_t num_groups) = 0;
 
   /// Folds in raw input rows: row i goes to group groups[i] (kNoGroup rows
-  /// are skipped). `arg` is the prepared argument column, or nullptr for
+  /// are skipped). `args` are the prepared argument columns, empty for
   /// zero-argument aggregates (count(*)).
-  virtual Status AddBatch(const VectorPtr* arg, const int32_t* groups,
-                          size_t n) = 0;
+  virtual Status AddBatch(const std::vector<VectorPtr>& args,
+                          const int32_t* groups, size_t n) = 0;
 
   /// Folds in a column of Intermediate() values (final aggregation step).
   virtual Status MergeBatch(const VectorPtr& arg, const int32_t* groups,
@@ -184,15 +211,16 @@ class GroupedAccumulator {
   virtual Result<VectorPtr> Build(bool intermediate) const = 0;
 };
 
-/// Returns the columnar implementation for a resolved aggregate, or nullptr
-/// when the function/argument types are not covered (the operator then runs
-/// the Value-boxed fallback path). `output_type` is the final output type
-/// from the plan; the intermediate type comes from the registration.
+/// Returns the grouped implementation for a resolved aggregate: a columnar
+/// kernel when the function/argument types have one, otherwise an adapter
+/// holding one registry Accumulator per group. Never null. `output_type` is
+/// the final output type from the plan; the intermediate type comes from
+/// the registration.
 std::unique_ptr<GroupedAccumulator> MakeGroupedAccumulator(
     const AggregateFunction& function, const TypePtr& output_type);
 
 // ---------------------------------------------------------------------------
-// Batch row hashing (used by the boxed fallback paths too)
+// Batch row hashing
 // ---------------------------------------------------------------------------
 
 /// Combined hash of the given channels for every row of the page, via the

@@ -5,7 +5,6 @@
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 
 #include "presto/common/clock.h"
 #include "presto/common/thread_pool.h"
@@ -18,7 +17,7 @@ namespace presto {
 
 Result<std::optional<Page>> Operator::Next() {
   if (deadline_steady_nanos_ > 0 && SteadyNowNanos() >= deadline_steady_nanos_) {
-    return Status::Unavailable(
+    return Status::DeadlineExceeded(
         "query deadline exceeded (query_timeout_millis)");
   }
   if (kill_flag_ != nullptr && kill_flag_->load(std::memory_order_relaxed)) {
@@ -272,6 +271,26 @@ std::vector<Page> ChunkPage(const Page& page, size_t chunk_rows = kRunPageRows) 
   return out;
 }
 
+// Concatenates flat scalar parts of one type.
+template <typename T>
+VectorPtr ConcatFlat(const TypePtr& type, const std::vector<VectorPtr>& parts) {
+  std::vector<T> values;
+  std::vector<uint8_t> nulls;
+  bool any_null = false;
+  for (const VectorPtr& part : parts) {
+    const auto* flat = static_cast<const FlatVector<T>*>(part.get());
+    for (size_t i = 0; i < flat->size(); ++i) {
+      values.push_back(flat->ValueAt(i));
+      bool is_null = flat->IsNull(i);
+      nulls.push_back(is_null ? 1 : 0);
+      any_null = any_null || is_null;
+    }
+  }
+  if (!any_null) nulls.clear();
+  return std::make_shared<FlatVector<T>>(type, std::move(values),
+                                         std::move(nulls));
+}
+
 // Concatenates vectors of the same type (fast paths for flat scalars).
 Result<VectorPtr> ConcatVectors(const TypePtr& type,
                                 const std::vector<VectorPtr>& parts) {
@@ -282,74 +301,14 @@ Result<VectorPtr> ConcatVectors(const TypePtr& type,
   }
   if (all_flat_scalar) {
     switch (type->kind()) {
-      case TypeKind::kDouble: {
-        std::vector<double> values;
-        std::vector<uint8_t> nulls;
-        bool any_null = false;
-        for (const VectorPtr& part : parts) {
-          const auto* flat = static_cast<const DoubleVector*>(part.get());
-          for (size_t i = 0; i < flat->size(); ++i) {
-            values.push_back(flat->ValueAt(i));
-            bool is_null = flat->IsNull(i);
-            nulls.push_back(is_null ? 1 : 0);
-            any_null = any_null || is_null;
-          }
-        }
-        if (!any_null) nulls.clear();
-        return VectorPtr(std::make_shared<DoubleVector>(type, std::move(values),
-                                                        std::move(nulls)));
-      }
-      case TypeKind::kVarchar: {
-        std::vector<std::string> values;
-        std::vector<uint8_t> nulls;
-        bool any_null = false;
-        for (const VectorPtr& part : parts) {
-          const auto* flat = static_cast<const StringVector*>(part.get());
-          for (size_t i = 0; i < flat->size(); ++i) {
-            values.push_back(flat->ValueAt(i));
-            bool is_null = flat->IsNull(i);
-            nulls.push_back(is_null ? 1 : 0);
-            any_null = any_null || is_null;
-          }
-        }
-        if (!any_null) nulls.clear();
-        return VectorPtr(std::make_shared<StringVector>(type, std::move(values),
-                                                        std::move(nulls)));
-      }
-      case TypeKind::kBoolean: {
-        std::vector<uint8_t> values;
-        std::vector<uint8_t> nulls;
-        bool any_null = false;
-        for (const VectorPtr& part : parts) {
-          const auto* flat = static_cast<const BoolVector*>(part.get());
-          for (size_t i = 0; i < flat->size(); ++i) {
-            values.push_back(flat->ValueAt(i));
-            bool is_null = flat->IsNull(i);
-            nulls.push_back(is_null ? 1 : 0);
-            any_null = any_null || is_null;
-          }
-        }
-        if (!any_null) nulls.clear();
-        return VectorPtr(std::make_shared<BoolVector>(type, std::move(values),
-                                                      std::move(nulls)));
-      }
-      default: {  // integer-like
-        std::vector<int64_t> values;
-        std::vector<uint8_t> nulls;
-        bool any_null = false;
-        for (const VectorPtr& part : parts) {
-          const auto* flat = static_cast<const Int64Vector*>(part.get());
-          for (size_t i = 0; i < flat->size(); ++i) {
-            values.push_back(flat->ValueAt(i));
-            bool is_null = flat->IsNull(i);
-            nulls.push_back(is_null ? 1 : 0);
-            any_null = any_null || is_null;
-          }
-        }
-        if (!any_null) nulls.clear();
-        return VectorPtr(std::make_shared<Int64Vector>(type, std::move(values),
-                                                       std::move(nulls)));
-      }
+      case TypeKind::kDouble:
+        return ConcatFlat<double>(type, parts);
+      case TypeKind::kVarchar:
+        return ConcatFlat<std::string>(type, parts);
+      case TypeKind::kBoolean:
+        return ConcatFlat<uint8_t>(type, parts);
+      default:  // integer-like
+        return ConcatFlat<int64_t>(type, parts);
     }
   }
   // Generic path (nested types, mixed encodings).
@@ -386,16 +345,6 @@ Result<Page> ConcatPages(const std::vector<VariablePtr>& variables,
     }
   }
   return Page(std::move(columns), rows);
-}
-
-bool RowsEqual(const Page& a, const std::vector<int>& a_channels, size_t a_row,
-               const Page& b, const std::vector<int>& b_channels, size_t b_row) {
-  for (size_t i = 0; i < a_channels.size(); ++i) {
-    if (a.column(a_channels[i])->CompareAt(a_row, *b.column(b_channels[i]), b_row) != 0) {
-      return false;
-    }
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -566,7 +515,7 @@ class HashAggregationOperator final : public Operator {
       table_bytes_counter_ =
           limits.metrics->FindOrRegister("exec.agg.table_bytes");
     }
-    InitKernel(limits);
+    for (const TypePtr& t : key_types_) key_kinds_.push_back(t->kind());
     for (size_t k = 0; k < key_channels_.size(); ++k) {
       inter_key_channels_.push_back(static_cast<int>(k));
     }
@@ -588,8 +537,11 @@ class HashAggregationOperator final : public Operator {
       s->memory.Init(limits, num_chains == 1
                                  ? "op.HashAggregation"
                                  : "op.HashAggregation.t" + std::to_string(i));
-      if (use_kernel_) s->parts.push_back(MakePartition());
+      s->parts.push_back(MakePartition());
       locals_.push_back(std::move(s));
+    }
+    for (const auto& g : locals_[0]->parts[0].grouped) {
+      if (!g->columnar()) uses_adapter_ = true;
     }
     if (locals_[0]->memory.enabled() && limits.spill_enabled &&
         limits.spill_fs != nullptr && !limits.spill_dir.empty()) {
@@ -608,36 +560,17 @@ class HashAggregationOperator final : public Operator {
         // own in-memory run, so no cross-chain table merge is needed.
         RETURN_IF_ERROR(StartMerge());
       } else if (locals_.size() > 1) {
-        if (use_kernel_) {
-          RETURN_IF_ERROR(MergeLocalStatesKernel());
-        } else {
-          MergeLocalStatesBoxed();
-        }
+        RETURN_IF_ERROR(MergeLocalStates());
         RETURN_IF_ERROR(SettleAfterMerge());
       }
     }
     if (merge_ != nullptr) return NextMergedPage();
-    if (use_kernel_) return ProduceOutputKernel();
-    if (produced_) return std::optional<Page>();
-    produced_ = true;
     return ProduceOutput();
   }
 
  private:
-  struct Group {
-    std::vector<Value> keys;
-    std::vector<std::unique_ptr<Accumulator>> accumulators;
-  };
-
-  /// Boxed-path group table: groups bucketed by the content hash of their
-  /// keys.
-  struct BoxedTable {
-    std::unordered_map<uint64_t, std::vector<Group>> buckets;
-    size_t num_groups = 0;
-  };
-
-  /// One radix partition of a chain's kernel-path state: a cache-sized
-  /// normalized-key table plus its grouped accumulators.
+  /// One radix partition of a chain's state: a cache-sized normalized-key
+  /// table plus its grouped accumulators.
   struct KernelPartition {
     std::unique_ptr<kernels::NormalizedKeyTable> table;
     std::vector<std::unique_ptr<kernels::GroupedAccumulator>> grouped;
@@ -649,12 +582,10 @@ class HashAggregationOperator final : public Operator {
   /// Counters fold into the operator's stats after the chains join.
   struct LocalState {
     Operator* chain = nullptr;
-    // Kernel path: 2^radix_bits partitions routed by the high hash bits;
-    // starts at one partition and upgrades past kRadixUpgradeGroups.
+    // 2^radix_bits partitions routed by the high hash bits; starts at one
+    // partition and upgrades past kRadixUpgradeGroups.
     int radix_bits = 0;
     std::vector<KernelPartition> parts;
-    // Boxed fallback.
-    BoxedTable boxed;
     // Chain-confined scratch.
     std::vector<int32_t> group_ids;
     std::vector<uint64_t> hash_scratch;
@@ -667,27 +598,6 @@ class HashAggregationOperator final : public Operator {
     int64_t spilled_runs = 0;
   };
 
-  // The kernel path is chosen statically per operator: every key kind must
-  // normalize to a fixed-width slot and every aggregate must have a grouped
-  // (columnar) implementation. Otherwise the Value-boxed path runs.
-  void InitKernel(const ExecutionLimits& limits) {
-    if (!limits.vectorized_kernels) return;
-    std::vector<TypeKind> kinds;
-    kinds.reserve(key_types_.size());
-    for (const TypePtr& t : key_types_) kinds.push_back(t->kind());
-    if (!kernels::NormalizedKeyTable::SupportsKeyKinds(kinds)) return;
-    for (const AggSpec& agg : aggs_) {
-      if (agg.arg_channels.size() > 1) return;
-      if (step_ == AggregationStep::kFinal && agg.arg_channels.size() != 1) {
-        return;
-      }
-      auto g = kernels::MakeGroupedAccumulator(*agg.function, agg.output_type);
-      if (g == nullptr) return;
-    }
-    key_kinds_ = std::move(kinds);
-    use_kernel_ = true;
-  }
-
   KernelPartition MakePartition() const {
     KernelPartition part;
     part.table = std::make_unique<kernels::NormalizedKeyTable>(key_kinds_);
@@ -696,15 +606,6 @@ class HashAggregationOperator final : public Operator {
           kernels::MakeGroupedAccumulator(*agg.function, agg.output_type));
     }
     return part;
-  }
-
-  int64_t NumGroups(const LocalState& s) const {
-    if (!use_kernel_) return static_cast<int64_t>(s.boxed.num_groups);
-    int64_t total = 0;
-    for (const KernelPartition& part : s.parts) {
-      total += static_cast<int64_t>(part.table->num_groups());
-    }
-    return total;
   }
 
   Status ConsumeAllChains() {
@@ -734,15 +635,13 @@ class HashAggregationOperator final : public Operator {
       stats_.fallback_pages += s->fallback_pages;
       stats_.spilled_bytes += s->spilled_bytes;
       stats_.spilled_runs += s->spilled_runs;
-      total_groups += NumGroups(*s);
-      if (use_kernel_) {
-        for (const KernelPartition& part : s->parts) {
-          table_bytes += part.table->EstimateBytes();
-        }
+      for (const KernelPartition& part : s->parts) {
+        total_groups += static_cast<int64_t>(part.table->num_groups());
+        table_bytes += part.table->EstimateBytes();
       }
     }
     RecordPeakBuffered(total_groups);
-    if (use_kernel_) Bump(table_bytes_counter_, table_bytes);
+    Bump(table_bytes_counter_, table_bytes);
     return st;
   }
 
@@ -750,17 +649,13 @@ class HashAggregationOperator final : public Operator {
     while (true) {
       ASSIGN_OR_RETURN(std::optional<Page> page, s.chain->Next());
       if (!page.has_value()) break;
-      if (use_kernel_) {
-        RETURN_IF_ERROR(ConsumePageKernel(s, *page));
-      } else {
-        RETURN_IF_ERROR(ConsumePageBoxed(s, *page));
-      }
+      RETURN_IF_ERROR(ConsumePage(s, *page));
       if (s.memory.enabled()) RETURN_IF_ERROR(GrowFootprint(s));
     }
     return Status::OK();
   }
 
-  Status ConsumePageKernel(LocalState& s, const Page& page) {
+  Status ConsumePage(LocalState& s, const Page& page) {
     size_t n = page.num_rows();
     // Load lazy columns / simplify encodings once per page; dictionaries
     // stay dictionaries (kernels gather through the indices).
@@ -774,8 +669,14 @@ class HashAggregationOperator final : public Operator {
       }
     }
     Page prepared(std::move(columns), n);
-    s.kernel_pages += 1;
-    Bump(kernel_pages_counter_, 1);
+    // Pages folded row-at-a-time by any adapter count as fallback pages.
+    if (uses_adapter_) {
+      s.fallback_pages += 1;
+      Bump(fallback_pages_counter_, 1);
+    } else {
+      s.kernel_pages += 1;
+      Bump(kernel_pages_counter_, 1);
+    }
     if (s.radix_bits == 0) {
       RETURN_IF_ERROR(ConsumeIntoPartition(&s, s.parts[0], prepared,
                                            key_channels_,
@@ -817,11 +718,10 @@ class HashAggregationOperator final : public Operator {
       } else if (step_ == AggregationStep::kFinal) {
         RETURN_IF_ERROR(part.grouped[a]->MergeBatch(
             page.column(aggs_[a].arg_channels[0]), gids.data(), n));
-      } else if (aggs_[a].arg_channels.empty()) {
-        RETURN_IF_ERROR(part.grouped[a]->AddBatch(nullptr, gids.data(), n));
       } else {
-        RETURN_IF_ERROR(part.grouped[a]->AddBatch(
-            &page.column(aggs_[a].arg_channels[0]), gids.data(), n));
+        std::vector<VectorPtr> args;
+        for (int c : aggs_[a].arg_channels) args.push_back(page.column(c));
+        RETURN_IF_ERROR(part.grouped[a]->AddBatch(args, gids.data(), n));
       }
     }
     return Status::OK();
@@ -897,28 +797,16 @@ class HashAggregationOperator final : public Operator {
   // partition-wise, each partition by (potentially) a different pool thread.
   // Partitions are radix-disjoint, so no two merge tasks touch the same
   // table.
-  Status MergeLocalStatesKernel() {
-    if (key_channels_.empty()) return MergeGlobalStatesKernel();
+  Status MergeLocalStates() {
+    if (key_channels_.empty()) return MergeGlobalStates();
     int target_bits = 0;
     for (const auto& s : locals_) {
       target_bits = std::max(target_bits, s->radix_bits);
     }
     for (const auto& s : locals_) {
-      if (s->radix_bits < target_bits) {
-        s->radix_bits = radix_target_bits_;  // == target_bits when > 0
-        std::vector<KernelPartition> old_parts = std::move(s->parts);
-        s->parts.clear();
-        for (int p = 0; p < (1 << s->radix_bits); ++p) {
-          s->parts.push_back(MakePartition());
-        }
-        ASSIGN_OR_RETURN(
-            std::optional<Page> carried,
-            BuildPartitionPage(old_parts[0], /*intermediate=*/true));
-        if (carried.has_value()) {
-          RETURN_IF_ERROR(RouteToPartitions(*s, *carried, inter_key_channels_,
-                                            /*merge_mode=*/true));
-        }
-      }
+      // A chain still on one table re-partitions like a radix upgrade
+      // (target_bits > 0 is always radix_target_bits_).
+      if (s->radix_bits < target_bits) RETURN_IF_ERROR(UpgradeRadix(*s));
     }
     size_t num_parts = locals_[0]->parts.size();
     return RunParallel(
@@ -938,7 +826,7 @@ class HashAggregationOperator final : public Operator {
 
   // Keyless (global) aggregation: each chain holds at most one group; fold
   // their intermediates into the first chain's global group.
-  Status MergeGlobalStatesKernel() {
+  Status MergeGlobalStates() {
     KernelPartition& target = locals_[0]->parts[0];
     for (size_t t = 1; t < locals_.size(); ++t) {
       KernelPartition& src = locals_[t]->parts[0];
@@ -971,46 +859,7 @@ class HashAggregationOperator final : public Operator {
     return Status::OK();
   }
 
-  void MergeLocalStatesBoxed() {
-    LocalState& dst = *locals_[0];
-    for (size_t t = 1; t < locals_.size(); ++t) {
-      LocalState& src = *locals_[t];
-      for (auto& [hash, bucket] : src.boxed.buckets) {
-        for (Group& group : bucket) {
-          Group* target = FindBoxedGroup(dst.boxed, hash, group.keys);
-          if (target == nullptr) {
-            dst.boxed.buckets[hash].push_back(std::move(group));
-            ++dst.boxed.num_groups;
-            continue;
-          }
-          for (size_t a = 0; a < aggs_.size(); ++a) {
-            target->accumulators[a]->MergeIntermediate(
-                group.accumulators[a]->Intermediate());
-          }
-        }
-      }
-      src.boxed = BoxedTable();
-    }
-  }
-
-  Group* FindBoxedGroup(BoxedTable& table, uint64_t hash,
-                        const std::vector<Value>& keys) {
-    auto it = table.buckets.find(hash);
-    if (it == table.buckets.end()) return nullptr;
-    for (Group& group : it->second) {
-      bool equal = true;
-      for (size_t k = 0; k < keys.size(); ++k) {
-        if (!group.keys[k].Equals(keys[k])) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) return &group;
-    }
-    return nullptr;
-  }
-
-  Result<std::optional<Page>> ProduceOutputKernel() {
+  Result<std::optional<Page>> ProduceOutput() {
     LocalState& s = *locals_[0];
     if (key_channels_.empty() && !global_group_ensured_) {
       // Global aggregations emit exactly one row even over empty input.
@@ -1030,142 +879,19 @@ class HashAggregationOperator final : public Operator {
     return std::optional<Page>();
   }
 
-  Status ConsumePageBoxed(LocalState& s, const Page& page) {
-    // Flatten needed columns once per page.
-    std::vector<VectorPtr> flat(page.num_columns());
-    auto flat_column = [&](int c) -> Result<VectorPtr> {
-      if (flat[c] == nullptr) {
-        ASSIGN_OR_RETURN(flat[c], Vector::Flatten(page.column(c)));
-      }
-      return flat[c];
-    };
-    // Pre-flatten aggregate argument channels.
-    std::vector<std::vector<VectorPtr>> agg_args(aggs_.size());
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      for (int c : aggs_[a].arg_channels) {
-        ASSIGN_OR_RETURN(VectorPtr v, flat_column(c));
-        agg_args[a].push_back(std::move(v));
-      }
-    }
-    for (int c : key_channels_) {
-      RETURN_IF_ERROR(flat_column(c).status());
-    }
-    Page flat_page(flat, page.num_rows());
-
-    // Batch-hash the key columns (one virtual call per column per page)
-    // even on the boxed path; only group lookup boxes Values.
-    if (!key_channels_.empty()) {
-      kernels::HashPage(flat_page, key_channels_, &s.hash_scratch);
-    }
-    s.fallback_pages += 1;
-    Bump(fallback_pages_counter_, 1);
-    size_t groups_before = s.boxed.num_groups;
-
-    for (size_t row = 0; row < page.num_rows(); ++row) {
-      uint64_t h = key_channels_.empty() ? 0 : s.hash_scratch[row];
-      Group* group = FindOrCreateGroup(s.boxed, flat_page, key_channels_, row, h);
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        if (step_ == AggregationStep::kFinal) {
-          group->accumulators[a]->MergeIntermediate(
-              agg_args[a][0]->GetValue(row));
-        } else {
-          group->accumulators[a]->Add(agg_args[a], row);
-        }
-      }
-    }
-    Bump(groups_created_counter_,
-         static_cast<int64_t>(s.boxed.num_groups - groups_before));
-    return Status::OK();
-  }
-
-  // Finds the group whose keys equal row `row`'s `keys` channels, creating it
-  // with fresh accumulators when there is none.
-  Group* FindOrCreateGroup(BoxedTable& table, const Page& page,
-                           const std::vector<int>& keys, size_t row,
-                           uint64_t hash) {
-    auto& bucket = table.buckets[hash];
-    for (auto& group : bucket) {
-      bool equal = true;
-      for (size_t k = 0; k < keys.size(); ++k) {
-        if (!group.keys[k].Equals(page.column(keys[k])->GetValue(row))) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) return &group;
-    }
-    Group group;
-    for (int c : keys) {
-      group.keys.push_back(page.column(c)->GetValue(row));
-    }
-    for (const AggSpec& agg : aggs_) {
-      group.accumulators.push_back(agg.function->factory());
-    }
-    bucket.push_back(std::move(group));
-    ++table.num_groups;
-    return &bucket.back();
-  }
-
-  Result<std::optional<Page>> ProduceOutput() {
-    BoxedTable& table = locals_[0]->boxed;
-    // Global aggregations emit exactly one row even over empty input.
-    if (key_channels_.empty() && table.num_groups == 0) {
-      Group group;
-      for (const AggSpec& agg : aggs_) {
-        group.accumulators.push_back(agg.function->factory());
-      }
-      table.buckets[0].push_back(std::move(group));
-      ++table.num_groups;
-    }
-    return BuildBoxedPage(table,
-                          /*intermediate=*/step_ == AggregationStep::kPartial);
-  }
-
-  // Boxed counterpart of BuildPartitionPage: every group of `table` as one
-  // [keys..., aggregates...] page.
-  Result<std::optional<Page>> BuildBoxedPage(BoxedTable& table,
-                                             bool intermediate) {
-    if (table.num_groups == 0) return std::optional<Page>();
-    std::vector<VectorBuilder> builders;
-    for (const TypePtr& t : key_types_) builders.emplace_back(t);
-    for (const AggSpec& agg : aggs_) {
-      builders.emplace_back(intermediate ? agg.function->intermediate_type
-                                         : agg.output_type);
-    }
-    for (auto& [hash, bucket] : table.buckets) {
-      for (Group& group : bucket) {
-        for (size_t k = 0; k < group.keys.size(); ++k) {
-          RETURN_IF_ERROR(builders[k].Append(group.keys[k]));
-        }
-        for (size_t a = 0; a < aggs_.size(); ++a) {
-          Value value = intermediate ? group.accumulators[a]->Intermediate()
-                                     : group.accumulators[a]->Final();
-          RETURN_IF_ERROR(builders[group.keys.size() + a].Append(value));
-        }
-      }
-    }
-    std::vector<VectorPtr> columns;
-    for (auto& b : builders) columns.push_back(b.Build());
-    return std::optional<Page>(Page(std::move(columns), table.num_groups));
-  }
-
   // -- Memory accounting & revocable spill ----------------------------------
 
   // Estimated in-memory footprint of one chain's hash table state. The
-  // kernel tables self-report; grouped/boxed accumulator state is a
-  // fixed-width per-group approximation.
+  // key tables self-report; grouped accumulator state is a fixed-width
+  // per-group approximation.
   int64_t EstimateStateBytes(const LocalState& s) const {
-    if (use_kernel_) {
-      int64_t total = 0;
-      for (const KernelPartition& part : s.parts) {
-        total += part.table->EstimateBytes() +
-                 static_cast<int64_t>(part.table->num_groups()) * 32 *
-                     static_cast<int64_t>(aggs_.size() + 1);
-      }
-      return total;
+    int64_t total = 0;
+    for (const KernelPartition& part : s.parts) {
+      total += part.table->EstimateBytes() +
+               static_cast<int64_t>(part.table->num_groups()) * 32 *
+                   static_cast<int64_t>(aggs_.size() + 1);
     }
-    return static_cast<int64_t>(s.boxed.num_groups) *
-           (64 + 48 * static_cast<int64_t>(key_channels_.size() + aggs_.size()));
+    return total;
   }
 
   // Degradation ladder for a failed reservation: revoke self (spill the
@@ -1193,25 +919,18 @@ class HashAggregationOperator final : public Operator {
   // (The tables' own group hashes cannot serve: they hash interned string
   // ids, which differ per chain.)
   Result<std::vector<Page>> BuildRun(LocalState& s) {
-    Page state;
-    if (use_kernel_) {
-      std::vector<Page> part_pages;
-      for (KernelPartition& part : s.parts) {
-        ASSIGN_OR_RETURN(std::optional<Page> page,
-                         BuildPartitionPage(part, /*intermediate=*/true));
-        if (page.has_value()) part_pages.push_back(std::move(*page));
-      }
-      if (part_pages.empty()) return std::vector<Page>();
-      if (part_pages.size() == 1) {
-        state = std::move(part_pages[0]);
-      } else {
-        ASSIGN_OR_RETURN(state, ConcatPages(run_vars_, part_pages));
-      }
-    } else {
+    std::vector<Page> part_pages;
+    for (KernelPartition& part : s.parts) {
       ASSIGN_OR_RETURN(std::optional<Page> page,
-                       BuildBoxedPage(s.boxed, /*intermediate=*/true));
-      if (!page.has_value()) return std::vector<Page>();
-      state = std::move(*page);
+                       BuildPartitionPage(part, /*intermediate=*/true));
+      if (page.has_value()) part_pages.push_back(std::move(*page));
+    }
+    if (part_pages.empty()) return std::vector<Page>();
+    Page state;
+    if (part_pages.size() == 1) {
+      state = std::move(part_pages[0]);
+    } else {
+      ASSIGN_OR_RETURN(state, ConcatPages(run_vars_, part_pages));
     }
     size_t n = state.num_rows();
     kernels::HashPage(state, inter_key_channels_, &s.hash_scratch);
@@ -1257,13 +976,9 @@ class HashAggregationOperator final : public Operator {
   }
 
   void ResetState(LocalState& s) {
-    if (use_kernel_) {
-      size_t num_parts = s.parts.size();
-      s.parts.clear();
-      for (size_t p = 0; p < num_parts; ++p) s.parts.push_back(MakePartition());
-    } else {
-      s.boxed = BoxedTable();
-    }
+    size_t num_parts = s.parts.size();
+    s.parts.clear();
+    for (size_t p = 0; p < num_parts; ++p) s.parts.push_back(MakePartition());
   }
 
   Status StartMerge() {
@@ -1284,40 +999,25 @@ class HashAggregationOperator final : public Operator {
 
   // Output after a spill: each hash batch of the merged runs (every row of a
   // key is in one batch) folds into a fresh state that is emitted and
-  // dropped, so the merge never holds more than one batch of groups. Both
-  // paths fold each key's rows in run order.
+  // dropped, so the merge never holds more than one batch of groups. Each
+  // key's rows fold in run order.
   Result<std::optional<Page>> NextMergedPage() {
     ASSIGN_OR_RETURN(std::vector<HashOrderedMerge::Slice> batch,
                      merge_->NextBatch(kRunPageRows));
     if (batch.empty()) return std::optional<Page>();
-    const bool intermediate = step_ == AggregationStep::kPartial;
-    if (use_kernel_) {
-      KernelPartition part = MakePartition();
-      std::vector<int32_t> rows;
-      for (const HashOrderedMerge::Slice& slice : batch) {
-        rows.clear();
-        for (size_t r = slice.begin; r < slice.end; ++r) {
-          rows.push_back(static_cast<int32_t>(r));
-        }
-        RETURN_IF_ERROR(ConsumeIntoPartition(
-            locals_[0].get(), part, slice.page.WrapRows(rows),
-            inter_key_channels_, /*merge_mode=*/true));
-      }
-      return BuildPartitionPage(part, intermediate);
-    }
-    BoxedTable table;
-    size_t num_keys = key_channels_.size();
+    KernelPartition part = MakePartition();
+    std::vector<int32_t> rows;
     for (const HashOrderedMerge::Slice& slice : batch) {
+      rows.clear();
       for (size_t r = slice.begin; r < slice.end; ++r) {
-        Group* group = FindOrCreateGroup(table, slice.page, inter_key_channels_,
-                                         r, (*slice.hashes)[r]);
-        for (size_t a = 0; a < aggs_.size(); ++a) {
-          group->accumulators[a]->MergeIntermediate(
-              slice.page.column(num_keys + a)->GetValue(r));
-        }
+        rows.push_back(static_cast<int32_t>(r));
       }
+      RETURN_IF_ERROR(ConsumeIntoPartition(
+          locals_[0].get(), part, slice.page.WrapRows(rows),
+          inter_key_channels_, /*merge_mode=*/true));
     }
-    return BuildBoxedPage(table, intermediate);
+    return BuildPartitionPage(part,
+                              /*intermediate=*/step_ == AggregationStep::kPartial);
   }
 
   // A chain upgrades from one table to 2^kRadixBits radix partitions once
@@ -1338,13 +1038,11 @@ class HashAggregationOperator final : public Operator {
   MetricsRegistry::Counter* groups_created_counter_ = nullptr;
   MetricsRegistry::Counter* table_bytes_counter_ = nullptr;
   bool consumed_ = false;
-  bool produced_ = false;  // boxed path emits one page
   bool global_group_ensured_ = false;
-  size_t produce_partition_ = 0;  // kernel output cursor
+  size_t produce_partition_ = 0;  // output cursor
 
-  // Kernel path.
-  bool use_kernel_ = false;
   std::vector<TypeKind> key_kinds_;
+  bool uses_adapter_ = false;  // some aggregate folds row-at-a-time
   std::vector<int> inter_key_channels_;  // 0..num_keys-1 (state pages)
   int radix_target_bits_ = 0;            // 0 = keyless, never partitions
   std::vector<VariablePtr> run_vars_;    // [keys..., intermediates...] types
@@ -1377,8 +1075,7 @@ class HashJoinOperator final : public Operator {
   HashJoinOperator(OperatorPtr probe, std::vector<OperatorPtr> build_chains,
                    JoinKind kind,
                    std::vector<int> probe_keys, std::vector<int> build_keys,
-                   std::vector<TypePtr> probe_key_types,
-                   std::vector<TypePtr> build_key_types,
+                   std::vector<TypeKind> key_kinds,
                    std::vector<VariablePtr> build_vars, ExprPtr filter,
                    std::map<std::string, int> combined_layout,
                    FunctionRegistry* functions, const ExecutionLimits& limits)
@@ -1387,6 +1084,7 @@ class HashJoinOperator final : public Operator {
         kind_(kind),
         probe_keys_(std::move(probe_keys)),
         build_keys_(std::move(build_keys)),
+        key_kinds_(std::move(key_kinds)),
         build_vars_(std::move(build_vars)),
         filter_(std::move(filter)),
         combined_layout_(std::move(combined_layout)),
@@ -1402,12 +1100,9 @@ class HashJoinOperator final : public Operator {
           limits.metrics->FindOrRegister("exec.join.hash_probes");
       kernel_pages_counter_ =
           limits.metrics->FindOrRegister("exec.join.kernel_pages");
-      fallback_pages_counter_ =
-          limits.metrics->FindOrRegister("exec.join.fallback_pages");
       table_bytes_counter_ =
           limits.metrics->FindOrRegister("exec.join.table_bytes");
     }
-    InitKernel(limits, probe_key_types, build_key_types);
   }
 
  protected:
@@ -1432,26 +1127,6 @@ class HashJoinOperator final : public Operator {
   }
 
  private:
-  // Kernel eligibility is static: every build/probe key pair must share a
-  // normalized representation (identical kind, or both integer-like — they
-  // normalize to the same int64 bit pattern).
-  void InitKernel(const ExecutionLimits& limits,
-                  const std::vector<TypePtr>& probe_key_types,
-                  const std::vector<TypePtr>& build_key_types) {
-    if (!limits.vectorized_kernels) return;
-    std::vector<TypeKind> kinds;
-    kinds.reserve(build_key_types.size());
-    for (size_t i = 0; i < build_key_types.size(); ++i) {
-      TypeKind b = build_key_types[i]->kind();
-      TypeKind p = probe_key_types[i]->kind();
-      if (b != p && !(IsIntegerLike(b) && IsIntegerLike(p))) return;
-      kinds.push_back(b);
-    }
-    if (!kernels::NormalizedKeyTable::SupportsKeyKinds(kinds)) return;
-    build_key_kinds_ = std::move(kinds);
-    use_kernel_ = true;
-  }
-
   Status BuildTable() {
     // Drain the build side; with replicated morsel chains every chain
     // collects pages thread-locally and only the row/byte bookkeeping (and
@@ -1527,102 +1202,59 @@ class HashJoinOperator final : public Operator {
     build_page_ = Page(std::move(with_null), build_page_.num_rows() + 1);
     Bump(build_rows_counter_, null_row_index_);
 
-    if (use_kernel_) {
-      // Normalized-key tables map each distinct key to a key id; duplicate
-      // build rows chain through head/next_. NULL keys never enter (SQL
-      // equality). Chains are threaded in reverse so traversal yields
-      // ascending build-row order. Large build sides radix-partition on the
-      // high bits of the content hash: each partition's table stays
-      // cache-sized and the partitions build in parallel (their row sets are
-      // disjoint, so the shared next_ array is written at disjoint indices).
-      radix_bits_ = null_row_index_ >= (1 << 16) ? kJoinRadixBits : 0;
-      if (radix_bits_ == 0) {
-        parts_.resize(1);
-        BuildPartition& part = parts_[0];
-        part.table =
-            std::make_unique<kernels::NormalizedKeyTable>(build_key_kinds_);
-        std::vector<int32_t> key_ids;
-        ASSIGN_OR_RETURN(int64_t probes,
-                         part.table->MapRows(build_page_, build_keys_,
-                                             /*insert_missing=*/true,
-                                             /*skip_null_keys=*/true,
-                                             &key_ids));
-        Bump(hash_probes_counter_, probes);
-        part.head.assign(part.table->num_groups(), -1);
-        next_.assign(key_ids.size(), -1);
-        for (int32_t r = null_row_index_ - 1; r >= 0; --r) {
-          int32_t k = key_ids[r];
-          if (k == kernels::NormalizedKeyTable::kNoGroup) continue;
-          next_[r] = part.head[k];
-          part.head[k] = r;
-        }
-        return Status::OK();
-      }
+    // Normalized-key tables map each distinct key to a key id; duplicate
+    // build rows chain through head/next_. NULL keys never enter (SQL
+    // equality). Chains are threaded in reverse so traversal yields
+    // ascending build-row order. Large build sides radix-partition on the
+    // high bits of the content hash: each partition's table stays
+    // cache-sized and the partitions build in parallel (their row sets are
+    // disjoint, so the shared next_ array is written at disjoint indices).
+    radix_bits_ = null_row_index_ >= (1 << 16) ? kJoinRadixBits : 0;
+    parts_.clear();
+    parts_.resize(size_t{1} << radix_bits_);
+    if (radix_bits_ > 0) {
       kernels::HashPage(build_page_, build_keys_, &hash_scratch_);
-      parts_.clear();
-      parts_.resize(static_cast<size_t>(1) << radix_bits_);
-      int shift = 64 - radix_bits_;
-      for (int32_t r = 0; r < null_row_index_; ++r) {
-        parts_[hash_scratch_[r] >> shift].rows.push_back(r);
-      }
-      next_.assign(build_page_.num_rows(), -1);
-      std::atomic<int64_t> total_probes{0};
-      Status st = RunParallel(
-          morsel_pool_, static_cast<int>(parts_.size()),
-          [&](int p) -> Status {
-            BuildPartition& part = parts_[p];
-            part.table =
-                std::make_unique<kernels::NormalizedKeyTable>(build_key_kinds_);
-            if (part.rows.empty()) return Status::OK();
-            Page sub = build_page_.WrapRows(part.rows);
-            std::vector<int32_t> key_ids;
-            ASSIGN_OR_RETURN(int64_t probes,
-                             part.table->MapRows(sub, build_keys_,
-                                                 /*insert_missing=*/true,
-                                                 /*skip_null_keys=*/true,
-                                                 &key_ids));
-            total_probes.fetch_add(probes, std::memory_order_relaxed);
-            part.head.assign(part.table->num_groups(), -1);
-            for (size_t idx = part.rows.size(); idx-- > 0;) {
-              int32_t k = key_ids[idx];
-              if (k == kernels::NormalizedKeyTable::kNoGroup) continue;
-              int32_t r = part.rows[idx];
-              next_[r] = part.head[k];
-              part.head[k] = r;
-            }
-            return Status::OK();
-          });
-      RETURN_IF_ERROR(st);
-      Bump(hash_probes_counter_,
-           total_probes.load(std::memory_order_relaxed));
-      return Status::OK();
     }
-
-    // Boxed fallback: batch-hash the key columns, then bucket row ids.
-    kernels::HashPage(build_page_, build_keys_, &hash_scratch_);
     for (int32_t r = 0; r < null_row_index_; ++r) {
-      // SQL equality: NULL keys never match anything, so they never enter
-      // the table.
-      bool has_null_key = false;
-      for (int c : build_keys_) {
-        if (build_page_.column(c)->IsNull(r)) {
-          has_null_key = true;
-          break;
-        }
-      }
-      if (has_null_key) continue;
-      table_[hash_scratch_[r]].push_back(r);
+      parts_[radix_bits_ == 0 ? 0 : hash_scratch_[r] >> (64 - radix_bits_)]
+          .rows.push_back(r);
     }
+    next_.assign(build_page_.num_rows(), -1);
+    std::atomic<int64_t> total_probes{0};
+    RETURN_IF_ERROR(RunParallel(
+        morsel_pool_, static_cast<int>(parts_.size()), [&](int p) -> Status {
+          BuildPartition& part = parts_[p];
+          part.table = std::make_unique<kernels::NormalizedKeyTable>(key_kinds_);
+          if (part.rows.empty()) return Status::OK();
+          Page sub = build_page_.WrapRows(part.rows);
+          std::vector<int32_t> key_ids;
+          ASSIGN_OR_RETURN(int64_t probes,
+                           part.table->MapRows(sub, build_keys_,
+                                               /*insert_missing=*/true,
+                                               /*skip_null_keys=*/true,
+                                               &key_ids));
+          total_probes.fetch_add(probes, std::memory_order_relaxed);
+          part.head.assign(part.table->num_groups(), -1);
+          for (size_t idx = part.rows.size(); idx-- > 0;) {
+            int32_t k = key_ids[idx];
+            if (k == kernels::NormalizedKeyTable::kNoGroup) continue;
+            int32_t r = part.rows[idx];
+            next_[r] = part.head[k];
+            part.head[k] = r;
+          }
+          return Status::OK();
+        }));
+    Bump(hash_probes_counter_, total_probes.load(std::memory_order_relaxed));
     return Status::OK();
   }
 
   // Fills the matching (probe_row, build_row) pairs via the normalized-key
   // tables: one MapRows pass per touched partition, then chain traversal —
-  // no per-pair RowsEqual. With radix partitioning, each probe row's chain
-  // head is first scattered into match_head_ and the pairs are then emitted
-  // in probe-row order, so the output is identical to the single-table path.
-  Status ProbeKernel(const Page& probe_page, std::vector<int32_t>* probe_rows,
-                     std::vector<int32_t>* build_rows) {
+  // no per-pair key compare. Each probe row's chain head is first scattered
+  // into match_head_ and the pairs are then emitted in probe-row order, so
+  // the output does not depend on the partition count.
+  Status ProbeKeys(const Page& probe_page, std::vector<int32_t>* probe_rows,
+                   std::vector<int32_t>* build_rows) {
     size_t n = probe_page.num_rows();
     std::vector<VectorPtr> columns = probe_page.columns();
     for (int c : probe_keys_) {
@@ -1631,44 +1263,31 @@ class HashJoinOperator final : public Operator {
     Page prepared(std::move(columns), n);
     stats_.kernel_pages += 1;
     Bump(kernel_pages_counter_, 1);
-    if (radix_bits_ == 0) {
+    if (radix_bits_ > 0) {
+      kernels::HashPage(prepared, probe_keys_, &hash_scratch_);
+    }
+    probe_part_rows_.resize(parts_.size());
+    for (auto& rows : probe_part_rows_) rows.clear();
+    for (size_t r = 0; r < n; ++r) {
+      probe_part_rows_[radix_bits_ == 0 ? 0
+                                        : hash_scratch_[r] >> (64 - radix_bits_)]
+          .push_back(static_cast<int32_t>(r));
+    }
+    match_head_.assign(n, -1);
+    for (size_t p = 0; p < parts_.size(); ++p) {
+      const std::vector<int32_t>& rows = probe_part_rows_[p];
+      if (rows.empty() || parts_[p].head.empty()) continue;
+      Page sub = rows.size() == n ? prepared : prepared.WrapRows(rows);
       std::vector<int32_t> key_ids;
       ASSIGN_OR_RETURN(int64_t probes,
-                       parts_[0].table->MapRows(prepared, probe_keys_,
+                       parts_[p].table->MapRows(sub, probe_keys_,
                                                 /*insert_missing=*/false,
                                                 /*skip_null_keys=*/true,
                                                 &key_ids));
       Bump(hash_probes_counter_, probes);
-      match_head_.assign(n, -1);
-      for (size_t r = 0; r < n; ++r) {
-        if (key_ids[r] != kernels::NormalizedKeyTable::kNoGroup) {
-          match_head_[r] = parts_[0].head[key_ids[r]];
-        }
-      }
-    } else {
-      kernels::HashPage(prepared, probe_keys_, &hash_scratch_);
-      probe_part_rows_.resize(parts_.size());
-      for (auto& rows : probe_part_rows_) rows.clear();
-      int shift = 64 - radix_bits_;
-      for (size_t r = 0; r < n; ++r) {
-        probe_part_rows_[hash_scratch_[r] >> shift].push_back(
-            static_cast<int32_t>(r));
-      }
-      match_head_.assign(n, -1);
-      for (size_t p = 0; p < parts_.size(); ++p) {
-        if (probe_part_rows_[p].empty() || parts_[p].head.empty()) continue;
-        Page sub = prepared.WrapRows(probe_part_rows_[p]);
-        std::vector<int32_t> key_ids;
-        ASSIGN_OR_RETURN(int64_t probes,
-                         parts_[p].table->MapRows(sub, probe_keys_,
-                                                  /*insert_missing=*/false,
-                                                  /*skip_null_keys=*/true,
-                                                  &key_ids));
-        Bump(hash_probes_counter_, probes);
-        for (size_t idx = 0; idx < key_ids.size(); ++idx) {
-          if (key_ids[idx] != kernels::NormalizedKeyTable::kNoGroup) {
-            match_head_[probe_part_rows_[p][idx]] = parts_[p].head[key_ids[idx]];
-          }
+      for (size_t idx = 0; idx < key_ids.size(); ++idx) {
+        if (key_ids[idx] != kernels::NormalizedKeyTable::kNoGroup) {
+          match_head_[rows[idx]] = parts_[p].head[key_ids[idx]];
         }
       }
     }
@@ -1686,53 +1305,11 @@ class HashJoinOperator final : public Operator {
     return Status::OK();
   }
 
-  Status ProbeBoxed(const Page& probe_page, std::vector<int32_t>* probe_rows,
-                    std::vector<int32_t>* build_rows) {
-    kernels::HashPage(probe_page, probe_keys_, &hash_scratch_);
-    stats_.fallback_pages += 1;
-    Bump(fallback_pages_counter_, 1);
-    for (size_t r = 0; r < probe_page.num_rows(); ++r) {
-      bool has_null_key = false;
-      for (int c : probe_keys_) {
-        if (probe_page.column(c)->IsNull(r)) {
-          has_null_key = true;
-          break;
-        }
-      }
-      auto it = has_null_key ? table_.end() : table_.find(hash_scratch_[r]);
-      size_t before = build_rows->size();
-      if (it != table_.end()) {
-        for (int32_t b : it->second) {
-          if (RowsEqual(probe_page, probe_keys_, r, build_page_, build_keys_, b)) {
-            probe_rows->push_back(static_cast<int32_t>(r));
-            build_rows->push_back(b);
-          }
-        }
-      }
-      if (kind_ == JoinKind::kLeft && build_rows->size() == before) {
-        probe_rows->push_back(static_cast<int32_t>(r));
-        build_rows->push_back(null_row_index_);
-      }
-    }
-    return Status::OK();
-  }
-
   Result<std::optional<Page>> ProbePage(const Page& probe_page) {
     std::vector<int32_t> probe_rows, build_rows;
-    if (use_kernel_) {
-      RETURN_IF_ERROR(ProbeKernel(probe_page, &probe_rows, &build_rows));
-    } else {
-      RETURN_IF_ERROR(ProbeBoxed(probe_page, &probe_rows, &build_rows));
-    }
+    RETURN_IF_ERROR(ProbeKeys(probe_page, &probe_rows, &build_rows));
     if (probe_rows.empty()) return std::optional<Page>();
-    // Matched pairs travel as selection vectors over the shared probe page /
-    // build table rather than materialized copies.
-    Page probe_slice = probe_page.WrapRows(probe_rows);
-    Page build_slice = build_page_.WrapRows(build_rows);
-    std::vector<VectorPtr> columns = probe_slice.columns();
-    for (const VectorPtr& col : build_slice.columns()) columns.push_back(col);
-    Page combined(std::move(columns), probe_rows.size());
-
+    Page combined = JoinedPage(probe_page, probe_rows, build_rows);
     if (filter_ == nullptr) return std::optional<Page>(std::move(combined));
 
     ASSIGN_OR_RETURN(std::vector<int32_t> pass,
@@ -1741,63 +1318,39 @@ class HashJoinOperator final : public Operator {
       if (pass.empty()) return std::optional<Page>();
       return std::optional<Page>(combined.WrapRows(pass));
     }
-    // LEFT join: matched pairs failing the filter fall back to null rows,
-    // but only when the probe row has no surviving pair.
-    std::vector<uint8_t> pass_mask(combined.num_rows(), 0);
+    // LEFT join: pairs come grouped by probe row. A row keeps its pairs that
+    // pass the filter (and its null extension, if it had no match); a row
+    // whose every matched pair fails is null-extended instead.
+    std::vector<uint8_t> pass_mask(probe_rows.size(), 0);
     for (int32_t p : pass) pass_mask[p] = 1;
-    std::map<int32_t, int> survivors;
-    for (size_t i = 0; i < probe_rows.size(); ++i) {
-      if (pass_mask[i] != 0 || build_rows[i] == null_row_index_) {
-        survivors[probe_rows[i]] += pass_mask[i] != 0 ? 1 : 0;
-      } else {
-        survivors.try_emplace(probe_rows[i], 0);
-      }
-    }
-    std::vector<int32_t> out_rows;
-    std::vector<int32_t> extra_null_probe_rows;
-    for (size_t i = 0; i < probe_rows.size(); ++i) {
-      if (build_rows[i] == null_row_index_) {
-        out_rows.push_back(static_cast<int32_t>(i));  // already null-extended
-      } else if (pass_mask[i] != 0) {
-        out_rows.push_back(static_cast<int32_t>(i));
-      }
-    }
-    for (const auto& [probe_row, count] : survivors) {
-      if (count == 0) {
-        // Every matched pair was filtered out: null-extend this probe row.
-        bool had_null = false;
-        for (size_t i = 0; i < probe_rows.size(); ++i) {
-          if (probe_rows[i] == probe_row && build_rows[i] == null_row_index_) {
-            had_null = true;
-          }
+    std::vector<int32_t> out_probe, out_build;
+    for (size_t begin = 0, end = 0; begin < probe_rows.size(); begin = end) {
+      size_t kept = out_probe.size();
+      for (end = begin;
+           end < probe_rows.size() && probe_rows[end] == probe_rows[begin];
+           ++end) {
+        if (pass_mask[end] != 0 || build_rows[end] == null_row_index_) {
+          out_probe.push_back(probe_rows[end]);
+          out_build.push_back(build_rows[end]);
         }
-        if (!had_null) extra_null_probe_rows.push_back(probe_row);
+      }
+      if (out_probe.size() == kept) {
+        out_probe.push_back(probe_rows[begin]);
+        out_build.push_back(null_row_index_);
       }
     }
-    if (out_rows.empty() && extra_null_probe_rows.empty()) {
-      return std::optional<Page>();
-    }
-    Page filtered = combined.WrapRows(out_rows);
-    if (extra_null_probe_rows.empty()) {
-      return std::optional<Page>(std::move(filtered));
-    }
-    // Assemble the extra null-extended rows and append.
-    Page extra_probe = probe_page.WrapRows(extra_null_probe_rows);
-    std::vector<int32_t> nulls(extra_null_probe_rows.size(), null_row_index_);
-    Page extra_build = build_page_.WrapRows(nulls);
-    std::vector<VectorPtr> extra_columns = extra_probe.columns();
-    for (const VectorPtr& col : extra_build.columns()) {
-      extra_columns.push_back(col);
-    }
-    Page extra(std::move(extra_columns), extra_null_probe_rows.size());
-    std::vector<Page> both = {std::move(filtered), std::move(extra)};
-    std::vector<VariablePtr> all_vars;  // types only
-    for (size_t c = 0; c < combined.num_columns(); ++c) {
-      all_vars.push_back(VariableReferenceExpression::Make(
-          "c" + std::to_string(c), both[0].column(c)->type()));
-    }
-    ASSIGN_OR_RETURN(Page merged, ConcatPages(all_vars, both));
-    return std::optional<Page>(std::move(merged));
+    return std::optional<Page>(JoinedPage(probe_page, out_probe, out_build));
+  }
+
+  // The (probe row, build row) pairs as one page. Pairs travel as selection
+  // vectors over the shared probe page / build table rather than
+  // materialized copies.
+  Page JoinedPage(const Page& probe_page, const std::vector<int32_t>& probe_rows,
+                  const std::vector<int32_t>& build_rows) const {
+    std::vector<VectorPtr> columns = probe_page.WrapRows(probe_rows).columns();
+    Page build_slice = build_page_.WrapRows(build_rows);
+    for (const VectorPtr& col : build_slice.columns()) columns.push_back(col);
+    return Page(std::move(columns), probe_rows.size());
   }
 
   // Build sides at or above 2^16 rows radix-partition into 2^kJoinRadixBits
@@ -1818,6 +1371,7 @@ class HashJoinOperator final : public Operator {
   JoinKind kind_;
   std::vector<int> probe_keys_;
   std::vector<int> build_keys_;
+  std::vector<TypeKind> key_kinds_;  // one normalized kind per key pair
   std::vector<VariablePtr> build_vars_;
   ExprPtr filter_;
   std::map<std::string, int> combined_layout_;
@@ -1828,25 +1382,19 @@ class HashJoinOperator final : public Operator {
   MetricsRegistry::Counter* build_rows_counter_ = nullptr;
   MetricsRegistry::Counter* hash_probes_counter_ = nullptr;
   MetricsRegistry::Counter* kernel_pages_counter_ = nullptr;
-  MetricsRegistry::Counter* fallback_pages_counter_ = nullptr;
   MetricsRegistry::Counter* table_bytes_counter_ = nullptr;
 
   bool built_ = false;
   Page build_page_;
   int32_t null_row_index_ = 0;
 
-  // Kernel path: per-partition key id -> chain of build rows (head/next_),
-  // ascending; next_ is global (build rows are partition-disjoint).
-  bool use_kernel_ = false;
-  std::vector<TypeKind> build_key_kinds_;
+  // Per-partition key id -> chain of build rows (head/next_), ascending;
+  // next_ is global (build rows are partition-disjoint).
   int radix_bits_ = 0;
   std::vector<BuildPartition> parts_;
   std::vector<int32_t> next_;
   std::vector<int32_t> match_head_;  // per-probe-row chain head scratch
   std::vector<std::vector<int32_t>> probe_part_rows_;
-
-  // Boxed fallback.
-  std::unordered_map<uint64_t, std::vector<int32_t>> table_;
   std::vector<uint64_t> hash_scratch_;
 };
 
@@ -2382,7 +1930,7 @@ Result<OperatorPtr> OperatorBuilder::BuildNode(const PlanNodePtr& node) {
       ASSIGN_OR_RETURN(std::vector<OperatorPtr> build_chains,
                        BuildParallelChains(join->sources()[1]));
       std::vector<int> probe_keys, build_keys;
-      std::vector<TypePtr> probe_key_types, build_key_types;
+      std::vector<TypeKind> key_kinds;
       for (const auto& clause : join->criteria()) {
         auto l = probe_layout.find(clause.left->name());
         auto r = build_layout.find(clause.right->name());
@@ -2391,13 +1939,21 @@ Result<OperatorPtr> OperatorBuilder::BuildNode(const PlanNodePtr& node) {
         }
         probe_keys.push_back(l->second);
         build_keys.push_back(r->second);
-        probe_key_types.push_back(clause.left->type());
-        build_key_types.push_back(clause.right->type());
+        // Both sides of a key pair must normalize alike: the same kind, or
+        // both integer-like (one int64 slot). The analyzer casts mixed
+        // numeric keys to one type, so anything else is a planner bug.
+        TypeKind p = clause.left->type()->kind();
+        TypeKind b = clause.right->type()->kind();
+        if (b != p && !(IsIntegerLike(b) && IsIntegerLike(p))) {
+          return Status::Internal(std::string("hash join key kinds differ: ") +
+                                  TypeKindToString(p) + " probe, " +
+                                  TypeKindToString(b) + " build");
+        }
+        key_kinds.push_back(b);
       }
       return OperatorPtr(new HashJoinOperator(
           std::move(probe), std::move(build_chains), join->join_kind(),
-          std::move(probe_keys), std::move(build_keys),
-          std::move(probe_key_types), std::move(build_key_types),
+          std::move(probe_keys), std::move(build_keys), std::move(key_kinds),
           std::move(build_vars), join->filter(), std::move(combined_layout),
           functions_, limits_));
     }

@@ -70,7 +70,7 @@ class Operator {
 
   /// Arms the cooperative per-query deadline (SteadyNowNanos epoch, 0 =
   /// none): Next() checks it at every batch boundary and returns a clean
-  /// kUnavailable once it passes, so a hung or fault-looping query unwinds
+  /// kDeadlineExceeded once it passes, so a hung or fault-looping query unwinds
   /// instead of running forever (session property query_timeout_millis).
   void set_deadline_nanos(int64_t steady_nanos) {
     deadline_steady_nanos_ = steady_nanos;
@@ -135,10 +135,6 @@ std::map<std::string, int> MakeLayout(const std::vector<VariablePtr>& variables)
 /// exceeds what a worker can hold in memory.
 struct ExecutionLimits {
   int64_t max_join_build_rows = 10'000'000;
-  /// Run aggregation/join through the typed columnar kernel layer when the
-  /// key/aggregate types are covered; off forces the Value-boxed fallback
-  /// (session property vectorized_kernels).
-  bool vectorized_kernels = true;
   /// Optional per-query counters (groups created, hash probes, kernel vs
   /// fallback page counts). Not owned; may be null.
   MetricsRegistry* metrics = nullptr;

@@ -56,8 +56,9 @@ struct OperatorStats {
   /// join build rows, sort buffer).
   int64_t peak_buffered_rows = 0;
 
-  /// Pages processed through the typed columnar kernels vs the Value-boxed
-  /// fallback (aggregation/join only; zero elsewhere).
+  /// Pages run entirely on columnar kernels vs pages where some aggregate
+  /// folded row-at-a-time through the Accumulator adapter (aggregation and
+  /// join only; a join's pages are all kernel pages).
   int64_t kernel_pages = 0;
   int64_t fallback_pages = 0;
 

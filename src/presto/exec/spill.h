@@ -176,7 +176,8 @@ class SpillMergeCursor {
 /// ending only at a hash change, so all rows of one key land in one batch
 /// and a batch can be aggregated on its own. Equal keys must hash equally
 /// in every run, which holds for content hashes (FlatVector::HashAt folds
-/// -0.0 into 0.0) and not for hashes of interned ids. The working set is one
+/// -0.0 into 0.0 and every NaN into one NaN) and not for hashes of interned
+/// ids. The working set is one
 /// page per run plus the batch.
 class HashOrderedMerge {
  public:

@@ -1,5 +1,8 @@
 #include "presto/types/value.h"
 
+#include <cmath>
+#include <limits>
+
 #include "presto/common/hash.h"
 
 namespace presto {
@@ -70,8 +73,10 @@ uint64_t Value::Hash() const {
   if (is_bool()) return HashMix64(bool_value() ? 1 : 2);
   if (is_int()) return HashMix64(static_cast<uint64_t>(int_value()));
   if (is_double()) {
-    // Normalize -0.0 so it hashes like 0.0 (they compare equal).
+    // Normalize -0.0 so it hashes like 0.0 (they compare equal), and every
+    // NaN payload to one NaN.
     double d = double_value() == 0.0 ? 0.0 : double_value();
+    if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
     uint64_t bits;
     static_assert(sizeof(bits) == sizeof(d));
     std::memcpy(&bits, &d, sizeof(d));

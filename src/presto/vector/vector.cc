@@ -1,7 +1,9 @@
 #include "presto/vector/vector.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "presto/vector/vector_builder.h"
 
@@ -75,7 +77,10 @@ uint64_t FlatVector<T>::HashAt(size_t row) const {
   if constexpr (std::is_same_v<T, std::string>) {
     return HashString(values_[row]);
   } else if constexpr (std::is_same_v<T, double>) {
+    // -0.0 hashes like 0.0 and every NaN payload like one NaN: both are
+    // one group key.
     double d = values_[row] == 0.0 ? 0.0 : values_[row];
+    if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
     uint64_t bits;
     std::memcpy(&bits, &d, sizeof(d));
     return HashMix64(bits);

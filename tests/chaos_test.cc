@@ -437,7 +437,7 @@ TEST_F(ChaosQueryTest, RetryBackoffHonorsQueryDeadline) {
                      {"query_timeout_millis", "250"}});
   ASSERT_FALSE(result.ok())
       << "the injected fault never failed the query at all";
-  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(result.status().message().find("deadline"), std::string::npos)
       << result.status().ToString();
   EXPECT_LT(watch.ElapsedNanos(), 5'000'000'000LL)
@@ -446,7 +446,7 @@ TEST_F(ChaosQueryTest, RetryBackoffHonorsQueryDeadline) {
 }
 
 // Per-query deadline: a query that cannot finish in time returns a clean
-// kUnavailable "deadline exceeded" instead of wedging the drain barrier.
+// kDeadlineExceeded instead of wedging the drain barrier.
 TEST(QueryTimeoutTest, DeadlineReturnsCleanUnavailable) {
   InjectorGuard guard;
   PrestoCluster cluster("timeout", 2, 2);
@@ -474,7 +474,7 @@ TEST(QueryTimeoutTest, DeadlineReturnsCleanUnavailable) {
   auto result = cluster.Execute(
       "SELECT k, count(*), sum(v) FROM mem.raw.big GROUP BY k", session);
   ASSERT_FALSE(result.ok()) << "a 1 ms deadline on a 512k-row group-by held";
-  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(result.status().message().find("deadline"), std::string::npos)
       << result.status().ToString();
   EXPECT_GE(cluster.coordinator().metrics().Get("query.timeout"), 1);
@@ -508,7 +508,7 @@ TEST(QueryTimeoutTest, BlockedExchangeProducerWakesAtDeadline) {
       << "blocked producer did not wake at the deadline";
   auto next = exchange.Next(0);
   ASSERT_FALSE(next.ok());
-  EXPECT_EQ(next.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(next.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(next.status().message().find("deadline"), std::string::npos);
 }
 

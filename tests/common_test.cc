@@ -8,6 +8,7 @@
 
 #include "presto/common/bytes.h"
 #include "presto/common/compression.h"
+#include "presto/common/fault_injection.h"
 #include "presto/common/hash.h"
 #include "presto/common/metrics.h"
 #include "presto/common/random.h"
@@ -29,6 +30,13 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
   EXPECT_EQ(s.message(), "no such table");
   EXPECT_EQ(s.ToString(), "NOT_FOUND: no such table");
+}
+
+TEST(StatusTest, DeadlineIsTypedAndNeverRetried) {
+  Status s = Status::DeadlineExceeded("query deadline exceeded");
+  EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(s.ToString(), "DEADLINE_EXCEEDED: query deadline exceeded");
+  EXPECT_FALSE(IsRetryableStatus(s));
 }
 
 TEST(ResultTest, HoldsValue) {

@@ -3,6 +3,7 @@
 //   * legacy vs native lakefile reader, all reader-feature combinations,
 //   * connector pushdown vs engine-side evaluation,
 //   * hive-on-lakefiles vs the same rows in the memory connector,
+//   * columnar aggregation / join vs a row-at-a-time reference evaluator,
 //   * geo rewrite on vs off (covered in integration_test).
 // Any divergence is a correctness bug in a pushdown or reader feature.
 
@@ -15,6 +16,7 @@
 #include "presto/connectors/memory/memory_connector.h"
 #include "presto/fs/simulated_hdfs.h"
 #include "presto/tpch/workloads.h"
+#include "reference_eval.h"
 
 namespace presto {
 namespace {
@@ -197,14 +199,15 @@ TEST_F(DifferentialTest, TopNAndLimit) {
 }
 
 // ---------------------------------------------------------------------------
-// Typed kernel path vs Value-boxed fallback
+// Columnar aggregation / join vs the row-at-a-time reference evaluator
 // ---------------------------------------------------------------------------
 
-// The same aggregation / join must produce identical results whether it runs
-// through the normalized-key kernels or the boxed fallback (session property
-// vectorized_kernels=false). Inputs are randomized pages mixing flat and
-// dictionary encodings with NULLs in both keys and values — the cases where
-// key normalization, null masks, and dictionary gathers can silently diverge.
+// Every aggregation and join runs on the normalized-key tables; the oracle
+// is tests/reference_eval.h, fed a plain scan of the same tables. Inputs are
+// randomized pages mixing flat and dictionary encodings with NULLs in both
+// keys and values — the cases where key normalization, null flags, and
+// dictionary gathers can silently diverge. Double values are multiples of
+// 1/8, so sums are exact in any order.
 class KernelDifferentialTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -303,36 +306,37 @@ class KernelDifferentialTest : public ::testing::Test {
     ASSERT_TRUE(cluster_->catalogs().RegisterCatalog("mem", memory).ok());
   }
 
-  // Runs the query with kernels on and off; both must agree, and the kernel
-  // run must actually have taken the kernel path (and vice versa).
-  static void ExpectKernelMatchesFallback(const std::string& sql,
-                                          const std::string& expect_kernel_of) {
-    Session kernel_session;
-    kernel_session.properties["vectorized_kernels"] = "true";
-    auto kernel = cluster_->Execute(sql, kernel_session);
-    ASSERT_TRUE(kernel.ok()) << sql << "\n" << kernel.status().ToString();
+  // Boxes a plain scan of a fixture table as reference input.
+  static reference::Table Scan(const std::string& sql) {
+    auto result = cluster_->Execute(sql, Session());
+    EXPECT_TRUE(result.ok()) << sql << "\n" << result.status().ToString();
+    return result.ok() ? reference::FromResult(*result) : reference::Table();
+  }
+  // facts: [k_int, k_str, v_int, v_double]; dim: [key, name].
+  static reference::Table Facts() {
+    return Scan("SELECT k_int, k_str, v_int, v_double FROM mem.raw.facts");
+  }
+  // [facts..., dim...] joined on k_int = key.
+  static reference::Table FactsJoinDim(bool left_outer) {
+    return reference::Join(Facts(), Scan("SELECT key, name FROM mem.raw.dim"),
+                           {{0, 0}}, left_outer);
+  }
 
-    Session boxed_session;
-    boxed_session.properties["vectorized_kernels"] = "false";
-    auto boxed = cluster_->Execute(sql, boxed_session);
-    ASSERT_TRUE(boxed.ok()) << sql << "\n" << boxed.status().ToString();
-
-    EXPECT_EQ(SortedRows(*kernel), SortedRows(*boxed))
-        << "kernel and fallback diverged on\n" << sql;
-
-    if (!expect_kernel_of.empty()) {
-      EXPECT_GT(kernel->exec_metrics["exec." + expect_kernel_of +
-                                     ".kernel_pages"],
-                0)
-          << "kernel path not taken for\n" << sql;
-      EXPECT_EQ(kernel->exec_metrics["exec." + expect_kernel_of +
-                                     ".fallback_pages"],
-                0);
-      EXPECT_EQ(boxed->exec_metrics["exec." + expect_kernel_of +
-                                    ".kernel_pages"],
-                0)
-          << "fallback not honoured for\n" << sql;
-    }
+  // The query must return exactly the reference rows. `expect_kernel_of`
+  // ("agg" / "join") names the operator whose pages must all have counted
+  // as columnar kernel pages.
+  static void ExpectMatchesReference(const std::string& sql,
+                                     const Result<reference::Table>& expected,
+                                     const std::string& expect_kernel_of) {
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    auto result = cluster_->Execute(sql, Session());
+    ASSERT_TRUE(result.ok()) << sql << "\n" << result.status().ToString();
+    EXPECT_EQ(SortedRows(*result), reference::Render(*expected))
+        << "engine and reference evaluator diverged on\n" << sql;
+    if (expect_kernel_of.empty()) return;
+    const std::string kernel_pages = "exec." + expect_kernel_of + ".kernel_pages";
+    EXPECT_GT(result->exec_metrics[kernel_pages], 0) << "none for\n" << sql;
+    EXPECT_EQ(result->exec_metrics["exec.agg.fallback_pages"], 0) << sql;
   }
 
   static PrestoCluster* cluster_;
@@ -341,60 +345,96 @@ class KernelDifferentialTest : public ::testing::Test {
 PrestoCluster* KernelDifferentialTest::cluster_ = nullptr;
 
 TEST_F(KernelDifferentialTest, GroupByIntKey) {
-  ExpectKernelMatchesFallback(
+  ExpectMatchesReference(
       "SELECT k_int, count(*), count(v_int), sum(v_int), min(v_int), "
       "max(v_int) FROM mem.raw.facts GROUP BY k_int",
+      reference::GroupBy(Facts(), {0},
+                         {{"count", {}}, {"count", {2}}, {"sum", {2}},
+                          {"min", {2}}, {"max", {2}}}),
       "agg");
 }
 
 TEST_F(KernelDifferentialTest, GroupByDoubleAggregates) {
-  ExpectKernelMatchesFallback(
+  ExpectMatchesReference(
       "SELECT k_int, sum(v_double), avg(v_double), min(v_double), "
       "max(v_double) FROM mem.raw.facts GROUP BY k_int",
+      reference::GroupBy(
+          Facts(), {0},
+          {{"sum", {3}}, {"avg", {3}}, {"min", {3}}, {"max", {3}}}),
       "agg");
 }
 
 TEST_F(KernelDifferentialTest, GroupByVarcharAndMultiKey) {
-  ExpectKernelMatchesFallback(
+  ExpectMatchesReference(
       "SELECT k_str, min(k_str), max(k_str), count(*) FROM mem.raw.facts "
       "GROUP BY k_str",
+      reference::GroupBy(Facts(), {1},
+                         {{"min", {1}}, {"max", {1}}, {"count", {}}}),
       "agg");
-  ExpectKernelMatchesFallback(
+  ExpectMatchesReference(
       "SELECT k_str, k_int, avg(v_int), sum(v_double) FROM mem.raw.facts "
       "GROUP BY k_str, k_int",
+      reference::GroupBy(Facts(), {1, 0}, {{"avg", {2}}, {"sum", {3}}}),
       "agg");
 }
 
 TEST_F(KernelDifferentialTest, GlobalAggregationAndEmptyInput) {
-  ExpectKernelMatchesFallback(
+  ExpectMatchesReference(
       "SELECT count(*), sum(v_int), avg(v_double) FROM mem.raw.facts",
+      reference::GroupBy(Facts(), {},
+                         {{"count", {}}, {"sum", {2}}, {"avg", {3}}}),
       "agg");
   // Empty input: a global aggregation still emits exactly one row.
-  ExpectKernelMatchesFallback(
+  reference::Table none = Facts();
+  none.rows.clear();
+  ExpectMatchesReference(
       "SELECT count(*), sum(v_int), min(k_str) FROM mem.raw.facts "
       "WHERE k_int > 1000000",
-      "agg");
+      reference::GroupBy(none, {},
+                         {{"count", {}}, {"sum", {2}}, {"min", {1}}}),
+      "");
 }
 
 TEST_F(KernelDifferentialTest, InnerJoin) {
-  ExpectKernelMatchesFallback(
+  ExpectMatchesReference(
       "SELECT f.k_int, f.v_int, d.name FROM mem.raw.facts f "
       "JOIN mem.raw.dim d ON f.k_int = d.key",
+      reference::Project(FactsJoinDim(/*left_outer=*/false), {0, 2, 5}),
       "join");
 }
 
 TEST_F(KernelDifferentialTest, LeftJoinNullKeys) {
   // NULL probe keys never match and must be null-extended exactly once.
-  ExpectKernelMatchesFallback(
+  ExpectMatchesReference(
       "SELECT f.k_int, d.name FROM mem.raw.facts f "
       "LEFT JOIN mem.raw.dim d ON f.k_int = d.key",
+      reference::Project(FactsJoinDim(/*left_outer=*/true), {0, 5}),
+      "join");
+}
+
+TEST_F(KernelDifferentialTest, LeftJoinResidualFilter) {
+  // A probe row whose matched pairs all fail the residual filter is
+  // null-extended once; rows with a passing pair keep only those.
+  ExpectMatchesReference(
+      "SELECT f.k_int, f.v_int, d.name FROM mem.raw.facts f "
+      "LEFT JOIN mem.raw.dim d ON f.k_int = d.key AND f.v_int > d.key * 40",
+      reference::Project(
+          reference::Join(Facts(), Scan("SELECT key, name FROM mem.raw.dim"),
+                          {{0, 0}}, /*left_outer=*/true,
+                          [](const reference::Row& f, const reference::Row& d) {
+                            return !f[2].is_null() &&
+                                   f[2].int_value() > d[0].int_value() * 40;
+                          }),
+          {0, 2, 5}),
       "join");
 }
 
 TEST_F(KernelDifferentialTest, JoinThenAggregate) {
-  ExpectKernelMatchesFallback(
+  ExpectMatchesReference(
       "SELECT d.name, count(*), sum(f.v_double) FROM mem.raw.facts f "
       "JOIN mem.raw.dim d ON f.k_int = d.key GROUP BY d.name",
+      reference::GroupBy(FactsJoinDim(/*left_outer=*/false), {5},
+                         {{"count", {}}, {"sum", {3}}}),
       "agg");
 }
 
@@ -507,21 +547,18 @@ TEST_F(MultiStageDifferentialTest, JoinAggregationPlanHasThreeStages) {
 }
 
 TEST_F(KernelDifferentialTest, UnsupportedAggregateFallsBack) {
-  // approx_distinct has no grouped kernel: the operator must fall back (and
-  // still agree with the fallback-forced run).
-  Session session;
-  session.properties["vectorized_kernels"] = "true";
-  auto result = cluster_->Execute(
+  // approx_distinct has no columnar kernel: it folds through the per-group
+  // Accumulator adapter on the same key table, and its pages count as
+  // fallback pages.
+  const std::string sql =
       "SELECT k_int, approx_distinct(v_int) FROM mem.raw.facts "
-      "GROUP BY k_int",
-      session);
+      "GROUP BY k_int";
+  auto result = cluster_->Execute(sql, Session());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->exec_metrics["exec.agg.kernel_pages"], 0);
   EXPECT_GT(result->exec_metrics["exec.agg.fallback_pages"], 0);
-  ExpectKernelMatchesFallback(
-      "SELECT k_int, approx_distinct(v_int) FROM mem.raw.facts "
-      "GROUP BY k_int",
-      "");
+  ExpectMatchesReference(
+      sql, reference::GroupBy(Facts(), {0}, {{"approx_distinct", {2}}}), "");
 }
 
 }  // namespace

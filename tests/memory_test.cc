@@ -18,6 +18,8 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <thread>
 
 #include "presto/cache/lru_cache.h"
@@ -30,6 +32,7 @@
 #include "presto/exec/spill.h"
 #include "presto/fs/memory_file_system.h"
 #include "presto/vector/vector_builder.h"
+#include "reference_eval.h"
 
 namespace presto {
 namespace {
@@ -518,32 +521,37 @@ void LoadRandomFacts(MemoryConnector* memory, int pages, size_t rows_per_page) {
 }
 
 // Group keys at the edges of equality, 16 pages of 4000 rows: a DOUBLE key
-// holding -0.0, 0.0, NaN and NULL among ~12000 ordinary values, and a VARCHAR
-// and BIGINT key pair with NULLs in both. There are enough groups that the
-// spilled merge cuts many batches, so a key whose rows hashed differently in
-// two runs would be split across batches and emitted twice.
+// holding -0.0, 0.0, NaN, -NaN and NULL among ~12000 ordinary values, a
+// VARCHAR and BIGINT key pair with NULLs in both, and the same pair as a
+// ROW(a, b) key with NULL rows on top, dictionary-encoded on odd pages.
+// There are enough groups that the spilled merge cuts many batches, so a key
+// whose rows hashed differently in two runs would be split across batches
+// and emitted twice.
 void LoadEdgeKeys(MemoryConnector* memory) {
+  TypePtr row_type = Type::Row({"a", "b"}, {Type::Bigint(), Type::Varchar()});
   TypePtr edge_type =
-      Type::Row({"k_double", "k_str", "k_int", "v"},
+      Type::Row({"k_double", "k_str", "k_int", "v", "k_row"},
                 {Type::Double(), Type::Varchar(), Type::Bigint(),
-                 Type::Bigint()});
+                 Type::Bigint(), row_type});
   ASSERT_TRUE(memory->CreateTable("raw", "edge", edge_type).ok());
   const std::vector<double> edges = {-0.0, 0.0,
-                                     std::numeric_limits<double>::quiet_NaN()};
+                                     std::numeric_limits<double>::quiet_NaN(),
+                                     -std::numeric_limits<double>::quiet_NaN()};
   const std::vector<std::string> words = {"ash", "birch", "cedar", "",
                                           "elm", "fir",   "ginkgo"};
   constexpr size_t kPageRows = 4000;
   for (int p = 0; p < 16; ++p) {
     std::vector<double> k_double(kPageRows);
     std::vector<uint8_t> k_double_nulls(kPageRows), k_str_nulls(kPageRows),
-        k_int_nulls(kPageRows);
+        k_int_nulls(kPageRows), k_row_nulls(kPageRows);
+    std::vector<int32_t> shuffle(kPageRows);
     std::vector<std::string> k_str(kPageRows);
     std::vector<int64_t> k_int(kPageRows), v(kPageRows);
     for (size_t i = 0; i < kPageRows; ++i) {
       int64_t row = p * static_cast<int64_t>(kPageRows) + static_cast<int64_t>(i);
-      if (row % 8 < 3) {
+      if (row % 8 < 4) {
         k_double[i] = edges[row % 8];
-      } else if (row % 8 == 3) {
+      } else if (row % 8 == 4) {
         k_double_nulls[i] = 1;
       } else {
         k_double[i] = static_cast<double>(row % 12007) / 4.0 - 50.0;
@@ -553,18 +561,26 @@ void LoadEdgeKeys(MemoryConnector* memory) {
       k_int[i] = row % 4001 - 20;
       k_int_nulls[i] = row % 17 == 0;
       v[i] = row % 1000 - 500;
+      k_row_nulls[i] = row % 13 == 0;
+      shuffle[i] = static_cast<int32_t>((i * 7) % kPageRows);
+    }
+    VectorPtr str = std::make_shared<StringVector>(Type::Varchar(), k_str,
+                                                   k_str_nulls);
+    VectorPtr num =
+        std::make_shared<Int64Vector>(Type::Bigint(), k_int, k_int_nulls);
+    VectorPtr k_row = std::make_shared<RowVector>(
+        row_type, kPageRows, std::vector<VectorPtr>{num, str}, k_row_nulls);
+    if (p % 2 == 1) {
+      k_row = std::make_shared<DictionaryVector>(k_row, std::move(shuffle));
     }
     ASSERT_TRUE(memory
-                    ->AppendPage(
-                        "raw", "edge",
-                        Page({std::make_shared<DoubleVector>(
-                                  Type::Double(), k_double, k_double_nulls),
-                              std::make_shared<StringVector>(
-                                  Type::Varchar(), k_str, k_str_nulls),
-                              std::make_shared<Int64Vector>(
-                                  Type::Bigint(), k_int, k_int_nulls),
-                              MakeBigintVector(std::move(v))},
-                             kPageRows))
+                    ->AppendPage("raw", "edge",
+                                 Page({std::make_shared<DoubleVector>(
+                                           Type::Double(), k_double,
+                                           k_double_nulls),
+                                       str, num, MakeBigintVector(std::move(v)),
+                                       k_row},
+                                      kPageRows))
                     .ok());
   }
 }
@@ -581,15 +597,13 @@ class SpillDifferentialTest : public ::testing::Test {
 
   // Runs `sql` comfortably in memory and again under a cap tiny enough to
   // force spilling, both on top of the `roomy` session's properties; both
-  // row sets must match exactly and the constrained run must actually have
-  // spilled. `fold_negative_zero` reads a -0 DOUBLE as 0: the boxed path
-  // reports whichever spelling of the -0.0/0.0 group it met first.
-  static void ExpectSpillMatchesInMemory(const std::string& sql, bool ordered,
-                                         bool force_boxed = false,
-                                         bool require_spill = true,
-                                         Session roomy = Session(),
-                                         bool fold_negative_zero = false) {
-    if (force_boxed) roomy.properties["vectorized_kernels"] = "false";
+  // row sets must match exactly (and match `expected`, the reference
+  // evaluator's rows, when given) and the constrained run must actually
+  // have spilled.
+  static void ExpectSpillMatchesInMemory(
+      const std::string& sql, bool ordered, bool require_spill = true,
+      Session roomy = Session(),
+      const std::optional<std::vector<std::string>>& expected = std::nullopt) {
     auto reference = cluster_->Execute(sql, roomy);
     ASSERT_TRUE(reference.ok()) << sql << "\n" << reference.status().ToString();
 
@@ -601,12 +615,13 @@ class SpillDifferentialTest : public ::testing::Test {
 
     if (ordered) {
       EXPECT_EQ(OrderedRows(*spilled), OrderedRows(*reference)) << sql;
-    } else if (fold_negative_zero) {
-      EXPECT_EQ(FoldNegativeZero(SortedRows(*spilled)),
-                FoldNegativeZero(SortedRows(*reference)))
-          << sql;
     } else {
       EXPECT_EQ(SortedRows(*spilled), SortedRows(*reference)) << sql;
+    }
+    if (expected.has_value()) {
+      EXPECT_EQ(SortedRows(*reference), *expected)
+          << "in-memory run diverged from the reference evaluator on\n"
+          << sql;
     }
     EXPECT_GT(spilled->exec_metrics.at("memory.query.peak_bytes"), 0);
     // A fully merged spill reads back exactly the bytes it wrote; only a
@@ -626,20 +641,18 @@ class SpillDifferentialTest : public ::testing::Test {
         << sql;
   }
 
-  static std::vector<std::string> FoldNegativeZero(
-      std::vector<std::string> rows) {
-    for (std::string& row : rows) {
-      for (size_t at = row.find("-0.000000|"); at != std::string::npos;
-           at = row.find("-0.000000|", at)) {
-        if (at == 0 || row[at - 1] == '|') {
-          row.erase(at, 1);
-        } else {
-          ++at;
-        }
-      }
-    }
-    std::sort(rows.begin(), rows.end());
-    return rows;
+  // The reference evaluator's rows for a GROUP BY over a plain scan of the
+  // same table (scan columns are the group keys, then aggregate inputs).
+  static std::vector<std::string> ReferenceGroupBy(
+      const std::string& scan_sql, const std::vector<int>& keys,
+      const std::vector<reference::Agg>& aggs) {
+    auto scan = cluster_->Execute(scan_sql, Session());
+    EXPECT_TRUE(scan.ok()) << scan_sql << "\n" << scan.status().ToString();
+    if (!scan.ok()) return {};
+    auto grouped = reference::GroupBy(reference::FromResult(*scan), keys, aggs);
+    EXPECT_TRUE(grouped.ok()) << grouped.status().ToString();
+    return grouped.ok() ? reference::Render(*grouped)
+                        : std::vector<std::string>();
   }
 
   // The edge-key cases run at 1 and 4 chains, with one final aggregation
@@ -656,22 +669,28 @@ class SpillDifferentialTest : public ::testing::Test {
 
 PrestoCluster* SpillDifferentialTest::cluster_ = nullptr;
 
-// -0.0 and 0.0 are one group, as are all NaNs and all NULLs. A spilled run
-// must hash each of them like every other run and like the in-memory
-// remainder, or the merge would emit the group twice.
+// -0.0 and 0.0 are one group (reported as 0.0), as are all NaN payloads
+// and all NULLs. A spilled run must hash each of them like every other run
+// and like the in-memory remainder, or the merge would emit the group twice.
 TEST_F(SpillDifferentialTest, GroupByEdgeDoubleKeys) {
   const std::string sql =
       "SELECT k_double, count(*), sum(v), min(v), max(v) FROM mem.raw.edge "
       "GROUP BY k_double";
-  for (bool boxed : {false, true}) {
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE(std::string(boxed ? "boxed" : "kernel") + " path, " +
-                   std::to_string(threads) + " task_threads");
-      ExpectSpillMatchesInMemory(sql, /*ordered=*/false, boxed,
-                                 /*require_spill=*/true,
-                                 EdgeKeySession(threads),
-                                 /*fold_negative_zero=*/true);
-    }
+  const std::vector<std::string> expected = ReferenceGroupBy(
+      "SELECT k_double, v FROM mem.raw.edge", {0},
+      {{"count", {}}, {"sum", {1}}, {"min", {1}}, {"max", {1}}});
+  auto count_key = [&](const std::string& key) {
+    return std::count_if(expected.begin(), expected.end(), [&](auto& row) {
+      return row.rfind(key + "|", 0) == 0;
+    });
+  };
+  // quiet_NaN() and -quiet_NaN() are one group; so are -0.0 and 0.0.
+  EXPECT_EQ(count_key("nan") + count_key("-nan"), 1);
+  EXPECT_EQ(count_key("0.000000") + count_key("-0.000000"), 1);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " task_threads");
+    ExpectSpillMatchesInMemory(sql, /*ordered=*/false, /*require_spill=*/true,
+                               EdgeKeySession(threads), expected);
   }
 }
 
@@ -679,14 +698,69 @@ TEST_F(SpillDifferentialTest, GroupByVarcharBigintKeys) {
   const std::string sql =
       "SELECT k_str, k_int, count(*), sum(v) FROM mem.raw.edge "
       "GROUP BY k_str, k_int";
-  for (bool boxed : {false, true}) {
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE(std::string(boxed ? "boxed" : "kernel") + " path, " +
-                   std::to_string(threads) + " task_threads");
-      ExpectSpillMatchesInMemory(sql, /*ordered=*/false, boxed,
-                                 /*require_spill=*/true,
-                                 EdgeKeySession(threads));
-    }
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " task_threads");
+    ExpectSpillMatchesInMemory(sql, /*ordered=*/false, /*require_spill=*/true,
+                               EdgeKeySession(threads));
+  }
+}
+
+// ROW keys intern to dense ids in the key table (Value::Hash /
+// Value::Equals); spill order hashes them like every other run.
+TEST_F(SpillDifferentialTest, GroupByRowKey) {
+  const std::vector<std::string> expected = ReferenceGroupBy(
+      "SELECT k_row, v FROM mem.raw.edge", {0}, {{"count", {}}, {"sum", {1}}});
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " task_threads");
+    ExpectSpillMatchesInMemory(
+        "SELECT k_row, count(*), sum(v) FROM mem.raw.edge GROUP BY k_row",
+        /*ordered=*/false, /*require_spill=*/true, EdgeKeySession(threads),
+        expected);
+  }
+}
+
+// 65 keys, one past a 64-bit word of null flags: 64 BIGINT expressions of
+// k_int, then k_str, whose NULLs are independent of k_int's and so live only
+// in each row's second null word. A quarter of the rows keeps it quick.
+TEST_F(SpillDifferentialTest, GroupBy65Keys) {
+  std::string keys = "k_int";
+  for (int c = 1; c < 64; ++c) keys += ", k_int + " + std::to_string(c);
+  keys += ", k_str";
+  std::vector<int> key_columns(65);
+  std::iota(key_columns.begin(), key_columns.end(), 0);
+  const std::vector<std::string> expected = ReferenceGroupBy(
+      "SELECT " + keys + ", v FROM mem.raw.edge WHERE v >= 250", key_columns,
+      {{"count", {}}, {"sum", {65}}});
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " task_threads");
+    ExpectSpillMatchesInMemory(
+        "SELECT " + keys + ", count(*), sum(v) FROM mem.raw.edge "
+            "WHERE v >= 250 GROUP BY " + keys,
+        /*ordered=*/false, /*require_spill=*/true, EdgeKeySession(threads),
+        expected);
+  }
+}
+
+// Aggregates without a columnar kernel fold through the per-group
+// Accumulator adapter, next to kernels, on the same key table; their
+// intermediates (BIGINT, HyperLogLog VARCHAR, ARRAY of distinct values)
+// round-trip through spill runs.
+TEST_F(SpillDifferentialTest, GroupByAdapterAggregates) {
+  const std::vector<std::string> expected = ReferenceGroupBy(
+      "SELECT k_int, v_int, v_int > 0 FROM mem.raw.facts", {0},
+      {{"count", {}},
+       {"sum", {1}},
+       {"count_if", {2}},
+       {"approx_distinct", {1}},
+       {"count_distinct", {1}}});
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " task_threads");
+    ExpectSpillMatchesInMemory(
+        "SELECT k_int, count(*), sum(v_int), count_if(v_int > 0), "
+        "approx_distinct(v_int), count(DISTINCT v_int) FROM mem.raw.facts "
+        "GROUP BY k_int",
+        /*ordered=*/false, /*require_spill=*/true, EdgeKeySession(threads),
+        expected);
   }
 }
 
@@ -695,13 +769,6 @@ TEST_F(SpillDifferentialTest, GroupByKernelPath) {
       "SELECT k_int, count(*), sum(v_int), min(v_double), max(v_double) "
       "FROM mem.raw.facts GROUP BY k_int",
       /*ordered=*/false);
-}
-
-TEST_F(SpillDifferentialTest, GroupByBoxedPathWithStringKeys) {
-  ExpectSpillMatchesInMemory(
-      "SELECT k_int, k_str, count(*), sum(v_int) FROM mem.raw.facts "
-      "GROUP BY k_int, k_str",
-      /*ordered=*/false, /*force_boxed=*/true);
 }
 
 TEST_F(SpillDifferentialTest, OrderByUniqueKeys) {
@@ -718,7 +785,7 @@ TEST_F(SpillDifferentialTest, OrderByWithLimit) {
   // hold, spilling is optional.
   ExpectSpillMatchesInMemory(
       "SELECT seq, v_double FROM mem.raw.facts ORDER BY seq LIMIT 137",
-      /*ordered=*/true, /*force_boxed=*/false, /*require_spill=*/false);
+      /*ordered=*/true, /*require_spill=*/false);
 }
 
 TEST_F(SpillDifferentialTest, SpillDisabledFailsClassified) {
@@ -935,6 +1002,8 @@ TEST_F(AdmissionTest, QueuedQueryHonorsDeadline) {
   session.properties["query_timeout_millis"] = "50";
   auto result = cluster_->Execute("SELECT sum(x) FROM mem.raw.t", session);
   ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+      << result.status().ToString();
   EXPECT_NE(result.status().message().find("query deadline exceeded"),
             std::string::npos)
       << result.status().ToString();
@@ -1090,14 +1159,15 @@ TEST(MemoryCountersTest, ReservationsVisibleOnHappyPath) {
   EXPECT_EQ(unaccounted->exec_metrics.count("memory.query.peak_bytes"), 0u);
 }
 
-// Two coordinators in one process share a spill_path and both number their
-// queries from 1. Each must spill under its own directory, so neither reads
-// or deletes the other's run files, and each removes that directory when it
-// is destroyed.
-TEST(SpillIsolationTest, TwoClustersShareSpillPathConcurrently) {
+// Runs the wide two-key group-by four times on each of two clusters at once,
+// under `shared`'s properties plus one spill_path for both. Every run must
+// return the rows of an unconstrained run and must have ticked `counter`;
+// the area must be empty once both clusters are gone.
+void ExpectTwoClustersIsolated(Session shared, const std::string& counter) {
   const std::string spill_path = ::testing::TempDir() +
                                  "presto_spill_isolation_" +
                                  std::to_string(::getpid());
+  shared.properties["spill_path"] = spill_path;
   const std::string sql =
       "SELECT k_int, k_str, count(*), sum(v_int) FROM mem.raw.facts "
       "GROUP BY k_int, k_str";
@@ -1114,20 +1184,17 @@ TEST(SpillIsolationTest, TwoClustersShareSpillPathConcurrently) {
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   const std::vector<std::string> expected = SortedRows(*reference);
 
-  Session tight;
-  tight.properties["query_max_memory"] = "65536";
-  tight.properties["spill_path"] = spill_path;
   std::vector<std::vector<std::string>> failures(clusters.size());
   std::vector<std::thread> threads;
   for (size_t c = 0; c < clusters.size(); ++c) {
     threads.emplace_back([&, c] {
       for (int run = 0; run < 4; ++run) {
-        auto result = clusters[c]->Execute(sql, tight);
+        auto result = clusters[c]->Execute(sql, shared);
         std::string label = "run " + std::to_string(run) + ": ";
         if (!result.ok()) {
           failures[c].push_back(label + result.status().ToString());
-        } else if (result->exec_metrics["spill.run.written"] == 0) {
-          failures[c].push_back(label + "did not spill");
+        } else if (result->exec_metrics[counter] == 0) {
+          failures[c].push_back(label + counter + " stayed 0");
         } else if (SortedRows(*result) != expected) {
           failures[c].push_back(label + "returned wrong rows");
         }
@@ -1147,6 +1214,25 @@ TEST(SpillIsolationTest, TwoClustersShareSpillPathConcurrently) {
       << "spill files left behind under " << spill_path;
   std::error_code ignored;
   std::filesystem::remove_all(spill_path, ignored);
+}
+
+// Two coordinators in one process share a spill_path and both number their
+// queries from 1. Each must spill under its own directory, so neither reads
+// or deletes the other's run files, and each removes that directory when it
+// is destroyed.
+TEST(SpillIsolationTest, TwoClustersShareSpillPathConcurrently) {
+  Session tight;
+  tight.properties["query_max_memory"] = "65536";
+  ExpectTwoClustersIsolated(tight, "spill.run.written");
+}
+
+// The exchange spool lives under the same per-coordinator spill root, so
+// two clusters spooling every exchange page into one spill_path at once
+// must not read or delete each other's spool files.
+TEST(SpillIsolationTest, TwoClustersShareSpoolPathConcurrently) {
+  Session spooled;
+  spooled.properties["exchange_spool"] = "true";
+  ExpectTwoClustersIsolated(spooled, "exchange.spool.page.written");
 }
 
 // A coordinator's first spill into an area sweeps the marked "<pid>-<seq>"

@@ -167,29 +167,24 @@ class MorselDifferentialTest : public ::testing::Test {
     cluster_ = nullptr;
   }
 
-  static QueryResult Execute(const std::string& sql, int task_threads,
-                             bool kernels) {
+  static QueryResult Execute(const std::string& sql, int task_threads) {
     Session session;
     session.properties["task_threads"] = std::to_string(task_threads);
-    session.properties["vectorized_kernels"] = kernels ? "true" : "false";
     auto result = cluster_->Execute(sql, session);
     EXPECT_TRUE(result.ok()) << sql << " (task_threads=" << task_threads
-                             << ", kernels=" << kernels << ")\n"
+                             << ")\n"
                              << result.status().ToString();
     return result.ok() ? *result : QueryResult();
   }
 
   // Integer-only aggregates: results must be bit-identical at any thread
-  // count, on both the kernel and the boxed path.
+  // count.
   static void ExpectExactAcrossThreadCounts(const std::string& sql) {
-    for (bool kernels : {true, false}) {
-      auto reference = SortedRows(Execute(sql, 1, kernels));
-      ASSERT_FALSE(reference.empty()) << sql;
-      for (int threads : {2, 8}) {
-        EXPECT_EQ(SortedRows(Execute(sql, threads, kernels)), reference)
-            << sql << " diverged at task_threads=" << threads
-            << " kernels=" << kernels;
-      }
+    auto reference = SortedRows(Execute(sql, 1));
+    ASSERT_FALSE(reference.empty()) << sql;
+    for (int threads : {2, 8}) {
+      EXPECT_EQ(SortedRows(Execute(sql, threads)), reference)
+          << sql << " diverged at task_threads=" << threads;
     }
   }
 
@@ -236,12 +231,12 @@ TEST_F(MorselDifferentialTest, DoubleSumWithinTolerance) {
     }
     return by_key;
   };
-  auto reference = parse(Execute(sql, 1, true));
+  auto reference = parse(Execute(sql, 1));
   // ~e^-10 of the 20k keys may go undrawn in 200k samples; all that matters
   // is that the parallel runs see exactly the same key set.
   ASSERT_GT(reference.size(), static_cast<size_t>(kKeys) * 9 / 10);
   for (int threads : {2, 8}) {
-    auto parallel = parse(Execute(sql, threads, true));
+    auto parallel = parse(Execute(sql, threads));
     ASSERT_EQ(parallel.size(), reference.size());
     for (const auto& [key, expected] : reference) {
       double actual = parallel.at(key);

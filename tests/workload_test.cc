@@ -351,6 +351,8 @@ TEST_F(WorkloadClusterTest, QueuedTimeoutsShedAndJournal) {
   // Per-query deadline while queued: classified timeout + journal event.
   auto timed_out = Run("interactive", {{"query_timeout_millis", "50"}});
   ASSERT_FALSE(timed_out.ok());
+  EXPECT_EQ(timed_out.status().code(), StatusCode::kDeadlineExceeded)
+      << timed_out.status().ToString();
   EXPECT_NE(timed_out.status().message().find(
                 "query deadline exceeded (query_timeout_millis) while queued"),
             std::string::npos)
