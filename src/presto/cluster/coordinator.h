@@ -245,6 +245,9 @@ class Coordinator : public MemoryArbiter {
   static void SweepDeadSpillRoots(const std::string& area);
 
  private:
+  /// One run of a query's tasks (coordinator.cc); reads the members below.
+  friend class QueryRun;
+
   /// Per-query memory wiring threaded from ExecutePlan into the execution
   /// layers. Null when the session disabled accounting.
   struct QueryMemoryContext {
@@ -256,19 +259,7 @@ class Coordinator : public MemoryArbiter {
     /// group cap — spill or fail within the tenant, never the killer.
     MemoryPool* group = nullptr;
     std::shared_ptr<std::atomic<bool>> killed;
-    bool spill_enabled = true;
     std::string spill_dir;
-  };
-
-  /// Per-query tracing wiring (session property query_trace=true): the
-  /// recorder every layer appends spans to, plus the ids of the spans the
-  /// coordinator itself owns. Null/absent when tracing is off.
-  struct TraceState {
-    std::shared_ptr<TraceRecorder> recorder;
-    int64_t query_span = 0;
-    /// Fragment id -> stage span, created before task dispatch and ended at
-    /// stage teardown. Read-only during execution (built up front).
-    std::map<int, int64_t> stage_spans;
   };
 
   /// Admission control through the resource-group manager: immediate when
@@ -285,34 +276,18 @@ class Coordinator : public MemoryArbiter {
   Result<FragmentedPlan> PlanSql(const std::string& sql, const Session& session);
   Result<FragmentedPlan> PlanQuery(const sql::Query& query,
                                    const Session& session);
-  /// Fault-tolerant entry point around ExecutePlanOnce: arms the query
-  /// deadline (session query_timeout_millis), restarts the whole query once
-  /// when a transient (kUnavailable/kIoError) error escapes leaf-task retry
-  /// — intermediate-stage failures latch their exchange and fail fast, so
-  /// the restart is the recovery path for them — and records the terminal
-  /// failed/timeout events. Restart is armed only when the session enables
-  /// recovery (query_max_task_retries > 0).
+  /// Runs a fragmented plan as a QueryRun: arms the query deadline (session
+  /// query_timeout_millis), admits the query, and — when recovery is enabled
+  /// (query_max_task_retries > 0) and a transient (kUnavailable/kIoError)
+  /// error escapes task retry and stage re-run — releases the group slot,
+  /// re-admits, and runs the query a second time. Records the terminal
+  /// failed/timeout events.
   Result<QueryResult> ExecutePlan(int64_t query_id, const FragmentedPlan& plan,
                                   const Session& session, Stopwatch watch,
                                   bool force_stats);
-  /// Schedules and runs an already-fragmented plan; records scheduled /
-  /// stage-finished / completed / slow-query journal events. Leaf tasks that
-  /// fail with a retryable status are re-dispatched to healthy workers (up to
-  /// query_max_task_retries times, capped exponential backoff with jitter),
-  /// blacklisting workers that stopped answering heartbeats. Does NOT record
-  /// kFailed — the ExecutePlan wrapper owns terminal failure accounting.
-  Result<QueryResult> ExecutePlanOnce(int64_t query_id,
-                                      const FragmentedPlan& plan,
-                                      const Session& session, Stopwatch watch,
-                                      bool force_stats,
-                                      int64_t deadline_steady_nanos,
-                                      MetricsRegistry* query_metrics,
-                                      const QueryMemoryContext* memory,
-                                      const ResourceGroupConfig* group,
-                                      TraceState* trace);
-  /// Bumps failure counters and journals a kFailed event carrying a snapshot
-  /// of whatever per-query counters accumulated before the error, then
-  /// passes the status through.
+  /// Bumps failure counters (query.timeout too, for kDeadlineExceeded) and
+  /// journals a kFailed event carrying a snapshot of whatever per-query
+  /// counters accumulated before the error, then passes the status through.
   Status RecordFailure(int64_t query_id, const Status& status,
                        const MetricsRegistry* query_metrics);
 

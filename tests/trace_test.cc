@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "presto/cluster/cluster.h"
+#include "presto/common/fault_injection.h"
 #include "presto/common/metrics.h"
 #include "presto/common/trace.h"
 #include "presto/connectors/memory/memory_connector.h"
@@ -305,27 +306,22 @@ Session TracedSpillSession() {
   return session;
 }
 
-TEST(TraceClusterTest, TracedSpillingQuerySpanTreeIsWellFormed) {
-  TraceCluster cluster("trace-tree");
-  auto result = cluster->Execute(kSpillingGroupBy, TracedSpillSession());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_GT(result->exec_metrics["spill.run.written"], 0)
-      << "the 64 KiB cap must force spilling for this test to bite";
-
-  ASSERT_FALSE(result->trace_id.empty());
-  ASSERT_FALSE(result->trace_spans.empty());
+// The span tree of a traced query: unique ids, exactly one root (the query
+// span), every other span's parent present, children within their parents,
+// and no span left open.
+void ExpectWellFormedSpanTree(const QueryResult& result) {
+  ASSERT_FALSE(result.trace_id.empty());
+  ASSERT_FALSE(result.trace_spans.empty());
 
   // Exactly one root (the query span); every other span's parent exists.
   std::set<int64_t> ids;
-  for (const TraceSpan& span : result->trace_spans) {
+  for (const TraceSpan& span : result.trace_spans) {
     EXPECT_TRUE(ids.insert(span.id).second) << "duplicate span id " << span.id;
   }
   int roots = 0;
   std::map<int64_t, const TraceSpan*> by_id;
-  for (const TraceSpan& span : result->trace_spans) by_id[span.id] = &span;
-  std::map<TraceKind, int> kinds;
-  for (const TraceSpan& span : result->trace_spans) {
-    kinds[span.kind]++;
+  for (const TraceSpan& span : result.trace_spans) by_id[span.id] = &span;
+  for (const TraceSpan& span : result.trace_spans) {
     if (span.parent_id == 0) {
       ++roots;
       EXPECT_EQ(span.kind, TraceKind::kQuery);
@@ -344,6 +340,19 @@ TEST(TraceClusterTest, TracedSpillingQuerySpanTreeIsWellFormed) {
     EXPECT_NE(span.end_nanos, 0) << span.name << " left open";
   }
   EXPECT_EQ(roots, 1);
+}
+
+TEST(TraceClusterTest, TracedSpillingQuerySpanTreeIsWellFormed) {
+  TraceCluster cluster("trace-tree");
+  auto result = cluster->Execute(kSpillingGroupBy, TracedSpillSession());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GT(result->exec_metrics["spill.run.written"], 0)
+      << "the 64 KiB cap must force spilling for this test to bite";
+
+  ExpectWellFormedSpanTree(*result);
+  if (HasFatalFailure()) return;
+  std::map<TraceKind, int> kinds;
+  for (const TraceSpan& span : result->trace_spans) kinds[span.kind]++;
 
   // The taxonomy shows up: stages, tasks, operators, and — because the query
   // spilled under a multi-stage plan — spill I/O spans.
@@ -359,6 +368,28 @@ TEST(TraceClusterTest, TracedSpillingQuerySpanTreeIsWellFormed) {
   for (const QueryEvent& event : events) {
     EXPECT_EQ(event.trace_id, result->trace_id) << event.ToString();
   }
+}
+
+// A traced query whose first run fails (a latched exchange) and restarts:
+// the failed run's teardown closes its stage spans too, so the returned tree
+// holds both runs' stages under one query span with nothing left open.
+TEST(TraceClusterTest, RestartedTracedQuerySpanTreeIsWellFormed) {
+  TraceCluster cluster("trace-restart");
+  Session session = TracedSpillSession();
+  session.properties["query_max_task_retries"] = "1";
+  session.properties["task_retry_backoff_millis"] = "1";
+  FaultInjector::Global().Reset();
+  FaultInjector::Global().ArmScripted("exchange.push", {1});
+  auto result = cluster->Execute(kSpillingGroupBy, session);
+  FaultInjector::Global().Reset();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->exec_metrics["query.restarted"], 1);
+  int stage_spans = 0;
+  for (const TraceSpan& span : result->trace_spans) {
+    if (span.kind == TraceKind::kStage) ++stage_spans;
+  }
+  EXPECT_EQ(stage_spans, 2 * result->num_fragments);
+  ExpectWellFormedSpanTree(*result);
 }
 
 TEST(TraceClusterTest, OperatorSpansReconcileWithOperatorStats) {
