@@ -166,76 +166,109 @@ Result<TypePtr> DruidStore::TableType(const std::string& name) const {
   return Type::Row(std::move(names), std::move(types));
 }
 
-Result<DruidResult> DruidStore::Execute(const DruidQuery& query) {
-  std::vector<std::shared_ptr<const Segment>> segments;
-  DatasourceSchema schema;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = datasources_.find(query.datasource);
-    if (it == datasources_.end()) {
-      return Status::NotFound("no such datasource: " + query.datasource);
-    }
-    schema = it->second.schema;
-    segments = it->second.segments;
-    metrics_.Increment("druid.query.calls");
-  }
+// One DruidStore::Execute over a snapshot of a datasource: resolves the
+// result shape, then per segment prunes by time, narrows the rows through
+// the inverted indexes, and scans or aggregates the survivors.
+class DruidQueryRun {
+ public:
+  using Segment = DruidStore::Segment;
 
-  auto dim_index = [&](const std::string& name) -> Result<size_t> {
-    for (size_t d = 0; d < schema.dimensions.size(); ++d) {
-      if (schema.dimensions[d] == name) return d;
-    }
-    return Status::NotFound("no such dimension: " + name);
-  };
-  auto metric_index = [&](const std::string& name) -> Result<size_t> {
-    for (size_t m = 0; m < schema.metrics.size(); ++m) {
-      if (schema.metrics[m] == name) return m;
-    }
-    return Status::NotFound("no such metric: " + name);
-  };
+  DruidQueryRun(const DruidQuery& query, DatasourceSchema schema)
+      : query_(query),
+        schema_(std::move(schema)),
+        is_scan_(query.aggregations.empty()) {}
 
-  DruidResult result;
-  bool is_scan = query.aggregations.empty();
-
-  // Output shape.
-  if (is_scan) {
-    std::vector<std::string> columns = query.scan_columns;
+  // Output shape: the scan columns, or the group-by dimensions followed by
+  // the aggregates.
+  Status Shape() {
+    if (!is_scan_) return AggregationShape();
+    std::vector<std::string> columns = query_.scan_columns;
     if (columns.empty()) {
       columns.push_back("__time");
-      for (const auto& d : schema.dimensions) columns.push_back(d);
-      for (const auto& m : schema.metrics) columns.push_back(m);
+      for (const auto& d : schema_.dimensions) columns.push_back(d);
+      for (const auto& m : schema_.metrics) columns.push_back(m);
       columns.push_back("rollup_count");
     }
     for (const std::string& c : columns) {
-      result.column_names.push_back(c);
+      result_.column_names.push_back(c);
       if (c == "__time") {
-        result.column_types.push_back(Type::Timestamp());
+        result_.column_types.push_back(Type::Timestamp());
       } else if (c == "rollup_count") {
-        result.column_types.push_back(Type::Bigint());
-      } else if (auto d = dim_index(c); d.ok()) {
-        result.column_types.push_back(Type::Varchar());
-      } else if (auto m = metric_index(c); m.ok()) {
-        result.column_types.push_back(Type::Double());
+        result_.column_types.push_back(Type::Bigint());
+      } else if (auto d = DimIndex(c); d.ok()) {
+        result_.column_types.push_back(Type::Varchar());
+      } else if (auto m = MetricIndex(c); m.ok()) {
+        result_.column_types.push_back(Type::Double());
       } else {
         return Status::NotFound("no such column: " + c);
       }
     }
-  } else {
-    for (const std::string& d : query.dimensions) {
-      RETURN_IF_ERROR(dim_index(d).status());
-      result.column_names.push_back(d);
-      result.column_types.push_back(Type::Varchar());
-    }
-    for (const DruidAggregation& agg : query.aggregations) {
-      result.column_names.push_back(agg.output_name);
-      if (agg.kind == AggKind::kCount) {
-        result.column_types.push_back(Type::Bigint());
-      } else {
-        RETURN_IF_ERROR(metric_index(agg.metric).status());
-        result.column_types.push_back(Type::Double());
-      }
-    }
+    return Status::OK();
   }
 
+  // Scans or aggregates one segment's matching rows. Returns false once a
+  // scan has reached its LIMIT.
+  Result<bool> Scan(const Segment& segment) {
+    if (segment.num_rows == 0) return true;
+    // Segment-level time pruning.
+    if (segment.max_time < query_.interval.start ||
+        segment.min_time >= query_.interval.end) {
+      return true;
+    }
+    ASSIGN_OR_RETURN(std::vector<int32_t> candidates, CandidateRows(segment));
+    bool need_time_check = query_.interval.start > segment.min_time ||
+                           query_.interval.end <= segment.max_time;
+    for (int32_t r : candidates) {
+      if (need_time_check && (segment.time[r] < query_.interval.start ||
+                              segment.time[r] >= query_.interval.end)) {
+        continue;
+      }
+      ++result_.rows_scanned;
+      if (!is_scan_) {
+        RETURN_IF_ERROR(Accumulate(segment, r));
+        continue;
+      }
+      RETURN_IF_ERROR(EmitScanRow(segment, r));
+      if (query_.limit >= 0 &&
+          static_cast<int64_t>(result_.rows.size()) >= query_.limit) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  DruidResult Finish() {
+    if (is_scan_) return std::move(result_);
+    for (auto& [hash, bucket] : groups_) {
+      for (GroupState& g : bucket) {
+        std::vector<Value> row = std::move(g.keys);
+        for (size_t a = 0; a < query_.aggregations.size(); ++a) {
+          if (query_.aggregations[a].kind == AggKind::kCount) {
+            row.push_back(Value::Int(g.counts[a]));
+          } else {
+            row.push_back(g.seen[a] ? Value::Double(g.doubles[a]) : Value::Null());
+          }
+        }
+        result_.rows.push_back(std::move(row));
+      }
+    }
+    // Deterministic order + limit.
+    std::sort(result_.rows.begin(), result_.rows.end(),
+              [](const std::vector<Value>& a, const std::vector<Value>& b) {
+                for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+                  int c = a[i].Compare(b[i]);
+                  if (c != 0) return c < 0;
+                }
+                return false;
+              });
+    if (query_.limit >= 0 &&
+        static_cast<int64_t>(result_.rows.size()) > query_.limit) {
+      result_.rows.resize(query_.limit);
+    }
+    return std::move(result_);
+  }
+
+ private:
   // Group-by state across segments.
   struct GroupState {
     std::vector<Value> keys;
@@ -243,49 +276,54 @@ Result<DruidResult> DruidStore::Execute(const DruidQuery& query) {
     std::vector<int64_t> counts;
     std::vector<bool> seen;
   };
-  std::unordered_map<uint64_t, std::vector<GroupState>> groups;
-  auto group_for = [&](std::vector<Value> keys) -> GroupState& {
-    uint64_t h = 0;
-    for (const Value& k : keys) h = HashCombine(h, k.Hash());
-    auto& bucket = groups[h];
-    for (GroupState& g : bucket) {
-      bool same = true;
-      for (size_t i = 0; i < keys.size(); ++i) {
-        if (!g.keys[i].Equals(keys[i])) {
-          same = false;
-          break;
-        }
-      }
-      if (same) return g;
-    }
-    GroupState g;
-    g.keys = std::move(keys);
-    g.doubles.assign(query.aggregations.size(), 0);
-    g.counts.assign(query.aggregations.size(), 0);
-    g.seen.assign(query.aggregations.size(), false);
-    bucket.push_back(std::move(g));
-    return bucket.back();
-  };
 
-  for (const auto& segment : segments) {
-    if (segment->num_rows == 0) continue;
-    // Segment-level time pruning.
-    if (segment->max_time < query.interval.start ||
-        segment->min_time >= query.interval.end) {
-      continue;
+  Result<size_t> DimIndex(const std::string& name) const {
+    for (size_t d = 0; d < schema_.dimensions.size(); ++d) {
+      if (schema_.dimensions[d] == name) return d;
     }
-    // Candidate rows via bitmap/inverted-index intersection.
+    return Status::NotFound("no such dimension: " + name);
+  }
+
+  Result<size_t> MetricIndex(const std::string& name) const {
+    for (size_t m = 0; m < schema_.metrics.size(); ++m) {
+      if (schema_.metrics[m] == name) return m;
+    }
+    return Status::NotFound("no such metric: " + name);
+  }
+
+  Status AggregationShape() {
+    for (const std::string& d : query_.dimensions) {
+      RETURN_IF_ERROR(DimIndex(d).status());
+      result_.column_names.push_back(d);
+      result_.column_types.push_back(Type::Varchar());
+    }
+    for (const DruidAggregation& agg : query_.aggregations) {
+      result_.column_names.push_back(agg.output_name);
+      if (agg.kind == AggKind::kCount) {
+        result_.column_types.push_back(Type::Bigint());
+      } else {
+        RETURN_IF_ERROR(MetricIndex(agg.metric).status());
+        result_.column_types.push_back(Type::Double());
+      }
+    }
+    return Status::OK();
+  }
+
+  // Candidate rows via bitmap/inverted-index intersection: the union of a
+  // filter's values' row lists, intersected across filters. Every row when
+  // the query has no filter.
+  Result<std::vector<int32_t>> CandidateRows(const Segment& segment) const {
     std::vector<int32_t> candidates;
     bool have_candidates = false;
-    for (const DimensionFilter& filter : query.filters) {
-      ASSIGN_OR_RETURN(size_t d, dim_index(filter.dimension));
-      const auto& dict = segment->dim_dicts[d];
+    for (const DimensionFilter& filter : query_.filters) {
+      ASSIGN_OR_RETURN(size_t d, DimIndex(filter.dimension));
+      const auto& dict = segment.dim_dicts[d];
       std::vector<int32_t> rows_for_filter;
       for (const std::string& value : filter.values) {
         auto it = std::lower_bound(dict.begin(), dict.end(), value);
         if (it == dict.end() || *it != value) continue;
         const auto& list =
-            segment->dim_inverted[d][static_cast<size_t>(it - dict.begin())];
+            segment.dim_inverted[d][static_cast<size_t>(it - dict.begin())];
         // Merge-union (lists are sorted).
         std::vector<int32_t> merged;
         std::set_union(rows_for_filter.begin(), rows_for_filter.end(),
@@ -305,111 +343,113 @@ Result<DruidResult> DruidStore::Execute(const DruidQuery& query) {
       if (candidates.empty()) break;
     }
     if (!have_candidates) {
-      candidates.resize(segment->num_rows);
-      for (size_t r = 0; r < segment->num_rows; ++r) {
+      candidates.resize(segment.num_rows);
+      for (size_t r = 0; r < segment.num_rows; ++r) {
         candidates[r] = static_cast<int32_t>(r);
       }
     }
-
-    bool need_time_check = query.interval.start > segment->min_time ||
-                           query.interval.end <= segment->max_time;
-
-    for (int32_t r : candidates) {
-      if (need_time_check && (segment->time[r] < query.interval.start ||
-                              segment->time[r] >= query.interval.end)) {
-        continue;
-      }
-      ++result.rows_scanned;
-      if (is_scan) {
-        std::vector<Value> row;
-        row.reserve(result.column_names.size());
-        for (const std::string& c : result.column_names) {
-          if (c == "__time") {
-            row.push_back(Value::Int(segment->time[r]));
-          } else if (c == "rollup_count") {
-            row.push_back(Value::Int(segment->rollup_counts[r]));
-          } else if (auto d = dim_index(c); d.ok()) {
-            row.push_back(Value::String(
-                segment->dim_dicts[*d][segment->dim_codes[*d][r]]));
-          } else {
-            ASSIGN_OR_RETURN(size_t m, metric_index(c));
-            row.push_back(Value::Double(segment->metric_values[m][r]));
-          }
-        }
-        result.rows.push_back(std::move(row));
-        if (query.limit >= 0 &&
-            static_cast<int64_t>(result.rows.size()) >= query.limit) {
-          return result;
-        }
-        continue;
-      }
-      // Aggregation path.
-      std::vector<Value> keys;
-      keys.reserve(query.dimensions.size());
-      for (const std::string& dim : query.dimensions) {
-        ASSIGN_OR_RETURN(size_t d, dim_index(dim));
-        keys.push_back(
-            Value::String(segment->dim_dicts[d][segment->dim_codes[d][r]]));
-      }
-      GroupState& g = group_for(std::move(keys));
-      for (size_t a = 0; a < query.aggregations.size(); ++a) {
-        const DruidAggregation& agg = query.aggregations[a];
-        switch (agg.kind) {
-          case AggKind::kCount:
-            g.counts[a] += 1;  // rolled-up rows
-            break;
-          case AggKind::kSum: {
-            ASSIGN_OR_RETURN(size_t m, metric_index(agg.metric));
-            g.doubles[a] += segment->metric_values[m][r];
-            break;
-          }
-          case AggKind::kMin: {
-            ASSIGN_OR_RETURN(size_t m, metric_index(agg.metric));
-            double v = segment->metric_values[m][r];
-            g.doubles[a] = g.seen[a] ? std::min(g.doubles[a], v) : v;
-            break;
-          }
-          case AggKind::kMax: {
-            ASSIGN_OR_RETURN(size_t m, metric_index(agg.metric));
-            double v = segment->metric_values[m][r];
-            g.doubles[a] = g.seen[a] ? std::max(g.doubles[a], v) : v;
-            break;
-          }
-        }
-        g.seen[a] = true;
-      }
-    }
+    return candidates;
   }
 
-  if (!is_scan) {
-    for (auto& [hash, bucket] : groups) {
-      for (GroupState& g : bucket) {
-        std::vector<Value> row = std::move(g.keys);
-        for (size_t a = 0; a < query.aggregations.size(); ++a) {
-          if (query.aggregations[a].kind == AggKind::kCount) {
-            row.push_back(Value::Int(g.counts[a]));
-          } else {
-            row.push_back(g.seen[a] ? Value::Double(g.doubles[a]) : Value::Null());
-          }
-        }
-        result.rows.push_back(std::move(row));
+  Status EmitScanRow(const Segment& segment, int32_t r) {
+    std::vector<Value> row;
+    row.reserve(result_.column_names.size());
+    for (const std::string& c : result_.column_names) {
+      if (c == "__time") {
+        row.push_back(Value::Int(segment.time[r]));
+      } else if (c == "rollup_count") {
+        row.push_back(Value::Int(segment.rollup_counts[r]));
+      } else if (auto d = DimIndex(c); d.ok()) {
+        row.push_back(
+            Value::String(segment.dim_dicts[*d][segment.dim_codes[*d][r]]));
+      } else {
+        ASSIGN_OR_RETURN(size_t m, MetricIndex(c));
+        row.push_back(Value::Double(segment.metric_values[m][r]));
       }
     }
-    // Deterministic order + limit.
-    std::sort(result.rows.begin(), result.rows.end(),
-              [](const std::vector<Value>& a, const std::vector<Value>& b) {
-                for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-                  int c = a[i].Compare(b[i]);
-                  if (c != 0) return c < 0;
-                }
-                return false;
-              });
-    if (query.limit >= 0 &&
-        static_cast<int64_t>(result.rows.size()) > query.limit) {
-      result.rows.resize(query.limit);
-    }
+    result_.rows.push_back(std::move(row));
+    return Status::OK();
   }
-  return result;
+
+  Status Accumulate(const Segment& segment, int32_t r) {
+    std::vector<Value> keys;
+    keys.reserve(query_.dimensions.size());
+    for (const std::string& dim : query_.dimensions) {
+      ASSIGN_OR_RETURN(size_t d, DimIndex(dim));
+      keys.push_back(Value::String(segment.dim_dicts[d][segment.dim_codes[d][r]]));
+    }
+    GroupState& g = GroupFor(std::move(keys));
+    for (size_t a = 0; a < query_.aggregations.size(); ++a) {
+      const DruidAggregation& agg = query_.aggregations[a];
+      if (agg.kind == AggKind::kCount) {
+        g.counts[a] += 1;  // rolled-up rows
+      } else {
+        ASSIGN_OR_RETURN(size_t m, MetricIndex(agg.metric));
+        const double v = segment.metric_values[m][r];
+        if (agg.kind == AggKind::kSum) {
+          g.doubles[a] += v;
+        } else if (!g.seen[a]) {
+          g.doubles[a] = v;
+        } else {
+          g.doubles[a] = agg.kind == AggKind::kMin ? std::min(g.doubles[a], v)
+                                                   : std::max(g.doubles[a], v);
+        }
+      }
+      g.seen[a] = true;
+    }
+    return Status::OK();
+  }
+
+  GroupState& GroupFor(std::vector<Value> keys) {
+    uint64_t h = 0;
+    for (const Value& k : keys) h = HashCombine(h, k.Hash());
+    auto& bucket = groups_[h];
+    for (GroupState& g : bucket) {
+      bool same = true;
+      for (size_t i = 0; i < keys.size(); ++i) {
+        if (!g.keys[i].Equals(keys[i])) {
+          same = false;
+          break;
+        }
+      }
+      if (same) return g;
+    }
+    GroupState g;
+    g.keys = std::move(keys);
+    g.doubles.assign(query_.aggregations.size(), 0);
+    g.counts.assign(query_.aggregations.size(), 0);
+    g.seen.assign(query_.aggregations.size(), false);
+    bucket.push_back(std::move(g));
+    return bucket.back();
+  }
+
+  const DruidQuery& query_;
+  DatasourceSchema schema_;
+  const bool is_scan_;
+  DruidResult result_;
+  std::unordered_map<uint64_t, std::vector<GroupState>> groups_;
+};
+
+Result<DruidResult> DruidStore::Execute(const DruidQuery& query) {
+  std::vector<std::shared_ptr<const Segment>> segments;
+  DatasourceSchema schema;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = datasources_.find(query.datasource);
+    if (it == datasources_.end()) {
+      return Status::NotFound("no such datasource: " + query.datasource);
+    }
+    schema = it->second.schema;
+    segments = it->second.segments;
+    metrics_.Increment("druid.query.calls");
+  }
+  DruidQueryRun run(query, std::move(schema));
+  RETURN_IF_ERROR(run.Shape());
+  for (const auto& segment : segments) {
+    ASSIGN_OR_RETURN(bool more, run.Scan(*segment));
+    if (!more) break;
+  }
+  return run.Finish();
 }
 
 }  // namespace druid

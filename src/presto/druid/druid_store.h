@@ -100,6 +100,8 @@ class DruidStore {
   MetricsRegistry& metrics() { return metrics_; }
 
  private:
+  friend class DruidQueryRun;  // one Execute over a segment snapshot
+
   // Immutable columnar segment with per-dimension dictionaries + inverted
   // indexes (row-id lists per dictionary code).
   struct Segment {

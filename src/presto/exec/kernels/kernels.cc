@@ -225,129 +225,148 @@ Result<int64_t> NormalizedKeyTable::MapRows(const Page& page,
   const size_t n = page.num_rows();
   scratch_slots_.assign(n * row_width_, 0);
   scratch_miss_.assign(n, 0);
-
-  // -- Normalize every key column into fixed-width slots. ---------------------
   for (size_t k = 0; k < num_keys_; ++k) {
-    const Vector& col = *page.column(channels[k]);
-    uint64_t* slots = scratch_slots_.data() + k;  // strided by row_width_
-    uint64_t* null_words = scratch_slots_.data() + num_keys_ + (k >> 6);
-    const uint64_t null_bit = uint64_t{1} << (k & 63);
-    auto set_null = [&](size_t i) { null_words[i * row_width_] |= null_bit; };
-    switch (key_kinds_[k]) {
-      case TypeKind::kBoolean: {
-        TypedColumn<uint8_t> tc;
-        if (!TryDecode(col, &tc)) {
-          return Status::Internal("kernel decode failed for BOOLEAN key");
-        }
-        for (size_t i = 0; i < n; ++i) {
-          if (tc.IsNull(i)) {
-            set_null(i);
-          } else {
-            slots[i * row_width_] = tc.At(i) != 0 ? 1 : 0;
-          }
-        }
-        break;
+    RETURN_IF_ERROR(NormalizeColumn(*page.column(channels[k]), k, insert_missing));
+  }
+  HashRows();
+  return ProbeOrInsert(insert_missing, skip_null_keys, group_ids);
+}
+
+// Normalizes key column k of the batch into its fixed-width slots.
+Status NormalizedKeyTable::NormalizeColumn(const Vector& col, size_t k,
+                                           bool insert_missing) {
+  const size_t n = scratch_miss_.size();
+  uint64_t* slots = scratch_slots_.data() + k;  // strided by row_width_
+  uint64_t* null_words = scratch_slots_.data() + num_keys_ + (k >> 6);
+  const uint64_t null_bit = uint64_t{1} << (k & 63);
+  auto set_null = [&](size_t i) { null_words[i * row_width_] |= null_bit; };
+  switch (key_kinds_[k]) {
+    case TypeKind::kBoolean: {
+      TypedColumn<uint8_t> tc;
+      if (!TryDecode(col, &tc)) {
+        return Status::Internal("kernel decode failed for BOOLEAN key");
       }
-      case TypeKind::kDouble: {
-        TypedColumn<double> tc;
-        if (!TryDecode(col, &tc)) {
-          return Status::Internal("kernel decode failed for DOUBLE key");
-        }
-        for (size_t i = 0; i < n; ++i) {
-          if (tc.IsNull(i)) {
-            set_null(i);
-          } else {
-            slots[i * row_width_] = NormalizeDouble(tc.At(i));
-          }
-        }
-        break;
-      }
-      case TypeKind::kVarchar: {
-        TypedColumn<std::string> tc;
-        if (!TryDecode(col, &tc)) {
-          return Status::Internal("kernel decode failed for VARCHAR key");
-        }
-        if (tc.indices != nullptr) {
-          // Dictionary-encoded strings: intern each distinct base value
-          // once, then the row loop is a pure index gather.
-          const auto& dict = static_cast<const DictionaryVector&>(col);
-          const auto& base_vec =
-              static_cast<const StringVector&>(*dict.base());
-          size_t base_n = base_vec.size();
-          std::vector<uint64_t> base_ids(base_n, 0);
-          std::vector<uint8_t> base_miss(base_n, 0);
-          for (size_t b = 0; b < base_n; ++b) {
-            if (base_vec.IsNull(b)) continue;
-            if (insert_missing) {
-              base_ids[b] = strings_.Intern(base_vec.ValueAt(b));
-            } else if (auto id = strings_.Find(base_vec.ValueAt(b))) {
-              base_ids[b] = *id;
-            } else {
-              base_miss[b] = 1;
-            }
-          }
-          for (size_t i = 0; i < n; ++i) {
-            if (tc.IsNull(i)) {
-              set_null(i);
-            } else if (base_miss[tc.indices[i]] != 0) {
-              scratch_miss_[i] = 1;
-            } else {
-              slots[i * row_width_] = base_ids[tc.indices[i]];
-            }
-          }
+      for (size_t i = 0; i < n; ++i) {
+        if (tc.IsNull(i)) {
+          set_null(i);
         } else {
-          for (size_t i = 0; i < n; ++i) {
-            if (tc.IsNull(i)) {
-              set_null(i);
-            } else if (insert_missing) {
-              slots[i * row_width_] = strings_.Intern(tc.At(i));
-            } else if (auto id = strings_.Find(tc.At(i))) {
-              slots[i * row_width_] = *id;
-            } else {
-              scratch_miss_[i] = 1;
-            }
-          }
+          slots[i * row_width_] = tc.At(i) != 0 ? 1 : 0;
         }
-        break;
       }
-      case TypeKind::kRow:
-      case TypeKind::kArray:
-      case TypeKind::kMap: {
-        // Nested keys box once per row and intern like strings.
-        for (size_t i = 0; i < n; ++i) {
-          if (col.IsNull(i)) {
-            set_null(i);
-            continue;
-          }
-          Value value = col.GetValue(i);
-          if (insert_missing) {
-            slots[i * row_width_] = values_.Intern(value);
-          } else if (auto id = values_.Find(value)) {
-            slots[i * row_width_] = *id;
-          } else {
-            scratch_miss_[i] = 1;
-          }
-        }
-        break;
+      break;
+    }
+    case TypeKind::kDouble: {
+      TypedColumn<double> tc;
+      if (!TryDecode(col, &tc)) {
+        return Status::Internal("kernel decode failed for DOUBLE key");
       }
-      default: {  // integer-like: INTEGER / BIGINT / TIMESTAMP
-        TypedColumn<int64_t> tc;
-        if (!TryDecode(col, &tc)) {
-          return Status::Internal("kernel decode failed for BIGINT key");
+      for (size_t i = 0; i < n; ++i) {
+        if (tc.IsNull(i)) {
+          set_null(i);
+        } else {
+          slots[i * row_width_] = NormalizeDouble(tc.At(i));
         }
-        for (size_t i = 0; i < n; ++i) {
-          if (tc.IsNull(i)) {
-            set_null(i);
-          } else {
-            slots[i * row_width_] = static_cast<uint64_t>(tc.At(i));
-          }
+      }
+      break;
+    }
+    case TypeKind::kVarchar:
+      return NormalizeStrings(col, k, insert_missing);
+    case TypeKind::kRow:
+    case TypeKind::kArray:
+    case TypeKind::kMap: {
+      // Nested keys box once per row and intern like strings.
+      for (size_t i = 0; i < n; ++i) {
+        if (col.IsNull(i)) {
+          set_null(i);
+          continue;
         }
-        break;
+        Value value = col.GetValue(i);
+        if (insert_missing) {
+          slots[i * row_width_] = values_.Intern(value);
+        } else if (auto id = values_.Find(value)) {
+          slots[i * row_width_] = *id;
+        } else {
+          scratch_miss_[i] = 1;
+        }
+      }
+      break;
+    }
+    default: {  // integer-like: INTEGER / BIGINT / TIMESTAMP
+      TypedColumn<int64_t> tc;
+      if (!TryDecode(col, &tc)) {
+        return Status::Internal("kernel decode failed for BIGINT key");
+      }
+      for (size_t i = 0; i < n; ++i) {
+        if (tc.IsNull(i)) {
+          set_null(i);
+        } else {
+          slots[i * row_width_] = static_cast<uint64_t>(tc.At(i));
+        }
+      }
+      break;
+    }
+  }
+  return Status::OK();
+}
+
+// VARCHAR keys are interned to dense ids; with insert_missing off, a string
+// the table has never seen marks its row a miss.
+Status NormalizedKeyTable::NormalizeStrings(const Vector& col, size_t k,
+                                            bool insert_missing) {
+  const size_t n = scratch_miss_.size();
+  uint64_t* slots = scratch_slots_.data() + k;  // strided by row_width_
+  uint64_t* null_words = scratch_slots_.data() + num_keys_ + (k >> 6);
+  const uint64_t null_bit = uint64_t{1} << (k & 63);
+  auto set_null = [&](size_t i) { null_words[i * row_width_] |= null_bit; };
+  TypedColumn<std::string> tc;
+  if (!TryDecode(col, &tc)) {
+    return Status::Internal("kernel decode failed for VARCHAR key");
+  }
+  if (tc.indices != nullptr) {
+    // Dictionary-encoded strings: intern each distinct base value once,
+    // then the row loop is a pure index gather.
+    const auto& dict = static_cast<const DictionaryVector&>(col);
+    const auto& base_vec = static_cast<const StringVector&>(*dict.base());
+    size_t base_n = base_vec.size();
+    std::vector<uint64_t> base_ids(base_n, 0);
+    std::vector<uint8_t> base_miss(base_n, 0);
+    for (size_t b = 0; b < base_n; ++b) {
+      if (base_vec.IsNull(b)) continue;
+      if (insert_missing) {
+        base_ids[b] = strings_.Intern(base_vec.ValueAt(b));
+      } else if (auto id = strings_.Find(base_vec.ValueAt(b))) {
+        base_ids[b] = *id;
+      } else {
+        base_miss[b] = 1;
+      }
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (tc.IsNull(i)) {
+        set_null(i);
+      } else if (base_miss[tc.indices[i]] != 0) {
+        scratch_miss_[i] = 1;
+      } else {
+        slots[i * row_width_] = base_ids[tc.indices[i]];
+      }
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      if (tc.IsNull(i)) {
+        set_null(i);
+      } else if (insert_missing) {
+        slots[i * row_width_] = strings_.Intern(tc.At(i));
+      } else if (auto id = strings_.Find(tc.At(i))) {
+        slots[i * row_width_] = *id;
+      } else {
+        scratch_miss_[i] = 1;
       }
     }
   }
+  return Status::OK();
+}
 
-  // -- Hash the normalized rows. ----------------------------------------------
+void NormalizedKeyTable::HashRows() {
+  const size_t n = scratch_miss_.size();
   scratch_hashes_.assign(n, 0);
   for (size_t i = 0; i < n; ++i) {
     uint64_t h = 0;
@@ -359,8 +378,14 @@ Result<int64_t> NormalizedKeyTable::MapRows(const Page& page,
     }
     scratch_hashes_[i] = h;
   }
+}
 
-  // -- Probe / insert. ---------------------------------------------------------
+// Maps every normalized row to its group: probes, and with insert_missing
+// creates the groups it does not find. Returns the number of probes.
+int64_t NormalizedKeyTable::ProbeOrInsert(bool insert_missing,
+                                          bool skip_null_keys,
+                                          std::vector<int32_t>* group_ids) {
+  const size_t n = scratch_miss_.size();
   if (insert_missing) ReserveFor(n);
   int64_t probes = 0;
   const size_t mask = capacity_ == 0 ? 0 : capacity_ - 1;

@@ -150,6 +150,15 @@ class NormalizedKeyTable {
       const std::vector<TypePtr>& key_types) const;
 
  private:
+  // The three phases of MapRows over the per-batch scratch: normalize (once
+  // per key column), hash, probe or insert. Each runs once per page, so no
+  // call is added per row.
+  Status NormalizeColumn(const Vector& col, size_t k, bool insert_missing);
+  Status NormalizeStrings(const Vector& col, size_t k, bool insert_missing);
+  void HashRows();
+  int64_t ProbeOrInsert(bool insert_missing, bool skip_null_keys,
+                        std::vector<int32_t>* group_ids);
+
   void ReserveFor(size_t additional_groups);
   void Rehash(size_t new_capacity);
   bool IsNullKey(const uint64_t* row, size_t k) const {

@@ -1874,121 +1874,128 @@ Result<OperatorPtr> OperatorBuilder::BuildNode(const PlanNodePtr& node) {
       ASSIGN_OR_RETURN(OperatorPtr child, Build(limit->sources()[0]));
       return OperatorPtr(new LimitOperator(std::move(child), limit->count()));
     }
-    case PlanNodeKind::kAggregate: {
-      const auto* agg = static_cast<const AggregateNode*>(node.get());
-      ASSIGN_OR_RETURN(std::vector<OperatorPtr> chains,
-                       BuildParallelChains(agg->sources()[0]));
-      auto layout = MakeLayout(agg->sources()[0]->OutputVariables());
-      std::vector<int> key_channels;
-      std::vector<TypePtr> key_types;
-      for (const VariablePtr& key : agg->group_keys()) {
-        auto it = layout.find(key->name());
-        if (it == layout.end()) {
-          return Status::Internal("group key not in input: " + key->name());
-        }
-        key_channels.push_back(it->second);
-        key_types.push_back(key->type());
-      }
-      std::vector<HashAggregationOperator::AggSpec> specs;
-      for (const auto& aggregation : agg->aggregations()) {
-        ASSIGN_OR_RETURN(const AggregateFunction* impl,
-                         functions_->FindAggregate(aggregation.handle));
-        HashAggregationOperator::AggSpec spec;
-        spec.function = impl;
-        spec.output_type = aggregation.output->type();
-        for (const VariablePtr& arg : aggregation.arguments) {
-          auto it = layout.find(arg->name());
-          if (it == layout.end()) {
-            return Status::Internal("aggregate argument not in input: " +
-                                    arg->name());
-          }
-          spec.arg_channels.push_back(it->second);
-        }
-        specs.push_back(std::move(spec));
-      }
-      return OperatorPtr(new HashAggregationOperator(
-          std::move(chains), std::move(key_channels), std::move(key_types),
-          std::move(specs), agg->step(), limits_));
-    }
-    case PlanNodeKind::kJoin: {
-      const auto* join = static_cast<const JoinNode*>(node.get());
-      ASSIGN_OR_RETURN(OperatorPtr probe, Build(join->sources()[0]));
-      auto probe_layout = MakeLayout(join->sources()[0]->OutputVariables());
-      auto build_layout = MakeLayout(join->sources()[1]->OutputVariables());
-      auto combined_layout = MakeLayout(join->OutputVariables());
-      std::vector<VariablePtr> build_vars = join->sources()[1]->OutputVariables();
-      if (join->criteria().empty()) {
-        ASSIGN_OR_RETURN(OperatorPtr build, Build(join->sources()[1]));
-        return OperatorPtr(new NestedLoopJoinOperator(
-            std::move(probe), std::move(build), join->join_kind(),
-            std::move(build_vars), join->filter(), std::move(combined_layout),
-            functions_, limits_));
-      }
-      // The build side is merge-friendly (row sets concatenate), so it may
-      // consume through replicated morsel chains; the probe side streams on
-      // the task thread.
-      ASSIGN_OR_RETURN(std::vector<OperatorPtr> build_chains,
-                       BuildParallelChains(join->sources()[1]));
-      std::vector<int> probe_keys, build_keys;
-      std::vector<TypeKind> key_kinds;
-      for (const auto& clause : join->criteria()) {
-        auto l = probe_layout.find(clause.left->name());
-        auto r = build_layout.find(clause.right->name());
-        if (l == probe_layout.end() || r == build_layout.end()) {
-          return Status::Internal("join criteria not in inputs");
-        }
-        probe_keys.push_back(l->second);
-        build_keys.push_back(r->second);
-        // Both sides of a key pair must normalize alike: the same kind, or
-        // both integer-like (one int64 slot). The analyzer casts mixed
-        // numeric keys to one type, so anything else is a planner bug.
-        TypeKind p = clause.left->type()->kind();
-        TypeKind b = clause.right->type()->kind();
-        if (b != p && !(IsIntegerLike(b) && IsIntegerLike(p))) {
-          return Status::Internal(std::string("hash join key kinds differ: ") +
-                                  TypeKindToString(p) + " probe, " +
-                                  TypeKindToString(b) + " build");
-        }
-        key_kinds.push_back(b);
-      }
-      return OperatorPtr(new HashJoinOperator(
-          std::move(probe), std::move(build_chains), join->join_kind(),
-          std::move(probe_keys), std::move(build_keys), std::move(key_kinds),
-          std::move(build_vars), join->filter(), std::move(combined_layout),
-          functions_, limits_));
-    }
+    case PlanNodeKind::kAggregate:
+      return BuildAggregate(static_cast<const AggregateNode&>(*node));
+    case PlanNodeKind::kJoin:
+      return BuildJoin(static_cast<const JoinNode&>(*node));
     case PlanNodeKind::kSort:
-    case PlanNodeKind::kTopN: {
-      std::vector<OrderingTerm> ordering;
-      int64_t limit = -1;
-      if (node->kind() == PlanNodeKind::kSort) {
-        ordering = static_cast<const SortNode*>(node.get())->ordering();
-      } else {
-        const auto* topn = static_cast<const TopNNode*>(node.get());
-        ordering = topn->ordering();
-        limit = topn->count();
-      }
-      ASSIGN_OR_RETURN(OperatorPtr child, Build(node->sources()[0]));
-      auto layout = MakeLayout(node->sources()[0]->OutputVariables());
-      std::vector<int> channels;
-      std::vector<bool> ascending;
-      for (const OrderingTerm& term : ordering) {
-        auto it = layout.find(term.variable->name());
-        if (it == layout.end()) {
-          return Status::Internal("sort key not in input: " + term.variable->name());
-        }
-        channels.push_back(it->second);
-        ascending.push_back(term.ascending);
-      }
-      return OperatorPtr(new SortOperator(std::move(child),
-                                          node->sources()[0]->OutputVariables(),
-                                          std::move(channels),
-                                          std::move(ascending), limit, limits_));
-    }
+    case PlanNodeKind::kTopN:
+      return BuildSort(*node);
     case PlanNodeKind::kOutput:
       return Build(node->sources()[0]);
   }
   return Status::Internal("cannot build operator for node: " + node->Label());
+}
+
+Result<OperatorPtr> OperatorBuilder::BuildAggregate(const AggregateNode& agg) {
+  ASSIGN_OR_RETURN(std::vector<OperatorPtr> chains,
+                   BuildParallelChains(agg.sources()[0]));
+  auto layout = MakeLayout(agg.sources()[0]->OutputVariables());
+  std::vector<int> key_channels;
+  std::vector<TypePtr> key_types;
+  for (const VariablePtr& key : agg.group_keys()) {
+    auto it = layout.find(key->name());
+    if (it == layout.end()) {
+      return Status::Internal("group key not in input: " + key->name());
+    }
+    key_channels.push_back(it->second);
+    key_types.push_back(key->type());
+  }
+  std::vector<HashAggregationOperator::AggSpec> specs;
+  for (const auto& aggregation : agg.aggregations()) {
+    ASSIGN_OR_RETURN(const AggregateFunction* impl,
+                     functions_->FindAggregate(aggregation.handle));
+    HashAggregationOperator::AggSpec spec;
+    spec.function = impl;
+    spec.output_type = aggregation.output->type();
+    for (const VariablePtr& arg : aggregation.arguments) {
+      auto it = layout.find(arg->name());
+      if (it == layout.end()) {
+        return Status::Internal("aggregate argument not in input: " +
+                                arg->name());
+      }
+      spec.arg_channels.push_back(it->second);
+    }
+    specs.push_back(std::move(spec));
+  }
+  return OperatorPtr(new HashAggregationOperator(
+      std::move(chains), std::move(key_channels), std::move(key_types),
+      std::move(specs), agg.step(), limits_));
+}
+
+Result<OperatorPtr> OperatorBuilder::BuildJoin(const JoinNode& join) {
+  ASSIGN_OR_RETURN(OperatorPtr probe, Build(join.sources()[0]));
+  auto probe_layout = MakeLayout(join.sources()[0]->OutputVariables());
+  auto build_layout = MakeLayout(join.sources()[1]->OutputVariables());
+  auto combined_layout = MakeLayout(join.OutputVariables());
+  std::vector<VariablePtr> build_vars = join.sources()[1]->OutputVariables();
+  if (join.criteria().empty()) {
+    ASSIGN_OR_RETURN(OperatorPtr build, Build(join.sources()[1]));
+    return OperatorPtr(new NestedLoopJoinOperator(
+        std::move(probe), std::move(build), join.join_kind(),
+        std::move(build_vars), join.filter(), std::move(combined_layout),
+        functions_, limits_));
+  }
+  // The build side is merge-friendly (row sets concatenate), so it may
+  // consume through replicated morsel chains; the probe side streams on
+  // the task thread.
+  ASSIGN_OR_RETURN(std::vector<OperatorPtr> build_chains,
+                   BuildParallelChains(join.sources()[1]));
+  std::vector<int> probe_keys, build_keys;
+  std::vector<TypeKind> key_kinds;
+  for (const auto& clause : join.criteria()) {
+    auto l = probe_layout.find(clause.left->name());
+    auto r = build_layout.find(clause.right->name());
+    if (l == probe_layout.end() || r == build_layout.end()) {
+      return Status::Internal("join criteria not in inputs");
+    }
+    probe_keys.push_back(l->second);
+    build_keys.push_back(r->second);
+    // Both sides of a key pair must normalize alike: the same kind, or
+    // both integer-like (one int64 slot). The analyzer casts mixed
+    // numeric keys to one type, so anything else is a planner bug.
+    TypeKind p = clause.left->type()->kind();
+    TypeKind b = clause.right->type()->kind();
+    if (b != p && !(IsIntegerLike(b) && IsIntegerLike(p))) {
+      return Status::Internal(std::string("hash join key kinds differ: ") +
+                              TypeKindToString(p) + " probe, " +
+                              TypeKindToString(b) + " build");
+    }
+    key_kinds.push_back(b);
+  }
+  return OperatorPtr(new HashJoinOperator(
+      std::move(probe), std::move(build_chains), join.join_kind(),
+      std::move(probe_keys), std::move(build_keys), std::move(key_kinds),
+      std::move(build_vars), join.filter(), std::move(combined_layout),
+      functions_, limits_));
+}
+
+Result<OperatorPtr> OperatorBuilder::BuildSort(const PlanNode& node) {
+  std::vector<OrderingTerm> ordering;
+  int64_t limit = -1;
+  if (node.kind() == PlanNodeKind::kSort) {
+    ordering = static_cast<const SortNode&>(node).ordering();
+  } else {
+    const auto& topn = static_cast<const TopNNode&>(node);
+    ordering = topn.ordering();
+    limit = topn.count();
+  }
+  ASSIGN_OR_RETURN(OperatorPtr child, Build(node.sources()[0]));
+  auto layout = MakeLayout(node.sources()[0]->OutputVariables());
+  std::vector<int> channels;
+  std::vector<bool> ascending;
+  for (const OrderingTerm& term : ordering) {
+    auto it = layout.find(term.variable->name());
+    if (it == layout.end()) {
+      return Status::Internal("sort key not in input: " + term.variable->name());
+    }
+    channels.push_back(it->second);
+    ascending.push_back(term.ascending);
+  }
+  return OperatorPtr(new SortOperator(std::move(child),
+                                      node.sources()[0]->OutputVariables(),
+                                      std::move(channels),
+                                      std::move(ascending), limit, limits_));
 }
 
 }  // namespace presto

@@ -212,6 +212,10 @@ class OperatorBuilder {
 
  private:
   Result<OperatorPtr> BuildNode(const PlanNodePtr& node);
+  Result<OperatorPtr> BuildAggregate(const AggregateNode& agg);
+  Result<OperatorPtr> BuildJoin(const JoinNode& join);
+  /// A SortNode, or a TopNNode (a sort with a row limit).
+  Result<OperatorPtr> BuildSort(const PlanNode& node);
 
   /// The operator chains a merging parent (aggregation consume, join build)
   /// drains; never empty. `limits_.task_threads` copies of the subtree under

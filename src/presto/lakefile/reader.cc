@@ -1,8 +1,8 @@
 #include "presto/lakefile/reader.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
-#include <map>
 #include <set>
 
 #include "presto/common/fault_injection.h"
@@ -188,7 +188,6 @@ class PageReader {
       return Status::Corruption("page entry count mismatch in " +
                                 meta_.leaf_path);
     }
-    ++stats_->pages_read;
     return RawPage{parsed.first, std::move(parsed.second)};
   }
 
@@ -230,169 +229,142 @@ Result<PageLevels> DecodePageLevels(const Leaf& leaf, const RawPage& page,
 // those entries (late materialization); skipped values are never copied.
 // ===========================================================================
 
-// Decodes a dictionary-coded page's varint codes (one per valued entry)
-// without materializing any value — predicate evaluation on codes.
-Result<std::vector<uint32_t>> DecodePageCodes(const RawPage& page,
-                                              const PageLevels& levels,
-                                              const Leaf& leaf) {
+// The value section of a page body (after its rep and def levels).
+ByteReader ValueReader(const RawPage& page) {
   const PageHeader& header = page.header;
-  ByteReader value_reader(
-      page.body.data() + header.rep_bytes + header.def_bytes,
-      header.value_bytes);
-  std::vector<uint32_t> codes;
-  for (size_t e = 0; e < levels.def.size(); ++e) {
-    if (levels.def[e] != leaf.max_def) continue;
-    ASSIGN_OR_RETURN(uint64_t code, value_reader.ReadVarint());
-    codes.push_back(static_cast<uint32_t>(code));
-  }
-  return codes;
+  return ByteReader(page.body.data() + header.rep_bytes + header.def_bytes,
+                    header.value_bytes);
 }
+
+// Appends one page's selected entries to a DecodedLeaf, one method per value
+// encoding. Entries are walked in order so variable-width values can be
+// skipped without being copied.
+struct PageValueDecoder {
+  const Leaf& leaf;
+  const PageLevels& levels;
+  const std::vector<int32_t>* selection;  // null: every entry
+  DecodedLeaf* out;
+  ReaderStats* stats;
+  ByteReader values;
+
+  Status DictionaryCoded(const Dictionary& dict) {
+    const bool strings = leaf.type->kind() == TypeKind::kVarchar;
+    return ForEachValue([&](bool selected) -> Status {
+      ASSIGN_OR_RETURN(uint64_t index, values.ReadVarint());
+      if (!selected) return Status::OK();
+      if (index >= dict.cardinality()) {
+        return Status::Corruption("dictionary index out of range");
+      }
+      if (strings) {
+        out->strings.push_back(dict.strings[index]);
+      } else {
+        out->ints.push_back(dict.ints[index]);
+      }
+      return Status::OK();
+    });
+  }
+
+  Status Varchar() {
+    return ForEachValue([&](bool selected) -> Status {
+      ASSIGN_OR_RETURN(uint64_t len, values.ReadVarint());
+      if (len > values.remaining()) {
+        return Status::Corruption("string value exceeds page bounds");
+      }
+      if (!selected) return values.Skip(len);  // lazy: never copied
+      std::string s(len, '\0');
+      RETURN_IF_ERROR(values.ReadRaw(s.data(), len));
+      out->strings.push_back(std::move(s));
+      return Status::OK();
+    });
+  }
+
+  Status Boolean() {
+    return ForEachValue([&](bool selected) -> Status {
+      ASSIGN_OR_RETURN(uint8_t b, values.ReadU8());
+      if (selected) out->bools.push_back(b);
+      return Status::OK();
+    });
+  }
+
+  // 8-byte values (BIGINT-class and DOUBLE): a dense page is one bulk copy;
+  // otherwise the fixed width allows O(1) skips.
+  Status FixedWidth(bool vectorized) {
+    const bool is_double = leaf.type->kind() == TypeKind::kDouble;
+    const size_t width = 8;
+    const size_t total_values = values.remaining() / width;
+    if (selection == nullptr && vectorized &&
+        levels.def.size() == total_values) {
+      out->def.insert(out->def.end(), levels.def.begin(), levels.def.end());
+      out->rep.insert(out->rep.end(), levels.rep.begin(), levels.rep.end());
+      void* dest = is_double ? static_cast<void*>(Grow(&out->doubles, total_values))
+                             : static_cast<void*>(Grow(&out->ints, total_values));
+      RETURN_IF_ERROR(values.ReadRaw(dest, total_values * width));
+      stats->values_decoded += static_cast<int64_t>(total_values);
+      return Status::OK();
+    }
+    size_t value_index = 0;
+    return ForEachValue([&](bool selected) -> Status {
+      size_t my_index = value_index++;
+      if (!selected) return Status::OK();
+      RETURN_IF_ERROR(values.Seek(my_index * width));
+      if (is_double) {
+        ASSIGN_OR_RETURN(double v, values.ReadDouble());
+        out->doubles.push_back(v);
+      } else {
+        ASSIGN_OR_RETURN(int64_t v, values.ReadI64());
+        out->ints.push_back(v);
+      }
+      return Status::OK();
+    });
+  }
+
+  template <typename T>
+  static T* Grow(std::vector<T>* v, size_t n) {
+    size_t base = v->size();
+    v->resize(base + n);
+    return v->data() + base;
+  }
+
+  // Walks the page's entries in order. A selected entry appends its levels;
+  // every entry with a value calls on_value(selected), which consumes the
+  // value and appends it when selected.
+  template <typename F>
+  Status ForEachValue(F&& on_value) {
+    size_t cursor = 0;
+    for (size_t e = 0; e < levels.def.size(); ++e) {
+      bool selected = true;
+      if (selection != nullptr) {
+        selected = cursor < selection->size() &&
+                   (*selection)[cursor] == static_cast<int32_t>(e);
+        if (selected) ++cursor;
+      }
+      if (selected) {
+        out->def.push_back(levels.def[e]);
+        if (leaf.max_rep > 0) out->rep.push_back(levels.rep[e]);
+      }
+      if (levels.def[e] != leaf.max_def) continue;
+      RETURN_IF_ERROR(on_value(selected));
+      if (selected) ++stats->values_decoded;
+    }
+    return Status::OK();
+  }
+};
 
 Status DecodePageValues(const Leaf& leaf, const Dictionary& dict,
                         const RawPage& page, const PageLevels& levels,
                         bool vectorized,
                         const std::vector<int32_t>* selected_entries,
                         DecodedLeaf* out, ReaderStats* stats) {
-  const PageHeader& header = page.header;
-  const size_t count = header.num_entries;
-  ByteReader value_reader(
-      page.body.data() + header.rep_bytes + header.def_bytes,
-      header.value_bytes);
-
-  // Value presence per entry.
-  auto has_value = [&](size_t e) { return levels.def[e] == leaf.max_def; };
-
-  // Entry subset view (page-relative indices).
-  const bool subset = selected_entries != nullptr;
-
-  auto for_each_entry = [&](auto&& on_entry) -> Status {
-    size_t sel_cursor = 0;
-    for (size_t e = 0; e < count; ++e) {
-      bool selected = true;
-      if (subset) {
-        selected = sel_cursor < selected_entries->size() &&
-                   (*selected_entries)[sel_cursor] == static_cast<int32_t>(e);
-        if (selected) ++sel_cursor;
-      }
-      RETURN_IF_ERROR(on_entry(e, selected));
-    }
-    return Status::OK();
-  };
-
-  auto append_levels = [&](size_t e) {
-    out->def.push_back(levels.def[e]);
-    if (leaf.max_rep > 0) out->rep.push_back(levels.rep[e]);
-  };
-
-  // -- Dictionary-encoded values ------------------------------------------
-  if (dict.present) {
-    RETURN_IF_ERROR(for_each_entry([&](size_t e, bool selected) -> Status {
-      uint64_t index = 0;
-      if (has_value(e)) {
-        ASSIGN_OR_RETURN(index, value_reader.ReadVarint());
-      }
-      if (!selected) return Status::OK();
-      append_levels(e);
-      if (has_value(e)) {
-        if (leaf.type->kind() == TypeKind::kVarchar) {
-          if (index >= dict.strings.size()) {
-            return Status::Corruption("dictionary index out of range");
-          }
-          out->strings.push_back(dict.strings[index]);
-        } else {
-          if (index >= dict.ints.size()) {
-            return Status::Corruption("dictionary index out of range");
-          }
-          out->ints.push_back(dict.ints[index]);
-        }
-        ++stats->values_decoded;
-      }
-      return Status::OK();
-    }));
-    return Status::OK();
-  }
-
-  // -- PLAIN values ----------------------------------------------------------
+  PageValueDecoder decoder{leaf, levels, selected_entries,
+                           out,  stats,  ValueReader(page)};
+  if (dict.present) return decoder.DictionaryCoded(dict);
   switch (leaf.type->kind()) {
-    case TypeKind::kVarchar: {
-      return for_each_entry([&](size_t e, bool selected) -> Status {
-        if (!has_value(e)) {
-          if (selected) append_levels(e);
-          return Status::OK();
-        }
-        ASSIGN_OR_RETURN(uint64_t len, value_reader.ReadVarint());
-        if (selected) {
-          append_levels(e);
-          std::string s(len, '\0');
-          RETURN_IF_ERROR(value_reader.ReadRaw(s.data(), len));
-          out->strings.push_back(std::move(s));
-          ++stats->values_decoded;
-        } else {
-          RETURN_IF_ERROR(value_reader.Skip(len));  // lazy: never copied
-        }
-        return Status::OK();
-      });
-    }
-    case TypeKind::kBoolean: {
-      return for_each_entry([&](size_t e, bool selected) -> Status {
-        if (!has_value(e)) {
-          if (selected) append_levels(e);
-          return Status::OK();
-        }
-        ASSIGN_OR_RETURN(uint8_t b, value_reader.ReadU8());
-        if (selected) {
-          append_levels(e);
-          out->bools.push_back(b);
-          ++stats->values_decoded;
-        }
-        return Status::OK();
-      });
-    }
-    case TypeKind::kDouble:
-    default: {
-      const bool is_double = leaf.type->kind() == TypeKind::kDouble;
-      size_t width = 8;
-      size_t total_values = header.value_bytes / width;
-      if (!subset && vectorized && count == total_values) {
-        // Fast path: dense column, bulk copy straight out of the page.
-        out->def.insert(out->def.end(), levels.def.begin(), levels.def.end());
-        out->rep.insert(out->rep.end(), levels.rep.begin(), levels.rep.end());
-        if (is_double) {
-          size_t base = out->doubles.size();
-          out->doubles.resize(base + total_values);
-          RETURN_IF_ERROR(value_reader.ReadRaw(out->doubles.data() + base,
-                                               total_values * width));
-        } else {
-          size_t base = out->ints.size();
-          out->ints.resize(base + total_values);
-          RETURN_IF_ERROR(value_reader.ReadRaw(out->ints.data() + base,
-                                               total_values * width));
-        }
-        stats->values_decoded += static_cast<int64_t>(total_values);
-        return Status::OK();
-      }
-      // General path: fixed-width values allow O(1) skips.
-      size_t value_index = 0;
-      return for_each_entry([&](size_t e, bool selected) -> Status {
-        if (!has_value(e)) {
-          if (selected) append_levels(e);
-          return Status::OK();
-        }
-        size_t my_index = value_index++;
-        if (!selected) return Status::OK();
-        append_levels(e);
-        RETURN_IF_ERROR(value_reader.Seek(my_index * width));
-        if (is_double) {
-          ASSIGN_OR_RETURN(double v, value_reader.ReadDouble());
-          out->doubles.push_back(v);
-        } else {
-          ASSIGN_OR_RETURN(int64_t v, value_reader.ReadI64());
-          out->ints.push_back(v);
-        }
-        ++stats->values_decoded;
-        return Status::OK();
-      });
-    }
+    case TypeKind::kVarchar:
+      return decoder.Varchar();
+    case TypeKind::kBoolean:
+      return decoder.Boolean();
+    default:
+      return decoder.FixedWidth(vectorized);
   }
 }
 
@@ -450,10 +422,6 @@ bool RangeMayMatch(bool has_stats, const Value& min, const Value& max,
   return true;
 }
 
-bool StatsMayMatch(const ColumnChunkMeta& meta, const LeafPredicate& pred) {
-  return RangeMayMatch(meta.has_stats, meta.min, meta.max, pred);
-}
-
 bool PageMayMatch(const DataPageMeta& page, const LeafPredicate& pred) {
   // An all-NULL page can never satisfy a conjunct (NULL never matches),
   // so it is skippable even without min/max stats.
@@ -483,71 +451,59 @@ bool DictionaryMayMatch(const Dictionary& dict, const Leaf& leaf,
   return false;
 }
 
-/// Evaluates one conjunct over a decoded (maxrep==0) leaf; clears non-matching
-/// bits in `mask`.
+template <typename T>
+int ThreeWay(T a, T b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+/// Whether any operand of the conjunct matches; `compare(operand)` is the
+/// value's three-way comparison with it.
+template <typename Compare>
+bool AnyOperandMatches(const LeafPredicate& pred, Compare&& compare) {
+  return std::any_of(pred.values.begin(), pred.values.end(),
+                     [&](const Value& o) { return CompareMatches(pred.op, compare(o)); });
+}
+
+/// Evaluates one conjunct over a decoded (maxrep==0) leaf; clears the `mask`
+/// bits (one per entry) of entries that do not match.
 void ApplyPredicate(const DecodedLeaf& leaf, const LeafPredicate& pred,
-                    std::vector<uint8_t>* mask) {
+                    uint8_t* mask) {
   const int max_def = leaf.leaf.max_def;
   size_t value_cursor = 0;
   for (size_t e = 0; e < leaf.def.size(); ++e) {
     bool has_value = leaf.def[e] == max_def;
     if (!has_value) {
-      (*mask)[e] = 0;  // NULL never matches
+      mask[e] = 0;  // NULL never matches
       continue;
     }
     size_t v = value_cursor++;
-    if ((*mask)[e] == 0) continue;
+    if (mask[e] == 0) continue;
     bool matches = false;
     switch (leaf.leaf.type->kind()) {
-      case TypeKind::kVarchar: {
-        const std::string& value = leaf.strings[v];
-        for (const Value& operand : pred.values) {
-          int cmp = value.compare(operand.string_value());
-          if (CompareMatches(pred.op, cmp)) {
-            matches = true;
-            break;
-          }
-        }
+      case TypeKind::kVarchar:
+        matches = AnyOperandMatches(pred, [&](const Value& o) {
+          return leaf.strings[v].compare(o.string_value());
+        });
         break;
-      }
-      case TypeKind::kDouble: {
-        double value = leaf.doubles[v];
-        for (const Value& operand : pred.values) {
-          double o = operand.AsDouble();
-          int cmp = value < o ? -1 : (value > o ? 1 : 0);
-          if (CompareMatches(pred.op, cmp)) {
-            matches = true;
-            break;
-          }
-        }
+      case TypeKind::kDouble:
+        matches = AnyOperandMatches(pred, [&](const Value& o) {
+          return ThreeWay(leaf.doubles[v], o.AsDouble());
+        });
         break;
-      }
-      case TypeKind::kBoolean: {
-        bool value = leaf.bools[v] != 0;
-        for (const Value& operand : pred.values) {
-          int cmp = static_cast<int>(value) - static_cast<int>(operand.bool_value());
-          if (CompareMatches(pred.op, cmp)) {
-            matches = true;
-            break;
-          }
-        }
+      case TypeKind::kBoolean:
+        matches = AnyOperandMatches(pred, [&](const Value& o) {
+          return static_cast<int>(leaf.bools[v] != 0) -
+                 static_cast<int>(o.bool_value());
+        });
         break;
-      }
-      default: {
-        int64_t value = leaf.ints[v];
-        for (const Value& operand : pred.values) {
-          int64_t o = operand.is_int() ? operand.int_value()
-                                       : static_cast<int64_t>(operand.AsDouble());
-          int cmp = value < o ? -1 : (value > o ? 1 : 0);
-          if (CompareMatches(pred.op, cmp)) {
-            matches = true;
-            break;
-          }
-        }
+      default:
+        matches = AnyOperandMatches(pred, [&](const Value& o) {
+          return ThreeWay(leaf.ints[v], o.is_int() ? o.int_value()
+                                                   : static_cast<int64_t>(o.AsDouble()));
+        });
         break;
-      }
     }
-    if (!matches) (*mask)[e] = 0;
+    if (!matches) mask[e] = 0;
   }
   // A fully-consumed cursor is not required: trailing entries without values
   // were already masked out above.
@@ -570,12 +526,274 @@ std::vector<uint8_t> BuildCodeBitmap(const Leaf& leaf, const Dictionary& dict,
     dl.ints = dict.ints;
   }
   std::vector<uint8_t> bitmap(cardinality, 1);
-  ApplyPredicate(dl, pred, &bitmap);
+  ApplyPredicate(dl, pred, bitmap.data());
   return bitmap;
 }
 
 // ===========================================================================
-// Pruned type construction
+// Stage 4 — ColumnReader: one leaf column chunk of one row group. It owns
+// the chunk's PageReader, its dictionary (decoded at most once) and one state
+// per data page. The filter stage and the projection stage both go through
+// it, so a page is fetched from the file at most once per row group, and
+// Tally counts each page once, by its final state.
+// ===========================================================================
+
+enum class PageState : uint8_t { kUntouched, kSkippedStats, kSkippedLazy, kRead };
+
+using Conjuncts = std::vector<const LeafPredicate*>;
+
+// What the column readers of one scan share.
+struct ScanContext {
+  RandomAccessFile* file;
+  CompressionKind compression;
+  const ReaderOptions& options;
+  ReaderStats* stats;
+};
+
+class ColumnReader {
+ public:
+  // Validates the footer's page list before anything indexes with it.
+  static Result<std::unique_ptr<ColumnReader>> Open(
+      const ScanContext& ctx, const Leaf& leaf, const ColumnChunkMeta& chunk,
+      uint64_t group_rows, bool projected) {
+    std::unique_ptr<ColumnReader> reader(
+        new ColumnReader(ctx, leaf, chunk, group_rows, projected));
+    RETURN_IF_ERROR(reader->ValidatePages(group_rows));
+    return reader;
+  }
+
+  // Read on first use; a PLAIN chunk has none (`present` false) and costs
+  // no read.
+  Result<const Dictionary*> dictionary() {
+    if (!dict_.has_value()) {
+      ASSIGN_OR_RETURN(dict_, MaybeReadDictionary(ctx_.file, leaf_, chunk_,
+                                                  ctx_.compression, ctx_.stats));
+    }
+    return &*dict_;
+  }
+
+  // Clears the mask bits of rows the conjuncts on this leaf reject. A page is
+  // not read when an earlier filter leaf already rejected all its rows, or
+  // when its stats exclude a conjunct; dictionary pages are filtered on codes.
+  Status Filter(const Conjuncts& preds, std::vector<uint8_t>* mask) {
+    ASSIGN_OR_RETURN(const Dictionary* dict, dictionary());
+    std::vector<std::vector<uint8_t>> code_bitmaps;
+    if (dict->present) {
+      for (const LeafPredicate* pred : preds) {
+        code_bitmaps.push_back(BuildCodeBitmap(leaf_, *dict, *pred));
+      }
+    }
+    for (size_t i = 0; i < pages_.size(); ++i) {
+      const DataPageMeta& pm = page_reader_.page_meta(i);
+      uint8_t* rows = mask->data() + pm.first_row;
+      uint8_t* rows_end = rows + pm.num_rows;
+      if (std::find(rows, rows_end, 1) == rows_end) {
+        pages_[i].state = PageState::kSkippedLazy;
+        continue;
+      }
+      if (ctx_.options.page_skipping &&
+          !std::all_of(preds.begin(), preds.end(), [&](const LeafPredicate* p) {
+            return PageMayMatch(pm, *p);
+          })) {
+        std::fill(rows, rows_end, 0);
+        pages_[i].state = PageState::kSkippedStats;
+        continue;
+      }
+      ASSIGN_OR_RETURN(DataPage* page, Fetch(i));
+      if (dict->present) {
+        RETURN_IF_ERROR(FilterCodes(*page, code_bitmaps, rows));
+      } else {
+        DecodedLeaf values;
+        values.leaf = leaf_;
+        RETURN_IF_ERROR(Decode(*page, nullptr, &values));
+        for (const LeafPredicate* pred : preds) ApplyPredicate(values, *pred, rows);
+      }
+      if (!projected_) page->Release();
+    }
+    return Status::OK();
+  }
+
+  // Decodes this leaf's projected entries: every page when `selection` is
+  // null, else only the pages holding a selected row and only those rows.
+  Status Project(const std::vector<int32_t>* selection, DecodedLeaf* out) {
+    RETURN_IF_ERROR(dictionary().status());
+    out->leaf = leaf_;
+    std::vector<int32_t> page_rows;  // page-relative selected rows
+    std::vector<int32_t> entries;    // ...as entries of a repeated leaf
+    for (size_t i = 0; i < pages_.size(); ++i) {
+      const DataPageMeta& pm = page_reader_.page_meta(i);
+      const auto first = static_cast<int32_t>(pm.first_row);
+      if (selection != nullptr) {
+        auto begin = std::lower_bound(selection->begin(), selection->end(), first);
+        auto end = std::lower_bound(begin, selection->end(),
+                                    first + static_cast<int32_t>(pm.num_rows));
+        if (begin == end) {  // no selected row falls in this page
+          if (pages_[i].state == PageState::kUntouched) {
+            pages_[i].state = PageState::kSkippedLazy;
+          }
+          continue;
+        }
+        page_rows.clear();
+        for (auto it = begin; it != end; ++it) page_rows.push_back(*it - first);
+      }
+      ASSIGN_OR_RETURN(DataPage* page, Fetch(i));
+      const std::vector<int32_t>* page_selection = nullptr;
+      if (selection != nullptr) {
+        page_selection = leaf_.max_rep == 0
+                             ? &page_rows  // entry index == page-relative row
+                             : RowEntries(page->levels.rep, page_rows, &entries);
+      }
+      RETURN_IF_ERROR(Decode(*page, page_selection, out));
+      page->Release();
+    }
+    return Status::OK();
+  }
+
+  // An untouched page was needed by no stage (e.g. no row was selected).
+  void Tally() const {
+    ReaderStats& s = *ctx_.stats;
+    s.pages_total += static_cast<int64_t>(pages_.size());
+    for (const DataPage& page : pages_) {
+      ++(page.state == PageState::kRead           ? s.pages_read
+         : page.state == PageState::kSkippedStats ? s.pages_skipped_stats
+                                                  : s.pages_skipped_lazy);
+    }
+  }
+
+ private:
+  struct DataPage {
+    PageState state = PageState::kUntouched;
+    std::optional<RawPage> raw;  // kept from the filter stage for projection
+    PageLevels levels;
+
+    void Release() {
+      raw.reset();
+      levels = PageLevels();
+    }
+  };
+
+  ColumnReader(const ScanContext& ctx, const Leaf& leaf,
+               const ColumnChunkMeta& chunk, uint64_t group_rows, bool projected)
+      : ctx_(ctx),
+        leaf_(leaf),
+        chunk_(chunk),
+        projected_(projected),
+        page_reader_(ctx.file, chunk, group_rows, ctx.compression, ctx.stats),
+        pages_(page_reader_.num_pages()) {}
+
+  // Footer page metadata is untrusted: the filter mask is indexed by
+  // first_row + r for r < num_rows, and an unrepeated leaf's entries by row.
+  Status ValidatePages(uint64_t group_rows) const {
+    uint64_t next_row = 0;
+    for (size_t i = 0; i < page_reader_.num_pages(); ++i) {
+      const DataPageMeta& pm = page_reader_.page_meta(i);
+      if (pm.first_row != next_row || pm.num_rows > group_rows - next_row) {
+        return Status::Corruption("pages do not tile the row group in " +
+                                  leaf_.path);
+      }
+      if (leaf_.max_rep == 0 && pm.num_entries != pm.num_rows) {
+        return Status::Corruption(
+            "page entry count differs from its row count in " + leaf_.path);
+      }
+      next_row += pm.num_rows;
+    }
+    if (next_row != group_rows) {
+      return Status::Corruption("pages do not cover the row group in " +
+                                leaf_.path);
+    }
+    return Status::OK();
+  }
+
+  // Reads, decompresses and level-decodes page `i` the first time a stage
+  // asks for it; a later ask in the same row group reuses it. A page is only
+  // released after its leaf's last stage has used it.
+  Result<DataPage*> Fetch(size_t i) {
+    DataPage& page = pages_[i];
+    if (page.raw.has_value()) return &page;
+    ASSIGN_OR_RETURN(RawPage raw, page_reader_.Read(i));
+    ASSIGN_OR_RETURN(page.levels,
+                     DecodePageLevels(leaf_, raw, ctx_.options.vectorized));
+    // A repeated leaf's rows expand to entries at their rep-level row
+    // starts, so the page must start a row and hold num_rows starts.
+    const std::vector<uint8_t>& rep = page.levels.rep;
+    if (leaf_.max_rep > 0 &&
+        (static_cast<uint64_t>(std::count(rep.begin(), rep.end(), 0)) !=
+             page_reader_.page_meta(i).num_rows ||
+         (!rep.empty() && rep[0] != 0))) {
+      return Status::Corruption("page row starts differ from its row count in " +
+                                leaf_.path);
+    }
+    page.raw = std::move(raw);
+    page.state = PageState::kRead;
+    return &page;
+  }
+
+  Status Decode(const DataPage& page, const std::vector<int32_t>* selection,
+                DecodedLeaf* out) {
+    return DecodePageValues(leaf_, *dict_, *page.raw, page.levels,
+                            ctx_.options.vectorized, selection, out, ctx_.stats);
+  }
+
+  // Evaluates the conjuncts on a dictionary page's codes: no value is
+  // materialized. Entries are rows here (filter leaves are unrepeated).
+  Status FilterCodes(const DataPage& page,
+                     const std::vector<std::vector<uint8_t>>& bitmaps,
+                     uint8_t* rows) {
+    ByteReader codes = ValueReader(*page.raw);
+    for (size_t r = 0; r < page.levels.def.size(); ++r) {
+      const bool has_value = page.levels.def[r] == leaf_.max_def;
+      uint64_t code = 0;
+      if (has_value) {
+        ASSIGN_OR_RETURN(code, codes.ReadVarint());
+      }
+      if (rows[r] == 0) continue;
+      if (!has_value) {
+        rows[r] = 0;  // NULL never matches a pushed conjunct
+        continue;
+      }
+      for (const std::vector<uint8_t>& bitmap : bitmaps) {
+        if (code >= bitmap.size()) {
+          return Status::Corruption("dictionary code out of range in " +
+                                    leaf_.path);
+        }
+        ++ctx_.stats->dict_code_filter_hits;
+        if (bitmap[code] == 0) {
+          rows[r] = 0;
+          break;
+        }
+      }
+    }
+    return Status::OK();
+  }
+
+  // The entries of the given page-relative rows of a repeated leaf: each row
+  // runs from its rep-level start to the next one.
+  static const std::vector<int32_t>* RowEntries(const std::vector<uint8_t>& rep,
+                                                const std::vector<int32_t>& rows,
+                                                std::vector<int32_t>* entries) {
+    std::vector<int32_t> starts;
+    for (size_t e = 0; e < rep.size(); ++e) {
+      if (rep[e] == 0) starts.push_back(static_cast<int32_t>(e));
+    }
+    starts.push_back(static_cast<int32_t>(rep.size()));
+    entries->clear();
+    for (int32_t row : rows) {
+      for (int32_t e = starts[row]; e < starts[row + 1]; ++e) entries->push_back(e);
+    }
+    return entries;
+  }
+
+  const ScanContext& ctx_;
+  const Leaf& leaf_;
+  const ColumnChunkMeta& chunk_;
+  const bool projected_;
+  PageReader page_reader_;
+  std::optional<Dictionary> dict_;
+  std::vector<DataPage> pages_;
+};
+
+// ===========================================================================
+// Column resolution and the per-row-group scan
 // ===========================================================================
 
 bool AnyLeafUnder(const std::set<std::string>& required, const std::string& prefix) {
@@ -609,6 +827,214 @@ Result<TypePtr> PruneType(const std::string& prefix, const TypePtr& type,
     default:
       return type;
   }
+}
+
+// The one column resolver: finds a top-level field of the file schema and
+// prunes it to `required_leaves` (empty: the full field type).
+Result<TypePtr> ResolveColumnType(const Type& schema, const std::string& column,
+                                  const std::vector<std::string>& required_leaves) {
+  auto field = schema.FindField(column);
+  if (!field.has_value()) {
+    return Status::NotFound("no column '" + column + "' in file schema");
+  }
+  return PruneColumnType(column, schema.child(*field), required_leaves);
+}
+
+// The leaves nested column pruning keeps; none (whole columns) when off.
+const std::vector<std::string>& RequiredLeaves(const ScanSpec& spec,
+                                               const ReaderOptions& options) {
+  static const std::vector<std::string> kWholeColumns;
+  return options.nested_column_pruning ? spec.required_leaves : kWholeColumns;
+}
+
+const ColumnChunkMeta* FindChunk(const RowGroupMeta& group,
+                                 const std::string& path) {
+  for (const ColumnChunkMeta& chunk : group.columns) {
+    if (chunk.leaf_path == path) return &chunk;
+  }
+  return nullptr;
+}
+
+// What one ScanSpec reads from every row group: each touched leaf once (the
+// filter leaves first, in predicate order), its conjuncts and whether it is
+// projected, and each output column's type and leaves.
+struct ScanPlan {
+  struct LeafScan {
+    Leaf leaf;
+    Conjuncts preds;
+    bool projected = false;
+  };
+  std::vector<LeafScan> leaves;
+  std::vector<TypePtr> column_types;
+  std::vector<std::vector<size_t>> column_leaves;  // indices into `leaves`
+
+  size_t Touch(const Leaf& leaf) {
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      if (leaves[i].leaf.path == leaf.path) return i;
+    }
+    leaves.push_back({leaf, {}, false});
+    return leaves.size() - 1;
+  }
+};
+
+Result<ScanPlan> ResolveScan(const Type& schema, const ScanSpec& spec,
+                             const std::vector<std::string>& required_leaves) {
+  ScanPlan plan;
+  ASSIGN_OR_RETURN(std::vector<Leaf> all, EnumerateLeaves(schema));
+  for (const LeafPredicate& pred : spec.predicates) {
+    auto leaf = std::find_if(all.begin(), all.end(), [&](const Leaf& l) {
+      return l.path == pred.column;
+    });
+    if (leaf == all.end() || leaf->max_rep != 0) {
+      return Status::InvalidArgument("predicate leaf must be non-repeated: " +
+                                     pred.column);
+    }
+    plan.leaves[plan.Touch(*leaf)].preds.push_back(&pred);
+  }
+  for (const std::string& column : spec.columns) {
+    ASSIGN_OR_RETURN(TypePtr type,
+                     ResolveColumnType(schema, column, required_leaves));
+    ASSIGN_OR_RETURN(std::vector<Leaf> leaves, EnumerateFieldLeaves(column, type));
+    std::vector<size_t> indices;
+    for (const Leaf& leaf : leaves) {
+      indices.push_back(plan.Touch(leaf));
+      plan.leaves[indices.back()].projected = true;
+    }
+    plan.column_types.push_back(std::move(type));
+    plan.column_leaves.push_back(std::move(indices));
+  }
+  return plan;
+}
+
+// The rows of a group the filter kept, and how projection materializes them.
+// Below ~7/8 selectivity it decodes only the selected rows ("lazy"); at or
+// above it, decoding densely and emitting a zero-copy selection-vector wrap
+// is cheaper than per-row gathering.
+struct Selection {
+  std::vector<int32_t> rows;
+  bool all = false;
+  bool lazy = false;
+  bool wrap = false;
+
+  Selection(const std::vector<uint8_t>& mask, bool lazy_reads) {
+    for (size_t i = 0; i < mask.size(); ++i) {
+      if (mask[i] != 0) rows.push_back(static_cast<int32_t>(i));
+    }
+    all = rows.size() == mask.size();
+    wrap = lazy_reads && !all && rows.size() * 8 >= mask.size() * 7;
+    lazy = lazy_reads && !all && !wrap;
+  }
+};
+
+// One row group under one ScanPlan: a ColumnReader per touched leaf chunk.
+class RowGroupScan {
+ public:
+  RowGroupScan(const ScanContext& ctx, const RowGroupMeta& group,
+               const ScanPlan& plan)
+      : ctx_(ctx), group_(group), plan_(plan) {}
+
+  Status Open() {
+    // Selection vectors index the group's rows as int32.
+    if (group_.num_rows > static_cast<uint64_t>(INT32_MAX)) {
+      return Status::Corruption("row group row count out of range");
+    }
+    for (const ScanPlan::LeafScan& scan : plan_.leaves) {
+      const ColumnChunkMeta* chunk = FindChunk(group_, scan.leaf.path);
+      if (chunk == nullptr) {
+        return Status::NotFound("leaf not present in file: " + scan.leaf.path);
+      }
+      ASSIGN_OR_RETURN(std::unique_ptr<ColumnReader> reader,
+                       ColumnReader::Open(ctx_, scan.leaf, *chunk,
+                                          group_.num_rows, scan.projected));
+      readers_.push_back(std::move(reader));
+    }
+    return Status::OK();
+  }
+
+  // Dictionary pushdown: false when an equality/IN conjunct matches no value
+  // of its chunk's dictionary.
+  Result<bool> DictionariesMayMatch() {
+    if (!ctx_.options.dictionary_pushdown) return true;
+    for (size_t i = 0; i < readers_.size(); ++i) {
+      const ScanPlan::LeafScan& scan = plan_.leaves[i];
+      if (scan.preds.empty()) continue;
+      ASSIGN_OR_RETURN(const Dictionary* dict, readers_[i]->dictionary());
+      if (!dict->present) continue;
+      for (const LeafPredicate* pred : scan.preds) {
+        if (!DictionaryMayMatch(*dict, scan.leaf, *pred)) return false;
+      }
+    }
+    return true;
+  }
+
+  // Filter stage, selection, projection stage and assembly. Returns nullopt
+  // when no row of the group survives the filter.
+  Result<std::optional<Page>> Read() {
+    std::vector<uint8_t> mask(group_.num_rows, 1);
+    for (size_t i = 0; i < readers_.size(); ++i) {
+      if (plan_.leaves[i].preds.empty()) continue;
+      RETURN_IF_ERROR(readers_[i]->Filter(plan_.leaves[i].preds, &mask));
+    }
+    Selection selection(mask, ctx_.options.lazy_reads);
+    if (selection.lazy) {
+      ctx_.stats->rows_pruned_late +=
+          static_cast<int64_t>(mask.size() - selection.rows.size());
+    }
+    if (selection.rows.empty()) return std::optional<Page>();
+    std::vector<DecodedLeaf> decoded(readers_.size());
+    for (size_t i = 0; i < readers_.size(); ++i) {
+      if (!plan_.leaves[i].projected) continue;
+      RETURN_IF_ERROR(readers_[i]->Project(
+          selection.lazy ? &selection.rows : nullptr, &decoded[i]));
+    }
+    ASSIGN_OR_RETURN(Page page, Assemble(decoded, selection));
+    ctx_.stats->rows_output += static_cast<int64_t>(page.num_rows());
+    return std::optional<Page>(std::move(page));
+  }
+
+  void Tally() const {
+    for (const auto& reader : readers_) reader->Tally();
+  }
+
+ private:
+  Result<Page> Assemble(const std::vector<DecodedLeaf>& decoded,
+                        const Selection& selection) const {
+    const size_t rows = selection.lazy ? selection.rows.size() : group_.num_rows;
+    std::vector<VectorPtr> columns;
+    for (size_t c = 0; c < plan_.column_types.size(); ++c) {
+      std::vector<const DecodedLeaf*> leaves;
+      for (size_t i : plan_.column_leaves[c]) leaves.push_back(&decoded[i]);
+      ASSIGN_OR_RETURN(VectorPtr column,
+                       AssembleColumn(plan_.column_types[c], leaves, rows));
+      columns.push_back(std::move(column));
+    }
+    Page page(std::move(columns), rows);
+    if (selection.lazy || selection.all) return page;
+    // High selectivity: zero-copy selection-vector wrap. With lazy reads
+    // disabled entirely, fall back to the materializing row slice.
+    return selection.wrap ? page.WrapRows(selection.rows)
+                          : page.SliceRows(selection.rows);
+  }
+
+  const ScanContext& ctx_;
+  const RowGroupMeta& group_;
+  const ScanPlan& plan_;
+  std::vector<std::unique_ptr<ColumnReader>> readers_;
+};
+
+// Row-group pushdown on footer min/max: false when a conjunct's chunk stats
+// exclude every value.
+Result<bool> ChunkStatsMayMatch(const RowGroupMeta& group, const ScanSpec& spec) {
+  for (const LeafPredicate& pred : spec.predicates) {
+    const ColumnChunkMeta* chunk = FindChunk(group, pred.column);
+    if (chunk == nullptr) {
+      return Status::InvalidArgument("predicate on unknown leaf " + pred.column);
+    }
+    if (!RangeMayMatch(chunk->has_stats, chunk->min, chunk->max, pred)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -669,372 +1095,37 @@ Result<std::unique_ptr<NativeLakeFileReader>> NativeLakeFileReader::Open(
 
 Result<TypePtr> NativeLakeFileReader::OutputColumnType(
     const ScanSpec& spec, const std::string& column) const {
-  auto field = footer_->schema->FindField(column);
-  if (!field.has_value()) {
-    return Status::NotFound("no column '" + column + "' in file schema");
-  }
-  const TypePtr& full = footer_->schema->child(*field);
-  if (!options_.nested_column_pruning || spec.required_leaves.empty()) {
-    return full;
-  }
-  std::set<std::string> required(spec.required_leaves.begin(),
-                                 spec.required_leaves.end());
-  if (!AnyLeafUnder(required, column)) return full;
-  if (full->kind() != TypeKind::kRow) return full;
-  return PruneType(column, full, required);
+  return ResolveColumnType(*footer_->schema, column,
+                           RequiredLeaves(spec, options_));
 }
 
 Result<std::optional<Page>> NativeLakeFileReader::NextBatch(const ScanSpec& spec) {
+  if (next_group_ >= footer_->row_groups.size()) return std::optional<Page>();
+  ASSIGN_OR_RETURN(ScanPlan plan, ResolveScan(*footer_->schema, spec,
+                                              RequiredLeaves(spec, options_)));
+  const ScanContext ctx{file_.get(), footer_->compression, options_, &stats_};
   while (next_group_ < footer_->row_groups.size()) {
-    const RowGroupMeta& group = footer_->row_groups[next_group_];
-    ++next_group_;
-
-    // ---- Resolve which leaves to read. -------------------------------------
-    // chunk lookup by leaf path
-    std::map<std::string, const ColumnChunkMeta*> chunk_by_path;
-    for (const ColumnChunkMeta& chunk : group.columns) {
-      chunk_by_path[chunk.leaf_path] = &chunk;
-    }
-    ASSIGN_OR_RETURN(std::vector<Leaf> all_leaves,
-                     EnumerateLeaves(*footer_->schema));
-    std::map<std::string, const Leaf*> leaf_by_path;
-    for (const Leaf& leaf : all_leaves) leaf_by_path[leaf.path] = &leaf;
-
-    // Projected leaves per output column (file order within each column).
-    std::set<std::string> required(spec.required_leaves.begin(),
-                                   spec.required_leaves.end());
-    bool prune = options_.nested_column_pruning && !required.empty();
-    std::vector<TypePtr> column_types;
-    std::vector<std::vector<std::string>> column_leaf_paths;
-    for (const std::string& column : spec.columns) {
-      auto field = footer_->schema->FindField(column);
-      if (!field.has_value()) {
-        return Status::NotFound("no column '" + column + "' in file schema");
-      }
-      TypePtr out_type = footer_->schema->child(*field);
-      if (prune && out_type->kind() == TypeKind::kRow &&
-          AnyLeafUnder(required, column)) {
-        ASSIGN_OR_RETURN(out_type, PruneType(column, out_type, required));
-      }
-      ASSIGN_OR_RETURN(std::vector<Leaf> leaves,
-                       EnumerateFieldLeaves(column, out_type));
-      std::vector<std::string> paths;
-      for (const Leaf& leaf : leaves) paths.push_back(leaf.path);
-      column_types.push_back(std::move(out_type));
-      column_leaf_paths.push_back(std::move(paths));
-    }
-
-    // ---- Predicate pushdown: min/max stats. --------------------------------
-    bool skipped = false;
+    const RowGroupMeta& group = footer_->row_groups[next_group_++];
     if (options_.predicate_pushdown) {
-      for (const LeafPredicate& pred : spec.predicates) {
-        auto chunk = chunk_by_path.find(pred.column);
-        if (chunk == chunk_by_path.end()) {
-          return Status::InvalidArgument("predicate on unknown leaf " +
-                                         pred.column);
-        }
-        if (!StatsMayMatch(*chunk->second, pred)) {
-          ++stats_.row_groups_skipped_stats;
-          skipped = true;
-          break;
-        }
+      ASSIGN_OR_RETURN(bool may_match, ChunkStatsMayMatch(group, spec));
+      if (!may_match) {
+        ++stats_.row_groups_skipped_stats;
+        continue;
       }
     }
-    if (skipped) continue;
-
-    // ---- Per-group column state: one PageReader and (optional) decoded
-    // dictionary per leaf chunk touched by the filter or projection stage. ---
-    std::map<std::string, std::unique_ptr<PageReader>> page_readers;
-    std::map<std::string, Dictionary> dictionaries;
-    auto reader_for = [&](const std::string& path) -> PageReader* {
-      auto it = page_readers.find(path);
-      if (it == page_readers.end()) {
-        it = page_readers
-                 .emplace(path, std::make_unique<PageReader>(
-                                    file_.get(), *chunk_by_path.at(path),
-                                    group.num_rows, footer_->compression,
-                                    &stats_))
-                 .first;
-        stats_.pages_total += static_cast<int64_t>(it->second->num_pages());
-      }
-      return it->second.get();
-    };
-    auto dictionary_for =
-        [&](const std::string& path) -> Result<const Dictionary*> {
-      auto it = dictionaries.find(path);
-      if (it == dictionaries.end()) {
-        ASSIGN_OR_RETURN(
-            Dictionary dict,
-            MaybeReadDictionary(file_.get(), *leaf_by_path.at(path),
-                                *chunk_by_path.at(path), footer_->compression,
-                                &stats_));
-        it = dictionaries.emplace(path, std::move(dict)).first;
-      }
-      return &it->second;
-    };
-
-    // ---- Dictionary pushdown. -----------------------------------------------
-    if (options_.dictionary_pushdown) {
-      for (const LeafPredicate& pred : spec.predicates) {
-        const ColumnChunkMeta& chunk = *chunk_by_path.at(pred.column);
-        if (chunk.encoding != PageEncoding::kDictionary) continue;
-        auto leaf_it = leaf_by_path.find(pred.column);
-        if (leaf_it == leaf_by_path.end()) {
-          return Status::InvalidArgument("predicate on unknown leaf " +
-                                         pred.column);
-        }
-        ASSIGN_OR_RETURN(const Dictionary* dict, dictionary_for(pred.column));
-        if (!DictionaryMayMatch(*dict, *leaf_it->second, pred)) {
-          ++stats_.row_groups_skipped_dictionary;
-          skipped = true;
-          break;
-        }
-      }
-    }
-    if (skipped) continue;
-
-    ++stats_.row_groups_scanned;
-
-    // ---- Stage 1: filter columns, page by page. -----------------------------
-    // Pages whose per-page stats cannot match zero their row range without
-    // being read; dictionary-coded pages are filtered on codes via a
-    // per-conjunct code bitmap (no value materialization); plain pages
-    // materialize page-locally and evaluate normally. The result is the
-    // row-group selection vector driving late materialization below.
-    std::vector<uint8_t> mask(group.num_rows, 1);
-    std::vector<std::pair<std::string, std::vector<const LeafPredicate*>>>
-        preds_by_path;
-    for (const LeafPredicate& pred : spec.predicates) {
-      auto leaf_it = leaf_by_path.find(pred.column);
-      if (leaf_it == leaf_by_path.end() || leaf_it->second->max_rep != 0) {
-        return Status::InvalidArgument("predicate leaf must be non-repeated: " +
-                                       pred.column);
-      }
-      auto it = std::find_if(
-          preds_by_path.begin(), preds_by_path.end(),
-          [&](const auto& p) { return p.first == pred.column; });
-      if (it == preds_by_path.end()) {
-        preds_by_path.push_back({pred.column, {&pred}});
-      } else {
-        it->second.push_back(&pred);
-      }
-    }
-
-    for (const auto& [path, preds] : preds_by_path) {
-      const Leaf& leaf = *leaf_by_path.at(path);
-      PageReader* pages = reader_for(path);
-      ASSIGN_OR_RETURN(const Dictionary* dict, dictionary_for(path));
-      std::vector<std::vector<uint8_t>> code_bitmaps;
-      if (dict->present) {
-        for (const LeafPredicate* pred : preds) {
-          code_bitmaps.push_back(BuildCodeBitmap(leaf, *dict, *pred));
-        }
-      }
-      for (size_t i = 0; i < pages->num_pages(); ++i) {
-        const DataPageMeta& pm = pages->page_meta(i);
-        const size_t row0 = pm.first_row;
-        const size_t nrows = pm.num_rows;
-        // An earlier filter column already killed every row in this page.
-        bool any_alive = false;
-        for (size_t r = 0; r < nrows && !any_alive; ++r) {
-          any_alive = mask[row0 + r] != 0;
-        }
-        if (!any_alive) {
-          ++stats_.pages_skipped_lazy;
-          continue;
-        }
-        if (options_.page_skipping) {
-          bool may_match = true;
-          for (const LeafPredicate* pred : preds) {
-            if (!PageMayMatch(pm, *pred)) {
-              may_match = false;
-              break;
-            }
-          }
-          if (!may_match) {
-            std::fill(mask.begin() + row0, mask.begin() + row0 + nrows, 0);
-            ++stats_.pages_skipped_stats;
-            continue;
-          }
-        }
-        ASSIGN_OR_RETURN(RawPage raw, pages->Read(i));
-        ASSIGN_OR_RETURN(PageLevels levels,
-                         DecodePageLevels(leaf, raw, options_.vectorized));
-        if (dict->present) {
-          // Evaluate on dictionary codes: no value is materialized.
-          ASSIGN_OR_RETURN(std::vector<uint32_t> codes,
-                           DecodePageCodes(raw, levels, leaf));
-          size_t value_cursor = 0;
-          for (size_t r = 0; r < nrows; ++r) {
-            bool has_value = levels.def[r] == leaf.max_def;
-            uint32_t code = 0;
-            if (has_value) {
-              if (value_cursor >= codes.size()) {
-                return Status::Corruption("dictionary code underflow in " +
-                                          path);
-              }
-              code = codes[value_cursor++];
-            }
-            uint8_t& m = mask[row0 + r];
-            if (m == 0) continue;
-            if (!has_value) {
-              m = 0;  // NULL never matches a pushed conjunct
-              continue;
-            }
-            for (const std::vector<uint8_t>& bitmap : code_bitmaps) {
-              if (code >= bitmap.size()) {
-                return Status::Corruption("dictionary code out of range in " +
-                                          path);
-              }
-              ++stats_.dict_code_filter_hits;
-              if (bitmap[code] == 0) {
-                m = 0;
-                break;
-              }
-            }
-          }
-        } else {
-          DecodedLeaf page_leaf;
-          page_leaf.leaf = leaf;
-          RETURN_IF_ERROR(DecodePageValues(leaf, *dict, raw, levels,
-                                           options_.vectorized, nullptr,
-                                           &page_leaf, &stats_));
-          std::vector<uint8_t> page_mask(mask.begin() + row0,
-                                         mask.begin() + row0 + nrows);
-          for (const LeafPredicate* pred : preds) {
-            ApplyPredicate(page_leaf, *pred, &page_mask);
-          }
-          std::copy(page_mask.begin(), page_mask.end(), mask.begin() + row0);
-        }
-      }
-    }
-
-    std::vector<int32_t> selected;
-    if (spec.predicates.empty()) {
-      selected.resize(group.num_rows);
-      for (size_t i = 0; i < group.num_rows; ++i) {
-        selected[i] = static_cast<int32_t>(i);
-      }
-    } else {
-      for (size_t i = 0; i < group.num_rows; ++i) {
-        if (mask[i] != 0) selected.push_back(static_cast<int32_t>(i));
-      }
-    }
-    if (selected.empty()) {
-      if (options_.lazy_reads) {
-        stats_.rows_pruned_late += static_cast<int64_t>(group.num_rows);
-      }
+    RowGroupScan scan(ctx, group, plan);
+    RETURN_IF_ERROR(scan.Open());
+    ASSIGN_OR_RETURN(bool may_match, scan.DictionariesMayMatch());
+    if (!may_match) {
+      ++stats_.row_groups_skipped_dictionary;
       continue;
     }
-    const bool all_selected = selected.size() == group.num_rows;
-
-    // Late-materialization strategy: below ~7/8 selectivity decode only the
-    // selected rows of projected columns ("lazy"); at or above it, decoding
-    // densely and emitting a zero-copy selection-vector wrap is cheaper than
-    // per-row gathering, so surviving rows ride a dictionary-index wrap.
-    bool lazy = options_.lazy_reads && !all_selected;
-    const bool wrap = lazy && selected.size() * 8 >= group.num_rows * 7;
-    if (wrap) lazy = false;
-    if (lazy) {
-      stats_.rows_pruned_late +=
-          static_cast<int64_t>(group.num_rows - selected.size());
-    }
-
-    // ---- Stage 2: projected leaves — only surviving pages, selected rows. ---
-    // Note: selected row indices equal entry indices only for maxrep==0
-    // leaves; repeated leaves expand to entry ranges via their rep levels.
-    std::map<std::string, DecodedLeaf> decoded;
-    auto decode_projected = [&](const std::string& path) -> Status {
-      if (decoded.count(path) > 0) return Status::OK();
-      auto leaf_it = leaf_by_path.find(path);
-      auto chunk_it = chunk_by_path.find(path);
-      if (leaf_it == leaf_by_path.end() || chunk_it == chunk_by_path.end()) {
-        return Status::NotFound("leaf not present in file: " + path);
-      }
-      const Leaf& leaf = *leaf_it->second;
-      PageReader* pages = reader_for(path);
-      ASSIGN_OR_RETURN(const Dictionary* dict, dictionary_for(path));
-      DecodedLeaf out;
-      out.leaf = leaf;
-      for (size_t i = 0; i < pages->num_pages(); ++i) {
-        const DataPageMeta& pm = pages->page_meta(i);
-        std::vector<int32_t> page_rows;  // page-relative selected rows
-        if (lazy) {
-          auto begin = std::lower_bound(selected.begin(), selected.end(),
-                                        static_cast<int32_t>(pm.first_row));
-          auto end =
-              std::lower_bound(selected.begin(), selected.end(),
-                               static_cast<int32_t>(pm.first_row + pm.num_rows));
-          if (begin == end) {
-            // No selected row falls in this page: never read it.
-            ++stats_.pages_skipped_lazy;
-            continue;
-          }
-          page_rows.reserve(static_cast<size_t>(end - begin));
-          for (auto it = begin; it != end; ++it) {
-            page_rows.push_back(*it - static_cast<int32_t>(pm.first_row));
-          }
-        }
-        ASSIGN_OR_RETURN(RawPage raw, pages->Read(i));
-        ASSIGN_OR_RETURN(PageLevels levels,
-                         DecodePageLevels(leaf, raw, options_.vectorized));
-        const std::vector<int32_t>* selection = nullptr;
-        std::vector<int32_t> entry_selection;
-        if (lazy) {
-          if (leaf.max_rep == 0) {
-            selection = &page_rows;  // entry index == page-relative row
-          } else {
-            // Expand page-relative rows to entry ranges via rep levels.
-            std::vector<int32_t> starts;
-            for (size_t e = 0; e < levels.rep.size(); ++e) {
-              if (levels.rep[e] == 0) starts.push_back(static_cast<int32_t>(e));
-            }
-            for (int32_t row : page_rows) {
-              int32_t begin_e = starts[row];
-              int32_t end_e = row + 1 < static_cast<int32_t>(starts.size())
-                                  ? starts[row + 1]
-                                  : static_cast<int32_t>(levels.rep.size());
-              for (int32_t e = begin_e; e < end_e; ++e) {
-                entry_selection.push_back(e);
-              }
-            }
-            selection = &entry_selection;
-          }
-        }
-        RETURN_IF_ERROR(DecodePageValues(leaf, *dict, raw, levels,
-                                         options_.vectorized, selection, &out,
-                                         &stats_));
-      }
-      decoded.emplace(path, std::move(out));
-      return Status::OK();
-    };
-
-    for (const auto& paths : column_leaf_paths) {
-      for (const std::string& path : paths) {
-        RETURN_IF_ERROR(decode_projected(path));
-      }
-    }
-
-    // ---- Assemble output columns. -------------------------------------------
-    size_t out_rows = lazy ? selected.size() : group.num_rows;
-    std::vector<VectorPtr> columns;
-    for (size_t c = 0; c < spec.columns.size(); ++c) {
-      std::vector<const DecodedLeaf*> leaves;
-      for (const std::string& path : column_leaf_paths[c]) {
-        leaves.push_back(&decoded.at(path));
-      }
-      ASSIGN_OR_RETURN(VectorPtr column,
-                       AssembleColumn(column_types[c], leaves, out_rows));
-      columns.push_back(std::move(column));
-    }
-    Page page(std::move(columns), out_rows);
-    if (!lazy && !all_selected) {
-      // High selectivity: zero-copy selection-vector wrap. With lazy reads
-      // disabled entirely, fall back to the materializing row slice.
-      page = wrap ? page.WrapRows(selected) : page.SliceRows(selected);
-    }
-    stats_.rows_output += static_cast<int64_t>(page.num_rows());
-    return std::optional<Page>(std::move(page));
+    ++stats_.row_groups_scanned;
+    // Every page of every touched chunk is tallied once, by its final state,
+    // also when the scan of the group fails part way.
+    Result<std::optional<Page>> page = scan.Read();
+    scan.Tally();
+    if (!page.ok() || page->has_value()) return page;
   }
   return std::optional<Page>();
 }
@@ -1102,76 +1193,71 @@ class RecordAssembler {
         if (is_null) return Value::Null();
         return Value::Row(std::move(fields));
       }
-      case TypeKind::kArray: {
-        size_t probe = *leaf_cursor;
-        uint8_t d0 = CurrentDef(probe);
-        if (d0 <= base_def) {
-          ASSIGN_OR_RETURN(Value ignored,
-                           AssembleValue(type->element(), base_def + 2,
-                                         leaf_cursor, first_entry));
-          (void)ignored;
-          return Value::Null();
-        }
-        if (d0 == base_def + 1) {
-          ASSIGN_OR_RETURN(Value ignored,
-                           AssembleValue(type->element(), base_def + 2,
-                                         leaf_cursor, first_entry));
-          (void)ignored;
-          return Value::Array({});
-        }
-        Value::RowData elements;
-        size_t saved = *leaf_cursor;
-        while (true) {
-          *leaf_cursor = saved;
-          ASSIGN_OR_RETURN(Value elem, AssembleValue(type->element(),
-                                                     base_def + 2, leaf_cursor,
-                                                     false));
-          elements.push_back(std::move(elem));
-          // Continue while the next entry of the probe leaf repeats (rep==1).
-          const DecodedLeaf& pd = decoded_[probe];
-          if (entry_cursor_[probe] >= pd.def.size() ||
-              pd.rep[entry_cursor_[probe]] == 0) {
-            break;
-          }
-        }
-        return Value::Array(std::move(elements));
-      }
-      case TypeKind::kMap: {
-        size_t probe = *leaf_cursor;
-        uint8_t d0 = CurrentDef(probe);
-        if (d0 <= base_def + 1) {
-          ASSIGN_OR_RETURN(Value k, AssembleValue(type->map_key(), base_def + 2,
-                                                  leaf_cursor, first_entry));
-          ASSIGN_OR_RETURN(Value v, AssembleValue(type->map_value(),
-                                                  base_def + 2, leaf_cursor,
-                                                  first_entry));
-          (void)k;
-          (void)v;
-          return d0 <= base_def ? Value::Null() : Value::Map({});
-        }
-        Value::MapData entries;
-        size_t saved = *leaf_cursor;
-        while (true) {
-          *leaf_cursor = saved;
-          ASSIGN_OR_RETURN(Value k, AssembleValue(type->map_key(), base_def + 2,
-                                                  leaf_cursor, false));
-          ASSIGN_OR_RETURN(Value v, AssembleValue(type->map_value(),
-                                                  base_def + 2, leaf_cursor,
-                                                  false));
-          entries.emplace_back(std::move(k), std::move(v));
-          const DecodedLeaf& pd = decoded_[probe];
-          if (entry_cursor_[probe] >= pd.def.size() ||
-              pd.rep[entry_cursor_[probe]] == 0) {
-            break;
-          }
-        }
-        return Value::Map(std::move(entries));
-      }
+      case TypeKind::kArray:
+        return AssembleArray(type, base_def, leaf_cursor, first_entry);
+      case TypeKind::kMap:
+        return AssembleMap(type, base_def, leaf_cursor, first_entry);
       default: {
         size_t leaf = (*leaf_cursor)++;
         return TakeScalar(leaf, base_def);
       }
     }
+  }
+
+  Result<Value> AssembleArray(const TypePtr& type, int base_def,
+                              size_t* leaf_cursor, bool first_entry) {
+    size_t probe = *leaf_cursor;
+    uint8_t d0 = CurrentDef(probe);
+    if (d0 <= base_def + 1) {
+      ASSIGN_OR_RETURN(Value ignored,
+                       AssembleValue(type->element(), base_def + 2,
+                                     leaf_cursor, first_entry));
+      (void)ignored;
+      return d0 <= base_def ? Value::Null() : Value::Array({});
+    }
+    Value::RowData elements;
+    size_t saved = *leaf_cursor;
+    do {
+      *leaf_cursor = saved;
+      ASSIGN_OR_RETURN(Value elem, AssembleValue(type->element(), base_def + 2,
+                                                 leaf_cursor, false));
+      elements.push_back(std::move(elem));
+    } while (Repeats(probe));
+    return Value::Array(std::move(elements));
+  }
+
+  Result<Value> AssembleMap(const TypePtr& type, int base_def,
+                            size_t* leaf_cursor, bool first_entry) {
+    size_t probe = *leaf_cursor;
+    uint8_t d0 = CurrentDef(probe);
+    if (d0 <= base_def + 1) {
+      ASSIGN_OR_RETURN(Value k, AssembleValue(type->map_key(), base_def + 2,
+                                              leaf_cursor, first_entry));
+      ASSIGN_OR_RETURN(Value v, AssembleValue(type->map_value(), base_def + 2,
+                                              leaf_cursor, first_entry));
+      (void)k;
+      (void)v;
+      return d0 <= base_def ? Value::Null() : Value::Map({});
+    }
+    Value::MapData entries;
+    size_t saved = *leaf_cursor;
+    do {
+      *leaf_cursor = saved;
+      ASSIGN_OR_RETURN(Value k, AssembleValue(type->map_key(), base_def + 2,
+                                              leaf_cursor, false));
+      ASSIGN_OR_RETURN(Value v, AssembleValue(type->map_value(), base_def + 2,
+                                              leaf_cursor, false));
+      entries.emplace_back(std::move(k), std::move(v));
+    } while (Repeats(probe));
+    return Value::Map(std::move(entries));
+  }
+
+  // Whether the next entry of the probe leaf repeats the current container
+  // (rep==1) rather than starting a new record.
+  bool Repeats(size_t probe) const {
+    const DecodedLeaf& pd = decoded_[probe];
+    return entry_cursor_[probe] < pd.def.size() &&
+           pd.rep[entry_cursor_[probe]] != 0;
   }
 
   std::vector<DecodedLeaf> decoded_;
@@ -1198,42 +1284,33 @@ Result<std::unique_ptr<LegacyLakeFileReader>> LegacyLakeFileReader::Open(
 Result<std::optional<Page>> LegacyLakeFileReader::NextBatch(
     const std::vector<std::string>& columns) {
   if (next_group_ >= footer_->row_groups.size()) return std::optional<Page>();
-  const RowGroupMeta& group = footer_->row_groups[next_group_];
-  ++next_group_;
+  const RowGroupMeta& group = footer_->row_groups[next_group_++];
   ++stats_.row_groups_scanned;
-
-  std::map<std::string, const ColumnChunkMeta*> chunk_by_path;
-  for (const ColumnChunkMeta& chunk : group.columns) {
-    chunk_by_path[chunk.leaf_path] = &chunk;
-  }
 
   // Step 1: read ALL leaves of every requested column from disk (no nested
   // pruning, no skipping), decoding value-at-a-time (non-vectorized).
   std::vector<TypePtr> column_types;
   std::vector<DecodedLeaf> flat_decoded;
   for (const std::string& column : columns) {
-    auto field = footer_->schema->FindField(column);
-    if (!field.has_value()) {
-      return Status::NotFound("no column '" + column + "' in file schema");
-    }
-    TypePtr type = footer_->schema->child(*field);
+    ASSIGN_OR_RETURN(TypePtr type,
+                     ResolveColumnType(*footer_->schema, column, {}));
     ASSIGN_OR_RETURN(std::vector<Leaf> leaves, EnumerateFieldLeaves(column, type));
     for (const Leaf& leaf : leaves) {
-      auto chunk_it = chunk_by_path.find(leaf.path);
-      if (chunk_it == chunk_by_path.end()) {
+      const ColumnChunkMeta* chunk = FindChunk(group, leaf.path);
+      if (chunk == nullptr) {
         return Status::Corruption("missing chunk for leaf " + leaf.path);
       }
-      const ColumnChunkMeta& chunk = *chunk_it->second;
       ASSIGN_OR_RETURN(Dictionary dict,
-                       MaybeReadDictionary(file_.get(), leaf, chunk,
+                       MaybeReadDictionary(file_.get(), leaf, *chunk,
                                            footer_->compression, &stats_));
-      PageReader pages(file_.get(), chunk, group.num_rows, footer_->compression,
+      PageReader pages(file_.get(), *chunk, group.num_rows, footer_->compression,
                        &stats_);
       stats_.pages_total += static_cast<int64_t>(pages.num_pages());
       DecodedLeaf decoded;
       decoded.leaf = leaf;
       for (size_t i = 0; i < pages.num_pages(); ++i) {
         ASSIGN_OR_RETURN(RawPage raw, pages.Read(i));
+        ++stats_.pages_read;
         ASSIGN_OR_RETURN(PageLevels levels,
                          DecodePageLevels(leaf, raw, /*vectorized=*/false));
         RETURN_IF_ERROR(DecodePageValues(leaf, dict, raw, levels,

@@ -51,7 +51,9 @@ struct ReaderStats {
   int64_t row_groups_scanned = 0;
   int64_t row_groups_skipped_stats = 0;
   int64_t row_groups_skipped_dictionary = 0;
-  /// Page-granular pruning (format v2 multi-page chunks).
+  /// Page-granular pruning (format v2 multi-page chunks). Every data page of
+  /// a chunk a scanned row group touches is counted once, by its final
+  /// state: read + skipped_stats + skipped_lazy == total.
   int64_t pages_total = 0;          // data pages of all chunks examined
   int64_t pages_read = 0;           // pages actually read and decompressed
   int64_t pages_skipped_stats = 0;  // skipped via per-page min/max / null count

@@ -130,6 +130,37 @@ void AppendScalarEntry(const Leaf& leaf, const Vector& flat, int32_t row,
   }
 }
 
+// Expands the entries at an ARRAY or MAP node into the entries its children
+// see: one per element, or a single placeholder for an absent (ancestor
+// null), null or empty container carrying the def that says which.
+template <typename ContainerVector>
+Entries ExpandContainer(const ContainerVector& container, const Entries& entries,
+                        int base_def) {
+  Entries expanded;
+  auto placeholder = [&](size_t i, uint8_t def) {
+    expanded.rows.push_back(0);
+    expanded.defs.push_back(def);
+    expanded.reps.push_back(entries.reps[i]);
+  };
+  for (size_t i = 0; i < entries.rows.size(); ++i) {
+    int32_t row = entries.rows[i];
+    if (entries.defs[i] < base_def) {  // ancestor null
+      placeholder(i, entries.defs[i]);
+    } else if (container.IsNull(row)) {
+      placeholder(i, static_cast<uint8_t>(base_def));
+    } else if (container.LengthAt(row) == 0) {
+      placeholder(i, static_cast<uint8_t>(base_def + 1));
+    } else {
+      for (int32_t j = 0; j < container.LengthAt(row); ++j) {
+        expanded.rows.push_back(container.OffsetAt(row) + j);
+        expanded.defs.push_back(static_cast<uint8_t>(base_def + 2));
+        expanded.reps.push_back(j == 0 ? entries.reps[i] : 1);
+      }
+    }
+  }
+  return expanded;
+}
+
 // Recursive columnar shredder. `cursor` advances through the leaf/buffer
 // arrays in EnumerateLeaves order.
 Status ShredNode(const TypePtr& type, const VectorPtr& vector,
@@ -155,61 +186,17 @@ Status ShredNode(const TypePtr& type, const VectorPtr& vector,
       return Status::OK();
     }
     case TypeKind::kArray: {
-      const auto* array = static_cast<const ArrayVector*>(flat.get());
-      Entries expanded;
-      for (size_t i = 0; i < entries.rows.size(); ++i) {
-        int32_t row = entries.rows[i];
-        if (entries.defs[i] < base_def) {  // ancestor null
-          expanded.rows.push_back(0);
-          expanded.defs.push_back(entries.defs[i]);
-          expanded.reps.push_back(entries.reps[i]);
-        } else if (flat->IsNull(row)) {
-          expanded.rows.push_back(0);
-          expanded.defs.push_back(static_cast<uint8_t>(base_def));
-          expanded.reps.push_back(entries.reps[i]);
-        } else if (array->LengthAt(row) == 0) {
-          expanded.rows.push_back(0);
-          expanded.defs.push_back(static_cast<uint8_t>(base_def + 1));
-          expanded.reps.push_back(entries.reps[i]);
-        } else {
-          for (int32_t j = 0; j < array->LengthAt(row); ++j) {
-            expanded.rows.push_back(array->OffsetAt(row) + j);
-            expanded.defs.push_back(static_cast<uint8_t>(base_def + 2));
-            expanded.reps.push_back(j == 0 ? entries.reps[i] : 1);
-          }
-        }
-      }
-      return ShredNode(type->element(), array->elements(), expanded,
-                       base_def + 2, leaves, buffers, cursor);
+      const auto& array = static_cast<const ArrayVector&>(*flat);
+      return ShredNode(type->element(), array.elements(),
+                       ExpandContainer(array, entries, base_def), base_def + 2,
+                       leaves, buffers, cursor);
     }
     case TypeKind::kMap: {
-      const auto* map = static_cast<const MapVector*>(flat.get());
-      Entries expanded;
-      for (size_t i = 0; i < entries.rows.size(); ++i) {
-        int32_t row = entries.rows[i];
-        if (entries.defs[i] < base_def) {
-          expanded.rows.push_back(0);
-          expanded.defs.push_back(entries.defs[i]);
-          expanded.reps.push_back(entries.reps[i]);
-        } else if (flat->IsNull(row)) {
-          expanded.rows.push_back(0);
-          expanded.defs.push_back(static_cast<uint8_t>(base_def));
-          expanded.reps.push_back(entries.reps[i]);
-        } else if (map->LengthAt(row) == 0) {
-          expanded.rows.push_back(0);
-          expanded.defs.push_back(static_cast<uint8_t>(base_def + 1));
-          expanded.reps.push_back(entries.reps[i]);
-        } else {
-          for (int32_t j = 0; j < map->LengthAt(row); ++j) {
-            expanded.rows.push_back(map->OffsetAt(row) + j);
-            expanded.defs.push_back(static_cast<uint8_t>(base_def + 2));
-            expanded.reps.push_back(j == 0 ? entries.reps[i] : 1);
-          }
-        }
-      }
-      RETURN_IF_ERROR(ShredNode(type->map_key(), map->keys(), expanded,
+      const auto& map = static_cast<const MapVector&>(*flat);
+      Entries expanded = ExpandContainer(map, entries, base_def);
+      RETURN_IF_ERROR(ShredNode(type->map_key(), map.keys(), expanded,
                                 base_def + 2, leaves, buffers, cursor));
-      return ShredNode(type->map_value(), map->values(), expanded, base_def + 2,
+      return ShredNode(type->map_value(), map.values(), expanded, base_def + 2,
                        leaves, buffers, cursor);
     }
     default: {
@@ -224,6 +211,45 @@ Status ShredNode(const TypePtr& type, const VectorPtr& vector,
       return Status::OK();
     }
   }
+}
+
+// Appends one boxed scalar to its leaf buffer; value == nullptr means
+// "absent", with `absent_def` the def to emit.
+Status ShredScalarValue(const Leaf& leaf, const Value* value, uint8_t absent_def,
+                        uint8_t rep, int base_def, LeafBuffer* buf) {
+  bool absent = value == nullptr;
+  bool is_null = !absent && value->is_null();
+  buf->rep.push_back(rep);
+  if (absent) {
+    buf->def.push_back(absent_def);
+    return Status::OK();
+  }
+  if (is_null) {
+    buf->def.push_back(static_cast<uint8_t>(base_def));
+    return Status::OK();
+  }
+  buf->def.push_back(static_cast<uint8_t>(base_def + 1));
+  switch (leaf.type->kind()) {
+    case TypeKind::kBoolean:
+      if (!value->is_bool()) return Status::InvalidArgument("expected BOOLEAN");
+      buf->bools.push_back(value->bool_value() ? 1 : 0);
+      break;
+    case TypeKind::kDouble:
+      if (!value->is_int() && !value->is_double()) {
+        return Status::InvalidArgument("expected numeric");
+      }
+      buf->doubles.push_back(value->AsDouble());
+      break;
+    case TypeKind::kVarchar:
+      if (!value->is_string()) return Status::InvalidArgument("expected VARCHAR");
+      buf->strings.push_back(value->string_value());
+      break;
+    default:
+      if (!value->is_int()) return Status::InvalidArgument("expected integer");
+      buf->ints.push_back(value->int_value());
+      break;
+  }
+  return Status::OK();
 }
 
 // Row-at-a-time shredder (legacy writer). value == nullptr means "absent":
@@ -301,37 +327,7 @@ Status ShredValueNode(const TypePtr& type, const Value* value,
       const Leaf& leaf = leaves[*cursor];
       LeafBuffer* buf = &buffers[*cursor];
       ++*cursor;
-      buf->rep.push_back(rep);
-      if (absent) {
-        buf->def.push_back(absent_def);
-        return Status::OK();
-      }
-      if (is_null) {
-        buf->def.push_back(static_cast<uint8_t>(base_def));
-        return Status::OK();
-      }
-      buf->def.push_back(static_cast<uint8_t>(base_def + 1));
-      switch (leaf.type->kind()) {
-        case TypeKind::kBoolean:
-          if (!value->is_bool()) return Status::InvalidArgument("expected BOOLEAN");
-          buf->bools.push_back(value->bool_value() ? 1 : 0);
-          break;
-        case TypeKind::kDouble:
-          if (!value->is_int() && !value->is_double()) {
-            return Status::InvalidArgument("expected numeric");
-          }
-          buf->doubles.push_back(value->AsDouble());
-          break;
-        case TypeKind::kVarchar:
-          if (!value->is_string()) return Status::InvalidArgument("expected VARCHAR");
-          buf->strings.push_back(value->string_value());
-          break;
-        default:
-          if (!value->is_int()) return Status::InvalidArgument("expected integer");
-          buf->ints.push_back(value->int_value());
-          break;
-      }
-      return Status::OK();
+      return ShredScalarValue(leaf, value, absent_def, rep, base_def, buf);
     }
   }
 }
@@ -524,6 +520,61 @@ size_t LeafCount(const TypePtr& type) {
   }
 }
 
+// An ARRAY or MAP node: each row's container spans the entries from its
+// rep-level start to the next row's, and its elements assemble flat.
+Result<VectorPtr> AssembleRepeated(const TypePtr& type, int base_def,
+                                   const std::vector<const DecodedLeaf*>& leaves,
+                                   size_t* cursor, size_t num_rows) {
+  if (*cursor >= leaves.size()) return Status::Corruption("missing leaves");
+  const DecodedLeaf& probe = *leaves[*cursor];
+  std::vector<int32_t> starts = RowStarts(probe);
+  if (starts.size() != num_rows) {
+    return Status::Corruption("row count mismatch in repeated leaf " +
+                              probe.leaf.path);
+  }
+  std::vector<int32_t> offsets(num_rows), lengths(num_rows);
+  std::vector<uint8_t> nulls(num_rows, 0);
+  std::vector<int32_t> element_slots;
+  bool any_null = false;
+  size_t total_entries = probe.def.size();
+  for (size_t r = 0; r < num_rows; ++r) {
+    size_t begin = starts[r];
+    size_t end = r + 1 < num_rows ? starts[r + 1] : total_entries;
+    offsets[r] = static_cast<int32_t>(element_slots.size());
+    uint8_t d0 = probe.def[begin];
+    if (d0 <= base_def) {
+      nulls[r] = 1;
+      any_null = true;
+      lengths[r] = 0;
+    } else if (d0 == base_def + 1) {
+      lengths[r] = 0;  // empty container
+    } else {
+      lengths[r] = static_cast<int32_t>(end - begin);
+      for (size_t e = begin; e < end; ++e) {
+        element_slots.push_back(static_cast<int32_t>(e));
+      }
+    }
+  }
+  if (!any_null) nulls.clear();
+  if (type->kind() == TypeKind::kArray) {
+    ASSIGN_OR_RETURN(VectorPtr elements,
+                     AssembleFlat(type->element(), base_def + 2, leaves,
+                                  cursor, element_slots));
+    return VectorPtr(std::make_shared<ArrayVector>(
+        type, std::move(offsets), std::move(lengths), std::move(elements),
+        std::move(nulls)));
+  }
+  ASSIGN_OR_RETURN(VectorPtr keys,
+                   AssembleFlat(type->map_key(), base_def + 2, leaves,
+                                cursor, element_slots));
+  ASSIGN_OR_RETURN(VectorPtr values,
+                   AssembleFlat(type->map_value(), base_def + 2, leaves,
+                                cursor, element_slots));
+  return VectorPtr(std::make_shared<MapVector>(
+      type, std::move(offsets), std::move(lengths), std::move(keys),
+      std::move(values), std::move(nulls)));
+}
+
 // Full assembly: handles subtrees that may contain (at most) one repeated
 // node on each root-to-leaf path. `row_slots` index top-level rows.
 Result<VectorPtr> AssembleNode(const TypePtr& type, int base_def,
@@ -559,56 +610,8 @@ Result<VectorPtr> AssembleNode(const TypePtr& type, int base_def,
                                                    std::move(nulls)));
     }
     case TypeKind::kArray:
-    case TypeKind::kMap: {
-      if (*cursor >= leaves.size()) return Status::Corruption("missing leaves");
-      const DecodedLeaf& probe = *leaves[*cursor];
-      std::vector<int32_t> starts = RowStarts(probe);
-      if (starts.size() != num_rows) {
-        return Status::Corruption("row count mismatch in repeated leaf " +
-                                  probe.leaf.path);
-      }
-      std::vector<int32_t> offsets(num_rows), lengths(num_rows);
-      std::vector<uint8_t> nulls(num_rows, 0);
-      std::vector<int32_t> element_slots;
-      bool any_null = false;
-      size_t total_entries = probe.def.size();
-      for (size_t r = 0; r < num_rows; ++r) {
-        size_t begin = starts[r];
-        size_t end = r + 1 < num_rows ? starts[r + 1] : total_entries;
-        offsets[r] = static_cast<int32_t>(element_slots.size());
-        uint8_t d0 = probe.def[begin];
-        if (d0 <= base_def) {
-          nulls[r] = 1;
-          any_null = true;
-          lengths[r] = 0;
-        } else if (d0 == base_def + 1) {
-          lengths[r] = 0;  // empty container
-        } else {
-          lengths[r] = static_cast<int32_t>(end - begin);
-          for (size_t e = begin; e < end; ++e) {
-            element_slots.push_back(static_cast<int32_t>(e));
-          }
-        }
-      }
-      if (!any_null) nulls.clear();
-      if (type->kind() == TypeKind::kArray) {
-        ASSIGN_OR_RETURN(VectorPtr elements,
-                         AssembleFlat(type->element(), base_def + 2, leaves,
-                                      cursor, element_slots));
-        return VectorPtr(std::make_shared<ArrayVector>(
-            type, std::move(offsets), std::move(lengths), std::move(elements),
-            std::move(nulls)));
-      }
-      ASSIGN_OR_RETURN(VectorPtr keys,
-                       AssembleFlat(type->map_key(), base_def + 2, leaves,
-                                    cursor, element_slots));
-      ASSIGN_OR_RETURN(VectorPtr values,
-                       AssembleFlat(type->map_value(), base_def + 2, leaves,
-                                    cursor, element_slots));
-      return VectorPtr(std::make_shared<MapVector>(
-          type, std::move(offsets), std::move(lengths), std::move(keys),
-          std::move(values), std::move(nulls)));
-    }
+    case TypeKind::kMap:
+      return AssembleRepeated(type, base_def, leaves, cursor, num_rows);
     default: {
       if (*cursor >= leaves.size()) return Status::Corruption("missing leaves");
       const DecodedLeaf& leaf = *leaves[*cursor];

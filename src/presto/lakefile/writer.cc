@@ -145,6 +145,70 @@ void FillMinMax(const Leaf& leaf, const LeafBuffer& buffer, size_t first,
   }
 }
 
+// Dictionary encoding is tried for integer and string leaves.
+DictionaryPlan PlanDictionary(const Leaf& leaf, const LeafBuffer& buffer,
+                              const WriterOptions& options) {
+  if (!options.enable_dictionary) return DictionaryPlan();
+  switch (leaf.type->kind()) {
+    case TypeKind::kVarchar:
+      return PlanStringDictionary(buffer.strings,
+                                  options.dictionary_max_cardinality);
+    case TypeKind::kDouble:
+    case TypeKind::kBoolean:
+      return DictionaryPlan();
+    default:
+      return PlanIntDictionary(buffer.ints, options.dictionary_max_cardinality);
+  }
+}
+
+// Dictionary page: PLAIN-encoded distinct values, shared by the chunk's
+// data pages.
+void EmitDictionaryPage(const Leaf& leaf, const DictionaryPlan& plan,
+                        const WriterOptions& options, ByteBuffer* file,
+                        ColumnChunkMeta* meta) {
+  meta->encoding = PageEncoding::kDictionary;
+  meta->dictionary_offset = file->size();
+  ByteBuffer dict_values;
+  uint32_t cardinality;
+  if (leaf.type->kind() == TypeKind::kVarchar) {
+    EncodePlainStrings(plan.string_dict.data(), plan.string_dict.size(),
+                       &dict_values);
+    cardinality = static_cast<uint32_t>(plan.string_dict.size());
+  } else {
+    EncodePlainInts(plan.int_dict.data(), plan.int_dict.size(), &dict_values);
+    cardinality = static_cast<uint32_t>(plan.int_dict.size());
+  }
+  meta->dictionary_cardinality = cardinality;
+  ByteBuffer empty;
+  EmitPage(cardinality, empty, empty, dict_values, options.compression, file);
+  meta->dictionary_bytes = file->size() - meta->dictionary_offset;
+}
+
+// Encodes `count` values starting at `first_value`: dictionary indices, or
+// PLAIN values of the leaf's kind.
+void EncodePageValues(const Leaf& leaf, const LeafBuffer& buffer,
+                      const DictionaryPlan& plan, size_t first_value,
+                      size_t count, ByteBuffer* values) {
+  if (plan.use_dictionary) {
+    EncodeIndices(plan.indices.data() + first_value, count, values);
+    return;
+  }
+  switch (leaf.type->kind()) {
+    case TypeKind::kBoolean:
+      EncodePlainBools(buffer.bools.data() + first_value, count, values);
+      break;
+    case TypeKind::kDouble:
+      EncodePlainDoubles(buffer.doubles.data() + first_value, count, values);
+      break;
+    case TypeKind::kVarchar:
+      EncodePlainStrings(buffer.strings.data() + first_value, count, values);
+      break;
+    default:
+      EncodePlainInts(buffer.ints.data() + first_value, count, values);
+      break;
+  }
+}
+
 // Encodes one column chunk (optional dictionary page + data pages) into
 // `file`, returning its metadata. At format v2 the chunk is split into
 // ~page_rows-row pages at row boundaries, each with its own footer stats so
@@ -161,41 +225,9 @@ ColumnChunkMeta EncodeChunk(const Leaf& leaf, const LeafBuffer& buffer,
       static_cast<int64_t>(buffer.num_entries() - buffer.num_values(leaf));
   FillMinMax(leaf, buffer, 0, buffer.num_values(leaf), &meta);
 
-  // Try dictionary encoding for integer and string leaves.
-  DictionaryPlan plan;
-  if (options.enable_dictionary) {
-    switch (leaf.type->kind()) {
-      case TypeKind::kVarchar:
-        plan = PlanStringDictionary(buffer.strings,
-                                    options.dictionary_max_cardinality);
-        break;
-      case TypeKind::kDouble:
-      case TypeKind::kBoolean:
-        break;
-      default:
-        plan = PlanIntDictionary(buffer.ints, options.dictionary_max_cardinality);
-        break;
-    }
-  }
-
+  const DictionaryPlan plan = PlanDictionary(leaf, buffer, options);
   if (plan.use_dictionary) {
-    meta.encoding = PageEncoding::kDictionary;
-    meta.dictionary_offset = file->size();
-    // Dictionary page: PLAIN-encoded distinct values.
-    ByteBuffer dict_values;
-    uint32_t cardinality;
-    if (leaf.type->kind() == TypeKind::kVarchar) {
-      EncodePlainStrings(plan.string_dict.data(), plan.string_dict.size(),
-                         &dict_values);
-      cardinality = static_cast<uint32_t>(plan.string_dict.size());
-    } else {
-      EncodePlainInts(plan.int_dict.data(), plan.int_dict.size(), &dict_values);
-      cardinality = static_cast<uint32_t>(plan.int_dict.size());
-    }
-    meta.dictionary_cardinality = cardinality;
-    ByteBuffer empty;
-    EmitPage(cardinality, empty, empty, dict_values, options.compression, file);
-    meta.dictionary_bytes = file->size() - meta.dictionary_offset;
+    EmitDictionaryPage(leaf, plan, options, file, &meta);
   } else {
     meta.encoding = PageEncoding::kPlain;
   }
@@ -239,28 +271,7 @@ ColumnChunkMeta EncodeChunk(const Leaf& leaf, const LeafBuffer& buffer,
     EncodeLevels(buffer.def.data() + first_entry, page_entries, &def);
 
     ByteBuffer values;
-    if (plan.use_dictionary) {
-      EncodeIndices(plan.indices.data() + first_value, page_values, &values);
-    } else {
-      switch (leaf.type->kind()) {
-        case TypeKind::kBoolean:
-          EncodePlainBools(buffer.bools.data() + first_value, page_values,
-                           &values);
-          break;
-        case TypeKind::kDouble:
-          EncodePlainDoubles(buffer.doubles.data() + first_value, page_values,
-                             &values);
-          break;
-        case TypeKind::kVarchar:
-          EncodePlainStrings(buffer.strings.data() + first_value, page_values,
-                             &values);
-          break;
-        default:
-          EncodePlainInts(buffer.ints.data() + first_value, page_values,
-                          &values);
-          break;
-      }
-    }
+    EncodePageValues(leaf, buffer, plan, first_value, page_values, &values);
 
     DataPageMeta page_meta;
     page_meta.offset = file->size() - meta.offset;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "presto/sql/parser.h"
@@ -302,12 +303,200 @@ void CollectAggregates(const AstExpr& ast, FunctionRegistry* functions,
   }
 }
 
-}  // namespace
+// One query's analysis: the relation built so far, its scopes and the SELECT
+// outputs, advanced one clause at a time in SQL's logical order.
+class QueryAnalysis {
+ public:
+  QueryAnalysis(const Query& query, const CatalogRegistry* catalogs,
+                const Session* session, FunctionRegistry* functions,
+                PlanIdAllocator* ids)
+      : query_(query),
+        catalogs_(catalogs),
+        session_(session),
+        functions_(functions),
+        ids_(*ids) {}
 
-Result<PlanNodePtr> Analyzer::Analyze(const Query& query) {
   // ---- FROM / JOIN: build the base relation and scope. ----------------------
-  Scope scope;
-  auto make_scan = [&](const TableRef& ref) -> Result<PlanNodePtr> {
+  Status From() {
+    ASSIGN_OR_RETURN(plan_, Scan(query_.from));
+    std::set<std::string> aliases = {query_.from.alias};
+    for (const JoinClause& join : query_.joins) {
+      if (!aliases.insert(join.table.alias).second) {
+        return Status::UserError("duplicate table alias: " + join.table.alias);
+      }
+      RETURN_IF_ERROR(Join(join));
+    }
+    return Status::OK();
+  }
+
+  // ---- WHERE -----------------------------------------------------------------
+  Status Where() {
+    if (query_.where == nullptr) return Status::OK();
+    ExprAnalyzer expr_analyzer(&scope_, functions_, nullptr);
+    ASSIGN_OR_RETURN(ExprPtr predicate, expr_analyzer.Analyze(*query_.where));
+    if (predicate->type()->kind() != TypeKind::kBoolean) {
+      return Status::UserError("WHERE clause must be BOOLEAN");
+    }
+    plan_ = std::make_shared<FilterNode>(ids_.NextId(), plan_, std::move(predicate));
+    return Status::OK();
+  }
+
+  // ---- Aggregation -------------------------------------------------------------
+  Status Aggregation() {
+    std::vector<const AstExpr*> aggregates;
+    std::set<std::string> seen_aggs;
+    for (const SelectItem& item : query_.items) {
+      if (item.expr != nullptr) {
+        CollectAggregates(*item.expr, functions_, &aggregates, &seen_aggs);
+      }
+    }
+    if (query_.having != nullptr) {
+      CollectAggregates(*query_.having, functions_, &aggregates, &seen_aggs);
+    }
+    for (const OrderItem& item : query_.order_by) {
+      CollectAggregates(*item.expr, functions_, &aggregates, &seen_aggs);
+    }
+    has_aggregation_ = !aggregates.empty() || !query_.group_by.empty();
+    if (!has_aggregation_) return Status::OK();
+
+    // Pre-projection: group keys and aggregate arguments become columns.
+    ASSIGN_OR_RETURN(std::vector<const AstExpr*> group_asts, GroupKeys());
+    ExprAnalyzer pre_analyzer(&scope_, functions_, nullptr);
+    std::vector<ProjectNode::Assignment> pre_assignments;
+    std::vector<VariablePtr> group_vars;
+    for (const AstExpr* ast : group_asts) {
+      ASSIGN_OR_RETURN(ExprPtr expr, pre_analyzer.Analyze(*ast));
+      VariablePtr var = VariableReferenceExpression::Make(
+          ids_.NextVariable("groupkey"), expr->type());
+      pre_assignments.push_back({var, std::move(expr)});
+      group_vars.push_back(var);
+      substitutions_[ast->ToString()] = var;
+      // Plain column group keys stay resolvable by name post-aggregation.
+      if (ast->kind == AstExpr::Kind::kIdentifier) {
+        post_scope_.Add(ast->parts.size() >= 2 ? ast->parts[0] : "",
+                        ast->parts.back(), var);
+      }
+    }
+    std::vector<AggregateNode::Aggregation> agg_specs;
+    for (const AstExpr* ast : aggregates) {
+      ASSIGN_OR_RETURN(AggregateNode::Aggregation spec,
+                       Aggregate(*ast, &pre_analyzer, &pre_assignments));
+      agg_specs.push_back(std::move(spec));
+    }
+    plan_ = std::make_shared<ProjectNode>(ids_.NextId(), plan_,
+                                          std::move(pre_assignments));
+    plan_ = std::make_shared<AggregateNode>(ids_.NextId(), plan_,
+                                            std::move(group_vars),
+                                            std::move(agg_specs),
+                                            AggregationStep::kSingle);
+    return Status::OK();
+  }
+
+  // ---- HAVING ------------------------------------------------------------------
+  Status Having() {
+    if (query_.having == nullptr) return Status::OK();
+    if (!has_aggregation_) {
+      return Status::UserError("HAVING requires GROUP BY or aggregates");
+    }
+    ExprAnalyzer having_analyzer(&select_scope(), functions_, &substitutions_);
+    ASSIGN_OR_RETURN(ExprPtr predicate, having_analyzer.Analyze(*query_.having));
+    if (predicate->type()->kind() != TypeKind::kBoolean) {
+      return Status::UserError("HAVING clause must be BOOLEAN");
+    }
+    plan_ = std::make_shared<FilterNode>(ids_.NextId(), plan_, std::move(predicate));
+    return Status::OK();
+  }
+
+  // ---- SELECT list -------------------------------------------------------------
+  Status Select() {
+    ExprAnalyzer select_analyzer(&select_scope(), functions_, &substitutions_);
+    for (const SelectItem& item : query_.items) {
+      if (item.star) {
+        RETURN_IF_ERROR(SelectStar(item));
+        continue;
+      }
+      ASSIGN_OR_RETURN(ExprPtr expr, select_analyzer.Analyze(*item.expr));
+      std::string name = item.alias;
+      if (name.empty()) {
+        name = item.expr->kind == AstExpr::Kind::kIdentifier
+                   ? item.expr->parts.back()
+                   : "_col" + std::to_string(output_names_.size());
+      }
+      VariablePtr out = VariableReferenceExpression::Make(ids_.NextVariable(name),
+                                                          expr->type());
+      select_assignments_.push_back({out, std::move(expr)});
+      output_names_.push_back(name);
+      if (!item.alias.empty()) select_aliases_[item.alias] = out;
+      select_aliases_[item.expr->ToString()] = out;
+    }
+    plan_ = std::make_shared<ProjectNode>(ids_.NextId(), plan_,
+                                          select_assignments_);
+    return Status::OK();
+  }
+
+  // ---- DISTINCT: grouping on every select output -------------------------------
+  void Distinct() {
+    if (!query_.distinct) return;
+    std::vector<VariablePtr> distinct_keys;
+    for (const ProjectNode::Assignment& a : select_assignments_) {
+      distinct_keys.push_back(a.output);
+    }
+    plan_ = std::make_shared<AggregateNode>(
+        ids_.NextId(), plan_, std::move(distinct_keys),
+        std::vector<AggregateNode::Aggregation>{}, AggregationStep::kSingle);
+  }
+
+  // ---- ORDER BY ----------------------------------------------------------------
+  Status OrderBy() {
+    if (query_.order_by.empty()) return Status::OK();
+    std::vector<OrderingTerm> ordering;
+    for (const OrderItem& item : query_.order_by) {
+      VariablePtr var;
+      // Ordinal?
+      if (item.expr->kind == AstExpr::Kind::kLiteral && item.expr->literal.is_int()) {
+        int64_t ordinal = item.expr->literal.int_value();
+        if (ordinal < 1 ||
+            ordinal > static_cast<int64_t>(select_assignments_.size())) {
+          return Status::UserError("ORDER BY ordinal out of range");
+        }
+        var = select_assignments_[ordinal - 1].output;
+      } else {
+        auto alias_it = select_aliases_.find(item.expr->ToString());
+        if (alias_it == select_aliases_.end()) {
+          return Status::UserError(
+              "ORDER BY expression must appear in the SELECT list: " +
+              item.expr->ToString());
+        }
+        var = alias_it->second;
+      }
+      ordering.push_back(OrderingTerm{std::move(var), item.ascending});
+    }
+    plan_ = std::make_shared<SortNode>(ids_.NextId(), plan_, std::move(ordering));
+    return Status::OK();
+  }
+
+  // ---- LIMIT and output -----------------------------------------------------------
+  PlanNodePtr Output() {
+    if (query_.limit >= 0) {
+      plan_ = std::make_shared<LimitNode>(ids_.NextId(), plan_, query_.limit,
+                                          /*partial=*/false);
+    }
+    std::vector<VariablePtr> outputs;
+    for (const ProjectNode::Assignment& a : select_assignments_) {
+      outputs.push_back(a.output);
+    }
+    return std::make_shared<OutputNode>(ids_.NextId(), plan_,
+                                        std::move(output_names_),
+                                        std::move(outputs));
+  }
+
+ private:
+  // Scope after aggregation resolves group keys by name only.
+  const Scope& select_scope() const {
+    return has_aggregation_ ? post_scope_ : scope_;
+  }
+
+  Result<PlanNodePtr> Scan(const TableRef& ref) {
     std::string catalog = session_->default_catalog;
     std::string schema = session_->default_schema;
     std::string table;
@@ -330,29 +519,22 @@ Result<PlanNodePtr> Analyzer::Analyze(const Query& query) {
       const std::string& column = table_schema->field_name(c);
       VariablePtr var = VariableReferenceExpression::Make(
           ids_.NextVariable(column), table_schema->child(c));
-      scope.Add(ref.alias, column, var);
+      scope_.Add(ref.alias, column, var);
       outputs.push_back(std::move(var));
       column_names.push_back(column);
     }
     return PlanNodePtr(std::make_shared<TableScanNode>(
         ids_.NextId(), catalog, schema, table, table_schema, std::move(outputs),
         std::move(column_names)));
-  };
+  }
 
-  ASSIGN_OR_RETURN(PlanNodePtr plan, make_scan(query.from));
-  std::set<std::string> aliases = {query.from.alias};
-
-  for (const JoinClause& join : query.joins) {
-    if (aliases.count(join.table.alias) > 0) {
-      return Status::UserError("duplicate table alias: " + join.table.alias);
-    }
-    aliases.insert(join.table.alias);
+  Status Join(const JoinClause& join) {
     // Variables visible on the left side before this join.
     std::set<std::string> left_vars;
-    for (const VariablePtr& v : plan->OutputVariables()) {
+    for (const VariablePtr& v : plan_->OutputVariables()) {
       left_vars.insert(v->name());
     }
-    ASSIGN_OR_RETURN(PlanNodePtr right, make_scan(join.table));
+    ASSIGN_OR_RETURN(PlanNodePtr right, Scan(join.table));
     std::set<std::string> right_vars;
     for (const VariablePtr& v : right->OutputVariables()) {
       right_vars.insert(v->name());
@@ -367,115 +549,101 @@ Result<PlanNodePtr> Analyzer::Analyze(const Query& query) {
     // join can run as a hash join instead of a nested loop.
     std::vector<ProjectNode::Assignment> left_synthetic, right_synthetic;
     if (join.condition != nullptr) {
-      ExprAnalyzer expr_analyzer(&scope, functions_, nullptr);
+      ExprAnalyzer expr_analyzer(&scope_, functions_, nullptr);
       ASSIGN_OR_RETURN(ExprPtr condition, expr_analyzer.Analyze(*join.condition));
       if (condition->type()->kind() != TypeKind::kBoolean) {
         return Status::UserError("join condition must be BOOLEAN");
       }
-      auto refs_side = [](const RowExpression& expr,
-                          const std::set<std::string>& side) {
-        std::vector<std::string> vars;
-        CollectReferencedVariables(expr, &vars);
-        if (vars.empty()) return false;
-        for (const std::string& v : vars) {
-          if (side.count(v) == 0) return false;
-        }
-        return true;
-      };
-      // Returns the key variable for one side of an equality, projecting the
-      // expression into a synthetic column when it is not a bare variable.
-      auto side_key = [&](const ExprPtr& expr,
-                          std::vector<ProjectNode::Assignment>* synthetic) {
-        if (expr->expression_kind() == ExpressionKind::kVariableReference) {
-          return std::static_pointer_cast<const VariableReferenceExpression>(expr);
-        }
-        VariablePtr var = VariableReferenceExpression::Make(
-            ids_.NextVariable("joinkey"), expr->type());
-        synthetic->push_back({var, expr});
-        return var;
-      };
       std::vector<ExprPtr> conjuncts;
       FlattenConjuncts(condition, &conjuncts);
       std::vector<ExprPtr> residual_conjuncts;
       for (const ExprPtr& conjunct : conjuncts) {
-        bool is_equi = false;
-        if (conjunct->expression_kind() == ExpressionKind::kCall) {
-          const auto& call = static_cast<const CallExpression&>(*conjunct);
-          if (call.function_name() == "eq" && call.arguments().size() == 2) {
-            const ExprPtr& a = call.arguments()[0];
-            const ExprPtr& b = call.arguments()[1];
-            if (refs_side(*a, left_vars) && refs_side(*b, right_vars)) {
-              criteria.push_back(
-                  {side_key(a, &left_synthetic), side_key(b, &right_synthetic)});
-              is_equi = true;
-            } else if (refs_side(*a, right_vars) && refs_side(*b, left_vars)) {
-              criteria.push_back(
-                  {side_key(b, &left_synthetic), side_key(a, &right_synthetic)});
-              is_equi = true;
-            }
-          }
+        std::optional<JoinNode::EquiClause> clause = AsEquiClause(
+            *conjunct, left_vars, right_vars, &left_synthetic, &right_synthetic);
+        if (clause.has_value()) {
+          criteria.push_back(std::move(*clause));
+        } else {
+          residual_conjuncts.push_back(conjunct);
         }
-        if (!is_equi) residual_conjuncts.push_back(conjunct);
       }
       residual = CombineConjuncts(std::move(residual_conjuncts));
     }
-    auto add_synthetic = [&](PlanNodePtr side,
-                             std::vector<ProjectNode::Assignment> synthetic) {
-      if (synthetic.empty()) return side;
-      std::vector<ProjectNode::Assignment> assignments;
-      for (const VariablePtr& v : side->OutputVariables()) {
-        assignments.push_back({v, ExprPtr(v)});
+    plan_ = WithSynthetic(plan_, std::move(left_synthetic));
+    right = WithSynthetic(right, std::move(right_synthetic));
+    plan_ = std::make_shared<JoinNode>(ids_.NextId(), kind, plan_, right,
+                                       std::move(criteria), std::move(residual));
+    return Status::OK();
+  }
+
+  // An equality whose sides each reference only one join input becomes an
+  // equi clause; a side that is not a bare variable is projected into a
+  // synthetic key column.
+  std::optional<JoinNode::EquiClause> AsEquiClause(
+      const RowExpression& conjunct, const std::set<std::string>& left_vars,
+      const std::set<std::string>& right_vars,
+      std::vector<ProjectNode::Assignment>* left_synthetic,
+      std::vector<ProjectNode::Assignment>* right_synthetic) {
+    if (conjunct.expression_kind() != ExpressionKind::kCall) return std::nullopt;
+    const auto& call = static_cast<const CallExpression&>(conjunct);
+    if (call.function_name() != "eq" || call.arguments().size() != 2) {
+      return std::nullopt;
+    }
+    auto refs_side = [](const RowExpression& expr,
+                        const std::set<std::string>& side) {
+      std::vector<std::string> vars;
+      CollectReferencedVariables(expr, &vars);
+      if (vars.empty()) return false;
+      for (const std::string& v : vars) {
+        if (side.count(v) == 0) return false;
       }
-      for (auto& a : synthetic) assignments.push_back(std::move(a));
-      return PlanNodePtr(std::make_shared<ProjectNode>(ids_.NextId(), side,
-                                                       std::move(assignments)));
+      return true;
     };
-    plan = add_synthetic(plan, std::move(left_synthetic));
-    right = add_synthetic(right, std::move(right_synthetic));
-    plan = std::make_shared<JoinNode>(ids_.NextId(), kind, plan, right,
-                                      std::move(criteria), std::move(residual));
-  }
-
-  // ---- WHERE -------------------------------------------------------------------
-  if (query.where != nullptr) {
-    ExprAnalyzer expr_analyzer(&scope, functions_, nullptr);
-    ASSIGN_OR_RETURN(ExprPtr predicate, expr_analyzer.Analyze(*query.where));
-    if (predicate->type()->kind() != TypeKind::kBoolean) {
-      return Status::UserError("WHERE clause must be BOOLEAN");
+    auto side_key = [&](const ExprPtr& expr,
+                        std::vector<ProjectNode::Assignment>* synthetic) {
+      if (expr->expression_kind() == ExpressionKind::kVariableReference) {
+        return std::static_pointer_cast<const VariableReferenceExpression>(expr);
+      }
+      VariablePtr var = VariableReferenceExpression::Make(
+          ids_.NextVariable("joinkey"), expr->type());
+      synthetic->push_back({var, expr});
+      return var;
+    };
+    const ExprPtr& a = call.arguments()[0];
+    const ExprPtr& b = call.arguments()[1];
+    if (refs_side(*a, left_vars) && refs_side(*b, right_vars)) {
+      return JoinNode::EquiClause{side_key(a, left_synthetic),
+                                  side_key(b, right_synthetic)};
     }
-    plan = std::make_shared<FilterNode>(ids_.NextId(), plan, std::move(predicate));
-  }
-
-  // ---- Aggregation ----------------------------------------------------------------
-  std::vector<const AstExpr*> aggregates;
-  std::set<std::string> seen_aggs;
-  for (const SelectItem& item : query.items) {
-    if (item.expr != nullptr) {
-      CollectAggregates(*item.expr, functions_, &aggregates, &seen_aggs);
+    if (refs_side(*a, right_vars) && refs_side(*b, left_vars)) {
+      return JoinNode::EquiClause{side_key(b, left_synthetic),
+                                  side_key(a, right_synthetic)};
     }
-  }
-  if (query.having != nullptr) {
-    CollectAggregates(*query.having, functions_, &aggregates, &seen_aggs);
-  }
-  for (const OrderItem& item : query.order_by) {
-    CollectAggregates(*item.expr, functions_, &aggregates, &seen_aggs);
+    return std::nullopt;
   }
 
-  bool has_aggregation = !aggregates.empty() || !query.group_by.empty();
-  std::map<std::string, VariablePtr> substitutions;
-  Scope post_scope;  // scope after aggregation (group keys resolvable by name)
+  PlanNodePtr WithSynthetic(PlanNodePtr side,
+                            std::vector<ProjectNode::Assignment> synthetic) {
+    if (synthetic.empty()) return side;
+    std::vector<ProjectNode::Assignment> assignments;
+    for (const VariablePtr& v : side->OutputVariables()) {
+      assignments.push_back({v, ExprPtr(v)});
+    }
+    for (auto& a : synthetic) assignments.push_back(std::move(a));
+    return std::make_shared<ProjectNode>(ids_.NextId(), side,
+                                         std::move(assignments));
+  }
 
-  if (has_aggregation) {
-    // Resolve GROUP BY items (ordinals refer to select items).
+  // GROUP BY items; ordinals refer to select items.
+  Result<std::vector<const AstExpr*>> GroupKeys() const {
     std::vector<const AstExpr*> group_asts;
-    for (const AstExprPtr& key : query.group_by) {
+    for (const AstExprPtr& key : query_.group_by) {
       const AstExpr* ast = key.get();
       if (ast->kind == AstExpr::Kind::kLiteral && ast->literal.is_int()) {
         int64_t ordinal = ast->literal.int_value();
-        if (ordinal < 1 || ordinal > static_cast<int64_t>(query.items.size())) {
+        if (ordinal < 1 || ordinal > static_cast<int64_t>(query_.items.size())) {
           return Status::UserError("GROUP BY ordinal out of range");
         }
-        const SelectItem& item = query.items[ordinal - 1];
+        const SelectItem& item = query_.items[ordinal - 1];
         if (item.star || item.expr == nullptr) {
           return Status::UserError("GROUP BY ordinal refers to *");
         }
@@ -483,178 +651,97 @@ Result<PlanNodePtr> Analyzer::Analyze(const Query& query) {
       }
       group_asts.push_back(ast);
     }
-
-    // Pre-projection: group keys and aggregate arguments become columns.
-    ExprAnalyzer pre_analyzer(&scope, functions_, nullptr);
-    std::vector<ProjectNode::Assignment> pre_assignments;
-    std::vector<VariablePtr> group_vars;
-    for (const AstExpr* ast : group_asts) {
-      ASSIGN_OR_RETURN(ExprPtr expr, pre_analyzer.Analyze(*ast));
-      VariablePtr var = VariableReferenceExpression::Make(
-          ids_.NextVariable("groupkey"), expr->type());
-      pre_assignments.push_back({var, std::move(expr)});
-      group_vars.push_back(var);
-      substitutions[ast->ToString()] = var;
-      // Plain column group keys stay resolvable by name post-aggregation.
-      if (ast->kind == AstExpr::Kind::kIdentifier) {
-        post_scope.Add(ast->parts.size() >= 2 ? ast->parts[0] : "",
-                       ast->parts.back(), var);
-      }
-    }
-    std::vector<AggregateNode::Aggregation> agg_specs;
-    for (const AstExpr* ast : aggregates) {
-      std::vector<VariablePtr> arg_vars;
-      std::vector<TypePtr> arg_types;
-      if (!ast->star_arg) {
-        for (const AstExprPtr& arg : ast->args) {
-          ASSIGN_OR_RETURN(ExprPtr expr, pre_analyzer.Analyze(*arg));
-          VariablePtr var = VariableReferenceExpression::Make(
-              ids_.NextVariable("aggarg"), expr->type());
-          pre_assignments.push_back({var, std::move(expr)});
-          arg_types.push_back(var->type());
-          arg_vars.push_back(std::move(var));
-        }
-      }
-      std::string agg_name = ast->call_name;
-      if (ast->distinct_arg) {
-        if (agg_name != "count") {
-          return Status::UserError("DISTINCT is only supported in count()");
-        }
-        agg_name = "count_distinct";
-      }
-      ASSIGN_OR_RETURN(FunctionHandle handle,
-                       functions_->ResolveAggregate(agg_name, arg_types));
-      // Insert coercions for the declared argument types.
-      for (size_t i = 0; i < arg_vars.size(); ++i) {
-        if (!arg_vars[i]->type()->Equals(*handle.argument_types[i])) {
-          VariablePtr coerced = VariableReferenceExpression::Make(
-              ids_.NextVariable("aggarg"), handle.argument_types[i]);
-          pre_assignments.push_back(
-              {coerced, CoerceTo(ExprPtr(arg_vars[i]), handle.argument_types[i])});
-          arg_vars[i] = coerced;
-        }
-      }
-      VariablePtr out_var = VariableReferenceExpression::Make(
-          ids_.NextVariable(agg_name), handle.return_type);
-      substitutions[ast->ToString()] = out_var;
-      agg_specs.push_back({out_var, std::move(handle), std::move(arg_vars)});
-    }
-    plan = std::make_shared<ProjectNode>(ids_.NextId(), plan,
-                                         std::move(pre_assignments));
-    plan = std::make_shared<AggregateNode>(ids_.NextId(), plan,
-                                           std::move(group_vars),
-                                           std::move(agg_specs),
-                                           AggregationStep::kSingle);
+    return group_asts;
   }
 
-  const Scope& select_scope = has_aggregation ? post_scope : scope;
-
-  // ---- HAVING --------------------------------------------------------------------
-  if (query.having != nullptr) {
-    if (!has_aggregation) {
-      return Status::UserError("HAVING requires GROUP BY or aggregates");
-    }
-    ExprAnalyzer having_analyzer(&select_scope, functions_, &substitutions);
-    ASSIGN_OR_RETURN(ExprPtr predicate, having_analyzer.Analyze(*query.having));
-    if (predicate->type()->kind() != TypeKind::kBoolean) {
-      return Status::UserError("HAVING clause must be BOOLEAN");
-    }
-    plan = std::make_shared<FilterNode>(ids_.NextId(), plan, std::move(predicate));
-  }
-
-  // ---- SELECT list ------------------------------------------------------------------
-  ExprAnalyzer select_analyzer(&select_scope, functions_, &substitutions);
-  std::vector<ProjectNode::Assignment> select_assignments;
-  std::vector<std::string> output_names;
-  std::map<std::string, VariablePtr> select_aliases;  // alias/AST -> output var
-  for (const SelectItem& item : query.items) {
-    if (item.star) {
-      if (has_aggregation) {
-        return Status::UserError("SELECT * cannot be used with GROUP BY");
+  // One aggregate call: its arguments become pre-projected columns, coerced
+  // to the resolved function's declared argument types.
+  Result<AggregateNode::Aggregation> Aggregate(
+      const AstExpr& ast, ExprAnalyzer* pre_analyzer,
+      std::vector<ProjectNode::Assignment>* pre_assignments) {
+    std::vector<VariablePtr> arg_vars;
+    std::vector<TypePtr> arg_types;
+    if (!ast.star_arg) {
+      for (const AstExprPtr& arg : ast.args) {
+        ASSIGN_OR_RETURN(ExprPtr expr, pre_analyzer->Analyze(*arg));
+        VariablePtr var = VariableReferenceExpression::Make(
+            ids_.NextVariable("aggarg"), expr->type());
+        pre_assignments->push_back({var, std::move(expr)});
+        arg_types.push_back(var->type());
+        arg_vars.push_back(std::move(var));
       }
-      for (const ScopeColumn& col : scope.columns) {
-        if (!item.star_qualifier.empty() && col.table_alias != item.star_qualifier) {
-          continue;
-        }
-        VariablePtr out = VariableReferenceExpression::Make(
-            ids_.NextVariable(col.column_name), col.variable->type());
-        select_assignments.push_back({out, ExprPtr(col.variable)});
-        output_names.push_back(col.column_name);
-        // Star-expanded columns are ORDER BY-resolvable by (qualified) name.
-        select_aliases.emplace(col.column_name, out);
-        select_aliases.emplace(col.table_alias + "." + col.column_name, out);
+    }
+    std::string agg_name = ast.call_name;
+    if (ast.distinct_arg) {
+      if (agg_name != "count") {
+        return Status::UserError("DISTINCT is only supported in count()");
       }
-      continue;
+      agg_name = "count_distinct";
     }
-    ASSIGN_OR_RETURN(ExprPtr expr, select_analyzer.Analyze(*item.expr));
-    std::string name = item.alias;
-    if (name.empty()) {
-      name = item.expr->kind == AstExpr::Kind::kIdentifier
-                 ? item.expr->parts.back()
-                 : "_col" + std::to_string(output_names.size());
-    }
-    VariablePtr out = VariableReferenceExpression::Make(ids_.NextVariable(name),
-                                                        expr->type());
-    select_assignments.push_back({out, std::move(expr)});
-    output_names.push_back(name);
-    if (!item.alias.empty()) select_aliases[item.alias] = out;
-    select_aliases[item.expr->ToString()] = out;
-  }
-  plan = std::make_shared<ProjectNode>(ids_.NextId(), plan,
-                                       select_assignments);
-
-  // ---- DISTINCT: grouping on every select output ----------------------------------
-  if (query.distinct) {
-    std::vector<VariablePtr> distinct_keys;
-    for (const ProjectNode::Assignment& a : select_assignments) {
-      distinct_keys.push_back(a.output);
-    }
-    plan = std::make_shared<AggregateNode>(
-        ids_.NextId(), plan, std::move(distinct_keys),
-        std::vector<AggregateNode::Aggregation>{}, AggregationStep::kSingle);
-  }
-
-  // ---- ORDER BY ---------------------------------------------------------------------
-  if (!query.order_by.empty()) {
-    std::vector<OrderingTerm> ordering;
-    for (const OrderItem& item : query.order_by) {
-      VariablePtr var;
-      // Ordinal?
-      if (item.expr->kind == AstExpr::Kind::kLiteral && item.expr->literal.is_int()) {
-        int64_t ordinal = item.expr->literal.int_value();
-        if (ordinal < 1 ||
-            ordinal > static_cast<int64_t>(select_assignments.size())) {
-          return Status::UserError("ORDER BY ordinal out of range");
-        }
-        var = select_assignments[ordinal - 1].output;
-      } else {
-        auto alias_it = select_aliases.find(item.expr->ToString());
-        if (alias_it != select_aliases.end()) {
-          var = alias_it->second;
-        } else {
-          return Status::UserError(
-              "ORDER BY expression must appear in the SELECT list: " +
-              item.expr->ToString());
-        }
+    ASSIGN_OR_RETURN(FunctionHandle handle,
+                     functions_->ResolveAggregate(agg_name, arg_types));
+    for (size_t i = 0; i < arg_vars.size(); ++i) {
+      if (!arg_vars[i]->type()->Equals(*handle.argument_types[i])) {
+        VariablePtr coerced = VariableReferenceExpression::Make(
+            ids_.NextVariable("aggarg"), handle.argument_types[i]);
+        pre_assignments->push_back(
+            {coerced, CoerceTo(ExprPtr(arg_vars[i]), handle.argument_types[i])});
+        arg_vars[i] = coerced;
       }
-      ordering.push_back(OrderingTerm{std::move(var), item.ascending});
     }
-    plan = std::make_shared<SortNode>(ids_.NextId(), plan, std::move(ordering));
+    VariablePtr out_var = VariableReferenceExpression::Make(
+        ids_.NextVariable(agg_name), handle.return_type);
+    substitutions_[ast.ToString()] = out_var;
+    return AggregateNode::Aggregation{out_var, std::move(handle),
+                                      std::move(arg_vars)};
   }
 
-  // ---- LIMIT -----------------------------------------------------------------------
-  if (query.limit >= 0) {
-    plan = std::make_shared<LimitNode>(ids_.NextId(), plan, query.limit,
-                                       /*partial=*/false);
+  Status SelectStar(const SelectItem& item) {
+    if (has_aggregation_) {
+      return Status::UserError("SELECT * cannot be used with GROUP BY");
+    }
+    for (const ScopeColumn& col : scope_.columns) {
+      if (!item.star_qualifier.empty() && col.table_alias != item.star_qualifier) {
+        continue;
+      }
+      VariablePtr out = VariableReferenceExpression::Make(
+          ids_.NextVariable(col.column_name), col.variable->type());
+      select_assignments_.push_back({out, ExprPtr(col.variable)});
+      output_names_.push_back(col.column_name);
+      // Star-expanded columns are ORDER BY-resolvable by (qualified) name.
+      select_aliases_.emplace(col.column_name, out);
+      select_aliases_.emplace(col.table_alias + "." + col.column_name, out);
+    }
+    return Status::OK();
   }
 
-  // ---- Output ----------------------------------------------------------------------
-  std::vector<VariablePtr> outputs;
-  for (const ProjectNode::Assignment& a : select_assignments) {
-    outputs.push_back(a.output);
-  }
-  return PlanNodePtr(std::make_shared<OutputNode>(
-      ids_.NextId(), plan, std::move(output_names), std::move(outputs)));
+  const Query& query_;
+  const CatalogRegistry* catalogs_;
+  const Session* session_;
+  FunctionRegistry* functions_;
+  PlanIdAllocator& ids_;
+  Scope scope_;
+  PlanNodePtr plan_;
+  bool has_aggregation_ = false;
+  std::map<std::string, VariablePtr> substitutions_;
+  Scope post_scope_;  // scope after aggregation (group keys resolvable by name)
+  std::vector<ProjectNode::Assignment> select_assignments_;
+  std::vector<std::string> output_names_;
+  std::map<std::string, VariablePtr> select_aliases_;  // alias/AST -> output var
+};
+
+}  // namespace
+
+Result<PlanNodePtr> Analyzer::Analyze(const Query& query) {
+  QueryAnalysis analysis(query, catalogs_, session_, functions_, &ids_);
+  RETURN_IF_ERROR(analysis.From());
+  RETURN_IF_ERROR(analysis.Where());
+  RETURN_IF_ERROR(analysis.Aggregation());
+  RETURN_IF_ERROR(analysis.Having());
+  RETURN_IF_ERROR(analysis.Select());
+  analysis.Distinct();
+  RETURN_IF_ERROR(analysis.OrderBy());
+  return analysis.Output();
 }
 
 Result<PlanNodePtr> AnalyzeSql(const std::string& sql,

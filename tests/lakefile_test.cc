@@ -37,7 +37,18 @@ void ExpectPagesEqual(const Page& a, const Page& b) {
   }
 }
 
-// Reads everything through the native reader with given options.
+// Every examined page is read or skipped exactly once.
+void ExpectPageLedgerBalances(const ReaderStats& stats) {
+  EXPECT_EQ(stats.pages_read + stats.pages_skipped_stats +
+                stats.pages_skipped_lazy,
+            stats.pages_total)
+      << "read " << stats.pages_read << ", skipped_stats "
+      << stats.pages_skipped_stats << ", skipped_lazy "
+      << stats.pages_skipped_lazy;
+}
+
+// Reads everything through the native reader with given options, checking
+// the page ledger after every batch.
 Page ReadAll(const std::vector<uint8_t>& bytes, const ScanSpec& spec,
              ReaderOptions options = ReaderOptions()) {
   auto reader = NativeLakeFileReader::Open(AsFile(bytes), options);
@@ -46,6 +57,7 @@ Page ReadAll(const std::vector<uint8_t>& bytes, const ScanSpec& spec,
   while (true) {
     auto batch = (*reader)->NextBatch(spec);
     EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+    ExpectPageLedgerBalances((*reader)->stats());
     if (!batch->has_value()) break;
     pages.push_back(std::move(**batch));
   }
@@ -688,10 +700,13 @@ TEST(LakeFilePagesTest, PageLevelSkippingPrunesPages) {
   const ReaderStats& stats = (*reader)->stats();
   EXPECT_EQ(stats.row_groups_scanned, 1);
   // 9 of the filter column's 10 pages are excluded by page stats, and the
-  // projected chunks only materialize the page holding row 555.
+  // projected chunks only materialize the page holding row 555: id's page
+  // is the one the filter already read, and each of the three base leaves
+  // reads one page and skips nine.
+  EXPECT_EQ(stats.pages_total, 40);
   EXPECT_EQ(stats.pages_skipped_stats, 9);
-  EXPECT_GT(stats.pages_skipped_lazy, 0);
-  EXPECT_LT(stats.pages_read, stats.pages_total);
+  EXPECT_EQ(stats.pages_read, 4);
+  EXPECT_EQ(stats.pages_skipped_lazy, 27);
   EXPECT_GT(stats.rows_pruned_late, 0);
 
   // page_skipping off: identical rows, every filter page read.
@@ -705,6 +720,129 @@ TEST(LakeFilePagesTest, PageLevelSkippingPrunesPages) {
   ExpectPagesEqual(**batch, **batch2);
   EXPECT_EQ((*slow)->stats().pages_skipped_stats, 0);
   EXPECT_GT((*slow)->stats().pages_read, stats.pages_read);
+}
+
+// Two BIGINT columns, 1000 rows in one row group of 100-row pages; id == row.
+std::vector<uint8_t> WriteIdValueFile() {
+  TypePtr schema = Type::Row({"id", "v"}, {Type::Bigint(), Type::Bigint()});
+  VectorBuilder id(Type::Bigint());
+  VectorBuilder v(Type::Bigint());
+  for (int64_t i = 0; i < 1000; ++i) {
+    id.AppendBigint(i);
+    v.AppendBigint(i * 7 % 1000);
+  }
+  WriterOptions options;
+  options.row_group_rows = 1000;
+  options.page_rows = 100;
+  options.enable_dictionary = false;
+  auto bytes = WriteLakeFile(schema, {Page({id.Build(), v.Build()})}, options);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return *bytes;
+}
+
+TEST(LakeFilePagesTest, FilterColumnAlsoProjectedIsReadOnce) {
+  // The filter leaf is also projected: its surviving pages are read and
+  // decompressed by the filter stage and reused by the projection stage.
+  std::vector<uint8_t> bytes = WriteIdValueFile();
+  auto scan = [&](std::vector<std::string> columns) {
+    ScanSpec spec;
+    spec.columns = std::move(columns);
+    spec.predicates = {{"id", LeafPredicate::Op::kGe, {Value::Int(550)}}};
+    auto reader = NativeLakeFileReader::Open(AsFile(bytes), ReaderOptions());
+    EXPECT_TRUE(reader.ok());
+    auto batch = (*reader)->NextBatch(spec);
+    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_TRUE(batch->has_value());
+    EXPECT_EQ((*batch)->num_rows(), 450u);
+    ExpectPageLedgerBalances((*reader)->stats());
+    return (*reader)->stats();
+  };
+  // id pages 0-4 are skipped by their stats and pages 5-9 read; v reads the
+  // same five pages and skips the other five lazily.
+  const ReaderStats v_only = scan({"v"});
+  EXPECT_EQ(v_only.pages_total, 20);
+  EXPECT_EQ(v_only.pages_read, 10);
+  const ReaderStats both = scan({"id", "v"});
+  EXPECT_EQ(both.pages_total, 20);
+  EXPECT_EQ(both.pages_read, 10);
+  EXPECT_EQ(both.pages_skipped_stats, 5);
+  EXPECT_EQ(both.pages_skipped_lazy, 5);
+
+  // Projecting id costs at most the bytes of its projected pages.
+  auto footer = ReadFooterFromFile(bytes.data(), bytes.size());
+  ASSERT_TRUE(footer.ok());
+  const ColumnChunkMeta& id_chunk = footer->row_groups[0].columns[0];
+  ASSERT_EQ(id_chunk.leaf_path, "id");
+  int64_t id_projected_bytes = 0;
+  for (size_t i = 5; i < id_chunk.pages.size(); ++i) {
+    id_projected_bytes += static_cast<int64_t>(id_chunk.pages[i].total_bytes);
+  }
+  EXPECT_LE(both.bytes_read, v_only.bytes_read + id_projected_bytes);
+}
+
+TEST(LakeFilePagesTest, TamperedFooterPageMetadataIsCorruption) {
+  // Footer page metadata is untrusted input: a page list that does not tile
+  // the row group, an unrepeated page whose entries differ from its rows, a
+  // repeated page whose row starts differ from its rows, or a row count past
+  // what a selection vector can index must fail the scan with a classified
+  // error and never produce rows.
+  std::vector<uint8_t> bytes = WriteIdValueFile();
+  auto parsed = ReadFooterFromFile(bytes.data(), bytes.size());
+  ASSERT_TRUE(parsed.ok());
+  auto expect_corruption = [&](const FileFooter& footer, const ScanSpec& spec) {
+    auto reader = NativeLakeFileReader::Open(
+        AsFile(bytes), ReaderOptions(), std::make_shared<const FileFooter>(footer));
+    ASSERT_TRUE(reader.ok());
+    auto batch = (*reader)->NextBatch(spec);
+    ASSERT_FALSE(batch.ok()) << "tampered footer produced rows";
+    EXPECT_EQ(batch.status().code(), StatusCode::kCorruption)
+        << batch.status().ToString();
+  };
+  ScanSpec filtered;
+  filtered.columns = {"id", "v"};
+  filtered.predicates = {{"id", LeafPredicate::Op::kGe, {Value::Int(550)}}};
+  ScanSpec plain;
+  plain.columns = {"v"};
+
+  FileFooter inflated = *parsed;
+  inflated.row_groups[0].columns[0].pages[9].num_rows = 500;
+  expect_corruption(inflated, filtered);
+  FileFooter inflated_v = *parsed;
+  inflated_v.row_groups[0].columns[1].pages[3].num_rows = 400;
+  expect_corruption(inflated_v, plain);
+  FileFooter entries = *parsed;
+  entries.row_groups[0].columns[0].pages[2].num_entries = 150;
+  expect_corruption(entries, filtered);
+  FileFooter huge = *parsed;
+  huge.row_groups[0].num_rows = uint64_t{1} << 32;
+  expect_corruption(huge, plain);
+
+  // A repeated leaf: move one row's start from page 1 into page 0 in the
+  // footer only, so the pages still tile the group.
+  TypePtr schema = Type::Row({"tags"}, {Type::Array(Type::Bigint())});
+  VectorBuilder tags(schema->child(0));
+  for (int64_t i = 0; i < 200; ++i) {
+    EXPECT_TRUE(tags.Append(Value::Array({Value::Int(i), Value::Int(-i)})).ok());
+  }
+  WriterOptions options;
+  options.row_group_rows = 200;
+  options.page_rows = 100;
+  auto nested = WriteLakeFile(schema, {Page({tags.Build()})}, options);
+  ASSERT_TRUE(nested.ok());
+  bytes = *nested;
+  parsed = ReadFooterFromFile(bytes.data(), bytes.size());
+  ASSERT_TRUE(parsed.ok());
+  FileFooter shifted = *parsed;
+  auto& pages = shifted.row_groups[0].columns[0].pages;
+  ASSERT_EQ(pages.size(), 2u);
+  pages[0].num_rows += 1;
+  pages[1].num_rows -= 1;
+  pages[1].first_row += 1;
+  ScanSpec all_tags;
+  all_tags.columns = {"tags"};
+  expect_corruption(shifted, all_tags);
+  // Untampered, the same file reads back whole.
+  EXPECT_EQ(ReadAll(bytes, all_tags).num_rows(), 200u);
 }
 
 TEST(LakeFilePagesTest, DictionaryCodePredicates) {

@@ -288,7 +288,8 @@ TEST(ObservabilityTest, ExplainAnalyzeShowsLazyScanStatsAndEnforcedPushdown) {
   // One scan-accounting path: at one chain and at four, for the plain scan,
   // an aggregation (whose scan runs as replicated morsel chains) and a LIMIT
   // that abandons the scan early, every lakefile.* exec metric equals the
-  // sum of its scan_* field over the TableScan records.
+  // sum of its scan_* field over the TableScan records, and the merged page
+  // counts balance.
   const std::string limit_sql = "SELECT v FROM lake.raw.pts LIMIT 5";
   for (const char* threads : {"1", "4"}) {
     Session threaded;
@@ -315,6 +316,10 @@ TEST(ObservabilityTest, ExplainAnalyzeShowsLazyScanStatsAndEnforcedPushdown) {
       EXPECT_EQ(metrics["lakefile.dict_code.filter_hits"],
                 scans.scan_dict_code_hits);
       EXPECT_EQ(metrics["lakefile.bytes.read"], scans.scan_bytes_read);
+      // Page ledger: every examined page is read or skipped exactly once.
+      EXPECT_EQ(scans.scan_pages_read + scans.scan_pages_skipped_stats +
+                    scans.scan_pages_skipped_lazy,
+                scans.scan_pages_total);
       EXPECT_GT(metrics["lakefile.pages.read"], 0);
       EXPECT_GT(metrics["lakefile.bytes.read"], 0);
       if (query != limit_sql) {
