@@ -47,10 +47,17 @@ CHAOS_ITERS="${PRESTO_CHAOS_ITERS:-8}"
 # killer's cross-thread cancellation (SpillDifferentialTest also holds the
 # ROW-key, 65-key, adapter and NaN-key group-bys). The acceptance-scale spill
 # test is shrunk for sanitizer speed (full 10M rows runs in the regular suite).
+# The block-file corruption sweeps (their own binary, block_file_tests), the
+# spool round trips and the corrupt spool replay run here too, so every
+# length check is exercised under ASan and the merges that share one spill
+# file handle under TSan.
 MEMORY_FILTER='MemoryPoolTest.*:SpillDifferentialTest.*:SpillLargeScaleTest.*'
 MEMORY_FILTER="$MEMORY_FILTER:SpillMergeTest.*:SpillIsolationTest.*"
 MEMORY_FILTER="$MEMORY_FILTER:AdmissionTest.*:LowMemoryKillerTest.*"
 MEMORY_FILTER="$MEMORY_FILTER:ExchangeMemoryTest.*:MemoryCountersTest.*"
+MEMORY_FILTER="$MEMORY_FILTER:SpillerTest.*:CompressionTest.*"
+MEMORY_FILTER="$MEMORY_FILTER:ExchangeSpoolTest.*"
+MEMORY_FILTER="$MEMORY_FILTER:RecoveryClusterTest.CorruptSpoolReplayFallsBackToRestartOnce"
 MEMORY_SCALE_ROWS="${PRESTO_SPILL_SCALE_ROWS:-2000000}"
 
 # Morsel stage: the work-stealing pool and the differential tests that drive
@@ -112,6 +119,7 @@ if [[ "$MODE" != "--asan-only" ]]; then
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" \
       PRESTO_SPILL_SCALE_ROWS="$MEMORY_SCALE_ROWS" \
       ./tests/presto_tests --gtest_filter="$MEMORY_FILTER")
+  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./tests/block_file_tests)
   echo "== tsan morsel parallelism =="
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" \
       ./tests/presto_tests --gtest_filter="$MORSEL_FILTER")
@@ -146,6 +154,7 @@ if [[ "$MODE" != "--tsan-only" ]]; then
   (cd build-asan && ASAN_OPTIONS="halt_on_error=1" \
       PRESTO_SPILL_SCALE_ROWS="$MEMORY_SCALE_ROWS" \
       ./tests/presto_tests --gtest_filter="$MEMORY_FILTER")
+  (cd build-asan && ASAN_OPTIONS="halt_on_error=1" ./tests/block_file_tests)
   echo "== asan morsel parallelism =="
   (cd build-asan && ASAN_OPTIONS="halt_on_error=1" \
       ./tests/presto_tests --gtest_filter="$MORSEL_FILTER")

@@ -147,6 +147,7 @@ class ByteReader {
 
   Status ReadRaw(void* out, size_t n) {
     if (n > remaining()) return Status::Corruption("truncated raw read");
+    if (n == 0) return Status::OK();  // an empty target may be null
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return Status::OK();

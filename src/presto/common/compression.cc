@@ -15,6 +15,8 @@ namespace {
 constexpr uint8_t kLiteralTag = 0;
 constexpr uint8_t kMatchTag = 1;
 constexpr size_t kMinMatch = 4;
+// Decompress reserves at most this many output bytes per input byte up front.
+constexpr uint64_t kMaxReserveRatio = 16;
 
 inline uint32_t Load32(const uint8_t* p) {
   uint32_t v;
@@ -212,23 +214,25 @@ Result<std::vector<uint8_t>> Decompress(CompressionKind kind,
                                         const uint8_t* input, size_t size) {
   ByteReader reader(input, size);
   ASSIGN_OR_RETURN(uint64_t uncompressed_size, reader.ReadVarint());
-  std::vector<uint8_t> out;
-  out.reserve(uncompressed_size);
-
   if (kind == CompressionKind::kNone) {
     if (reader.remaining() != uncompressed_size) {
       return Status::Corruption("stored block size mismatch");
     }
-    out.resize(uncompressed_size);
-    RETURN_IF_ERROR(reader.ReadRaw(out.data(), uncompressed_size));
-    return out;
+    return std::vector<uint8_t>(reader.current(),
+                                reader.current() + uncompressed_size);
   }
+
+  // The declared size is unchecked input: reserve only what the frame could
+  // plausibly back, and let a larger output grow as its tokens arrive.
+  std::vector<uint8_t> out;
+  out.reserve(std::min<uint64_t>(uncompressed_size,
+                                 reader.remaining() * kMaxReserveRatio));
 
   while (out.size() < uncompressed_size) {
     ASSIGN_OR_RETURN(uint8_t tag, reader.ReadU8());
     if (tag == kLiteralTag) {
       ASSIGN_OR_RETURN(uint64_t len, reader.ReadVarint());
-      if (out.size() + len > uncompressed_size) {
+      if (out.size() + len > uncompressed_size || len > reader.remaining()) {
         return Status::Corruption("literal run overflows declared size");
       }
       size_t old = out.size();

@@ -1,10 +1,7 @@
 #include "presto/exec/exchange_spool.h"
 
-#include "presto/common/bytes.h"
-#include "presto/common/compression.h"
 #include "presto/common/fault_injection.h"
 #include "presto/common/trace.h"
-#include "presto/exec/spill.h"
 
 namespace presto {
 
@@ -32,20 +29,20 @@ ExchangeSpool::ExchangeSpool(FileSystem* fs, std::string dir,
 }
 
 ExchangeSpool::~ExchangeSpool() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t p = 0; p < partitions_.size(); ++p) {
-    Partition& part = partitions_[p];
-    if (part.file != nullptr) {
-      (void)part.file->Close();
-      part.file = nullptr;
-    }
-    if (part.opened) {
-      // Best effort: a spool file that outlives the query is just garbage.
-      (void)fs_->DeleteFile(PartitionPath(static_cast<int>(p)));
-    }
-  }
+  // Each partition's BlockFile deletes its file.
   if (pool_ != nullptr && pool_reserved_ > 0) pool_->Release(pool_reserved_);
-  pool_reserved_ = 0;
+}
+
+Status ExchangeSpool::Refusal(const Partition& part) {
+  if (!part.broken && !part.sealed) return Status::OK();
+  return Status::Unavailable(std::string("exchange spool partition is ") +
+                             (part.broken ? "broken" : "sealed"));
+}
+
+void ExchangeSpool::BreakLocked(Partition* part) {
+  part->broken = true;
+  if (part->file != nullptr) (void)part->file->Close();
+  if (partition_broken_counter_ != nullptr) partition_broken_counter_->Add(1);
 }
 
 std::string ExchangeSpool::PartitionPath(int partition) const {
@@ -54,87 +51,62 @@ std::string ExchangeSpool::PartitionPath(int partition) const {
 
 Status ExchangeSpool::Append(int partition, const Page& page) {
   if (page.empty()) return Status::OK();
-  // The whole append (serialize + compress + write) counts as spill I/O for
+  // The whole append (encode + compress + write) counts as spill I/O for
   // blocked-time attribution and records a spool-write span.
   BlockedTimer blocked(BlockedKind::kSpillIo);
   TraceEventScope span(TraceKind::kSpoolWrite, "spool_write_page");
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const Partition& part = partitions_[partition];
-    if (part.broken || part.sealed) {
-      return part.broken
-                 ? Status::Unavailable("exchange spool partition is broken")
-                 : Status::Unavailable("exchange spool partition is sealed");
-    }
+    RETURN_IF_ERROR(Refusal(partitions_[partition]));
   }
-  // Serialize + compress outside the spool-wide lock: every producer task of
-  // a stage tees through one spool, and compression dominates the append, so
-  // doing it under mu_ would serialize the producers. Only the frame write
-  // and accounting need the lock.
+  // Encode, compress and checksum outside the spool-wide lock: every
+  // producer task of a stage tees through one spool, and compression
+  // dominates the append, so doing it under mu_ would serialize the
+  // producers. Only numbering, the write and accounting need the lock.
   Status st = FaultInjector::Global().Hit("exchange.spool.write");
-  ByteBuffer block;
-  std::vector<uint8_t> compressed;
-  if (st.ok()) st = SerializeSpillPage(page, &block);
-  if (st.ok()) {
-    compressed = Compress(CompressionKind::kSnappy, block.data(), block.size());
-  }
+  EncodedBlock block;
+  if (st.ok()) st = EncodeBlock(page, CompressionKind::kSnappy, &block);
   std::lock_guard<std::mutex> lock(mu_);
   Partition& part = partitions_[partition];
-  if (part.broken || part.sealed) {
-    // Raced a concurrent poison/seal while compressing; nothing was written,
-    // so this append neither breaks the partition nor double-counts it.
-    return part.broken
-               ? Status::Unavailable("exchange spool partition is broken")
-               : Status::Unavailable("exchange spool partition is sealed");
-  }
-  if (st.ok()) {
-    st = AppendFrameLocked(&part, partition, compressed,
-                           static_cast<int64_t>(block.size()));
-  }
+  // A concurrent poison/seal may have won while this append compressed;
+  // nothing was written, so the append neither breaks the partition nor
+  // double-counts it.
+  RETURN_IF_ERROR(Refusal(part));
+  if (st.ok()) st = AppendBlockLocked(&part, partition, page, block);
   if (!st.ok()) {
     // One failed append poisons the partition: its spool is now incomplete,
     // and an incomplete spool replayed later would silently drop rows. The
     // coordinator's recovery ladder falls through to restart-once instead.
-    part.broken = true;
-    if (part.file != nullptr) {
-      (void)part.file->Close();
-      part.file = nullptr;
-    }
-    if (partition_broken_counter_ != nullptr) partition_broken_counter_->Add(1);
+    BreakLocked(&part);
   } else {
-    span.SetArg("bytes", static_cast<int64_t>(compressed.size()) + 4);
+    span.SetArg("bytes", block.size());
   }
   return st;
 }
 
-Status ExchangeSpool::AppendFrameLocked(Partition* part, int partition,
-                                        const std::vector<uint8_t>& compressed,
-                                        int64_t raw_bytes) {
-  const int64_t frame_bytes =
-      static_cast<int64_t>(compressed.size()) + static_cast<int64_t>(4);
-  if (bytes_spooled_ + frame_bytes > budget_bytes_) {
+Status ExchangeSpool::AppendBlockLocked(Partition* part, int partition,
+                                        const Page& page,
+                                        const EncodedBlock& block) {
+  int64_t bytes = block.size();
+  if (part->file == nullptr) {
+    part->file = std::make_unique<BlockFile>(fs_, PartitionPath(partition));
+    RETURN_IF_ERROR(part->file->Create(page));
+    bytes += static_cast<int64_t>(part->file->size());  // the header
+  }
+  if (bytes_spooled_ + bytes > budget_bytes_) {
     return Status::ResourceExhausted(
         "exchange spool byte budget exceeded (exchange_spool_budget_bytes)");
   }
   if (pool_ != nullptr) {
-    RETURN_IF_ERROR(pool_->Reserve(frame_bytes));
-    pool_reserved_ += frame_bytes;
+    RETURN_IF_ERROR(pool_->Reserve(bytes));
+    pool_reserved_ += bytes;
   }
-  if (part->file == nullptr) {
-    ASSIGN_OR_RETURN(part->file, fs_->OpenForWrite(PartitionPath(partition)));
-    part->opened = true;
-  }
-  ByteBuffer framed;
-  framed.PutU32(static_cast<uint32_t>(compressed.size()));
-  framed.PutRaw(compressed.data(), compressed.size());
-  RETURN_IF_ERROR(part->file->Append(framed.bytes()));
-  bytes_spooled_ += frame_bytes;
+  RETURN_IF_ERROR(part->file->Append(block));
+  bytes_spooled_ += bytes;
   part->pages += 1;
   if (pages_written_counter_ != nullptr) pages_written_counter_->Add(1);
-  if (bytes_written_counter_ != nullptr) {
-    bytes_written_counter_->Add(frame_bytes);
-  }
-  if (bytes_raw_counter_ != nullptr) bytes_raw_counter_->Add(raw_bytes);
+  if (bytes_written_counter_ != nullptr) bytes_written_counter_->Add(bytes);
+  if (bytes_raw_counter_ != nullptr) bytes_raw_counter_->Add(block.raw_bytes);
   return Status::OK();
 }
 
@@ -143,18 +115,9 @@ Status ExchangeSpool::Seal(int partition) {
   Partition& part = partitions_[partition];
   if (part.sealed) return Status::OK();
   part.sealed = true;
-  if (part.file != nullptr) {
-    Status st = part.file->Close();
-    part.file = nullptr;
-    if (!st.ok()) {
-      part.broken = true;
-      if (partition_broken_counter_ != nullptr) {
-        partition_broken_counter_->Add(1);
-      }
-      return st;
-    }
-  }
-  return Status::OK();
+  Status st = part.file == nullptr ? Status::OK() : part.file->Close();
+  if (!st.ok()) BreakLocked(&part);
+  return st;
 }
 
 bool ExchangeSpool::broken(int partition) const {
@@ -175,7 +138,7 @@ int64_t ExchangeSpool::bytes_spooled() const {
 Result<std::unique_ptr<ExchangeSpool::Reader>> ExchangeSpool::OpenReader(
     int partition) {
   RETURN_IF_ERROR(Seal(partition));
-  bool opened = false;
+  BlockFile* file = nullptr;  // null = nothing was ever spooled
   {
     std::lock_guard<std::mutex> lock(mu_);
     const Partition& part = partitions_[partition];
@@ -183,49 +146,31 @@ Result<std::unique_ptr<ExchangeSpool::Reader>> ExchangeSpool::OpenReader(
       return Status::Unavailable(
           "exchange spool partition is broken; replay unavailable");
     }
-    opened = part.opened;
+    file = part.file.get();
   }
   auto reader = std::unique_ptr<Reader>(new Reader());
-  reader->bytes_read_counter_ = bytes_read_counter_;
   reader->pages_replayed_counter_ = pages_replayed_counter_;
-  if (!opened) return reader;  // nothing was ever spooled: empty stream
+  if (file == nullptr) return reader;  // an empty stream
+  // Sealed: no append touches the file any more.
   BlockedTimer blocked(BlockedKind::kSpillIo);
   TraceEventScope span(TraceKind::kSpoolRead, "spool_open_partition");
   RETURN_IF_ERROR(FaultInjector::Global().Hit("exchange.spool.read"));
-  ASSIGN_OR_RETURN(reader->file_, fs_->OpenForRead(PartitionPath(partition)));
-  ASSIGN_OR_RETURN(reader->size_, reader->file_->Size());
+  ASSIGN_OR_RETURN(auto readers,
+                   file->Read({file->Blocks()}, bytes_read_counter_));
+  reader->blocks_ = std::move(readers.front());
   return reader;
 }
 
 Result<std::optional<Page>> ExchangeSpool::Reader::Next() {
-  if (file_ == nullptr || offset_ >= size_) return std::optional<Page>();
+  if (blocks_ == nullptr || blocks_->AtEnd()) return std::optional<Page>();
   BlockedTimer blocked(BlockedKind::kSpillIo);
   TraceEventScope span(TraceKind::kSpoolRead, "spool_read_page");
   RETURN_IF_ERROR(FaultInjector::Global().Hit("exchange.spool.read"));
-  uint8_t len_bytes[4];
-  ASSIGN_OR_RETURN(size_t n, file_->Read(offset_, 4, len_bytes));
-  if (n < 4) return Status::Corruption("exchange spool: truncated frame length");
-  ByteReader len_reader(len_bytes, 4);
-  ASSIGN_OR_RETURN(uint32_t frame_len, len_reader.ReadU32());
-  offset_ += 4;
-  if (frame_len == 0 || offset_ + frame_len > size_) {
-    return Status::Corruption("exchange spool: bad frame length");
-  }
-  std::vector<uint8_t> frame(frame_len);
-  ASSIGN_OR_RETURN(n, file_->Read(offset_, frame_len, frame.data()));
-  if (n < frame_len) return Status::Corruption("exchange spool: truncated frame");
-  offset_ += frame_len;
-  ASSIGN_OR_RETURN(
-      std::vector<uint8_t> block,
-      Decompress(CompressionKind::kSnappy, frame.data(), frame.size()));
-  ByteReader reader(block);
-  ASSIGN_OR_RETURN(Page page, DeserializeSpillPage(&reader));
-  if (bytes_read_counter_ != nullptr) {
-    bytes_read_counter_->Add(static_cast<int64_t>(frame_len) + 4);
-  }
+  int64_t bytes = 0;
+  ASSIGN_OR_RETURN(std::optional<Page> page, blocks_->Next(&bytes));
   if (pages_replayed_counter_ != nullptr) pages_replayed_counter_->Add(1);
-  span.SetArg("bytes", static_cast<int64_t>(frame_len) + 4);
-  return std::optional<Page>(std::move(page));
+  span.SetArg("bytes", bytes);
+  return page;
 }
 
 }  // namespace presto

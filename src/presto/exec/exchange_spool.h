@@ -10,6 +10,7 @@
 
 #include "presto/common/memory_pool.h"
 #include "presto/common/metrics.h"
+#include "presto/exec/block_file.h"
 #include "presto/fs/file_system.h"
 #include "presto/vector/page.h"
 
@@ -17,22 +18,20 @@ namespace presto {
 
 /// Worker-local spooled copy of an exchange's output (Presto's fault-tolerant
 /// "materialized" exchange): every page accepted into a partition is also
-/// appended — snappy-compressed, in the spill column encoding — to that
-/// partition's spool file. When a downstream task is lost mid-stage, the
-/// coordinator re-runs just that task against the spool instead of restarting
-/// the whole query: the spool is the complete history of its input partition.
-///
-/// File format per partition: a sequence of frames, each u32 length followed
-/// by a Compress(kSnappy, ...) frame of one SerializeSpillPage block. No
-/// trailer — end of file is end of stream (appends are incremental; readers
-/// only open sealed partitions, bounded by RandomAccessFile::Size()).
+/// appended, as one snappy-compressed block, to that partition's block file
+/// (exec/block_file.h; header and column types written at the partition's
+/// first append). When a downstream task is lost mid-stage, the coordinator
+/// re-runs just that task against the spool instead of restarting the whole
+/// query: the spool is the complete history of its input partition. Replay
+/// reads back exactly the bytes and blocks the spool remembers writing, and a
+/// block that fails its checks fails the replay instead of yielding rows.
 ///
 /// Spooling is insurance, never the query's critical path: any write failure
 /// (fault injection, disk trouble, byte budget, memory pressure) marks the
 /// partition broken and spooling stops — the recovery ladder then falls
 /// through to whole-query restart, but the running query is unaffected.
-/// Compressed spool bytes are charged to the attached pool (the query's
-/// system subtree) and capped by `budget_bytes`.
+/// Spooled file bytes (compressed blocks and file headers) are charged to the
+/// attached pool (the query's system subtree) and capped by `budget_bytes`.
 ///
 /// Counters (per-query registry, may be null): exchange.spool.page.written,
 /// exchange.spool.byte.written, exchange.spool.byte.raw,
@@ -75,10 +74,7 @@ class ExchangeSpool {
 
    private:
     friend class ExchangeSpool;
-    std::shared_ptr<RandomAccessFile> file_;  // null = empty partition
-    uint64_t offset_ = 0;
-    uint64_t size_ = 0;
-    MetricsRegistry::Counter* bytes_read_counter_ = nullptr;
+    std::unique_ptr<BlockFileReader> blocks_;  // null = empty partition
     MetricsRegistry::Counter* pages_replayed_counter_ = nullptr;
   };
 
@@ -89,21 +85,23 @@ class ExchangeSpool {
 
  private:
   struct Partition {
-    std::unique_ptr<WritableFile> file;  // open while appending
-    bool opened = false;                 // file was ever created
+    std::unique_ptr<BlockFile> file;  // null until the first append
     bool sealed = false;
     bool broken = false;
     int64_t pages = 0;
   };
 
+  /// Why an append to `part` is refused (broken or sealed), or OK.
+  static Status Refusal(const Partition& part);
+  /// Marks the partition broken: it is incomplete and must never replay.
+  void BreakLocked(Partition* part);
   std::string PartitionPath(int partition) const;
-  Status AppendFrameLocked(Partition* part, int partition,
-                           const std::vector<uint8_t>& compressed,
-                           int64_t raw_bytes);
+  Status AppendBlockLocked(Partition* part, int partition, const Page& page,
+                           const EncodedBlock& block);
 
   FileSystem* fs_;
   const std::string dir_;
-  std::shared_ptr<MemoryPool> pool_;  // charged the compressed spool bytes
+  std::shared_ptr<MemoryPool> pool_;  // charged the spooled file bytes
   const int64_t budget_bytes_;
 
   mutable std::mutex mu_;

@@ -990,7 +990,7 @@ class HashAggregationOperator final : public Operator {
       ResetState(*s);
       if (!run.empty()) memory_runs.push_back(std::move(run));
     }
-    ASSIGN_OR_RETURN(std::vector<std::unique_ptr<SpillFile::Reader>> readers,
+    ASSIGN_OR_RETURN(std::vector<std::unique_ptr<BlockFileReader>> readers,
                      spiller_->OpenAllRuns());
     merge_ = std::make_unique<HashOrderedMerge>(
         std::move(readers), std::move(memory_runs), key_channels_.size());
@@ -1649,7 +1649,7 @@ class SortOperator final : public Operator {
     ASSIGN_OR_RETURN(std::optional<Page> last, SortBuffered());
     std::vector<Page> memory_run;
     if (last.has_value()) memory_run = ChunkPage(*last);
-    ASSIGN_OR_RETURN(std::vector<std::unique_ptr<SpillFile::Reader>> readers,
+    ASSIGN_OR_RETURN(std::vector<std::unique_ptr<BlockFileReader>> readers,
                      spiller_->OpenAllRuns());
     merge_ = std::make_unique<SpillMergeCursor>(
         std::move(readers), std::move(memory_run),

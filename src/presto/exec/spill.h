@@ -8,117 +8,59 @@
 #include <string>
 #include <vector>
 
-#include "presto/common/bytes.h"
 #include "presto/common/metrics.h"
+#include "presto/exec/block_file.h"
 #include "presto/fs/file_system.h"
 #include "presto/vector/page.h"
 
 namespace presto {
 
-/// Self-describing page block in the spill column encoding, shared by spill
-/// runs and the exchange spool: varint num_rows, varint num_columns, per
-/// column a Type::ToString() string followed by the typed/boxed column data.
-/// (SpillFile runs factor the types into a per-run header instead; the spool
-/// appends pages incrementally, so each block carries its own types.)
-Status SerializeSpillPage(const Page& page, ByteBuffer* out);
-Result<Page> DeserializeSpillPage(ByteReader* reader);
-
 /// Revocable-memory spill area for a single operator. When an operator's
 /// memory reservation fails, it revokes itself: the in-memory state is
 /// sorted (aggregation: by key hash; ORDER BY: by the sort keys), written out
-/// as one run file, and memory is released; on output the sorted runs are
-/// merge-read back. Runs live behind the `fs` layer
-/// (LocalFileSystem in production, MemoryFileSystem in tests) so the fault
-/// injector's spill.write / spill.read points cover disk trouble the same
-/// way they cover connector I/O.
+/// as one run, and memory is released; on output the sorted runs are
+/// merge-read back. All runs of one operator go to one block file,
+/// `<dir>/spill-<seq>.blk`, created at the first run and deleted on
+/// destruction; each run is an extent of it. The file lives behind the `fs`
+/// layer (LocalFileSystem in production, MemoryFileSystem in tests) so the
+/// fault injector's spill.write / spill.read points cover disk trouble the
+/// same way they cover connector I/O.
 ///
-/// Run file format (columnar, self-describing):
-///   header:  u32 magic, varint num_columns, per column a Type::ToString()
-///            string (parsed back on read)
-///   blocks:  varint block_bytes, then one page: varint num_rows, per
-///            column u8 tag (typed flat or boxed), nulls, then raw typed
-///            data or per-row serialized Values
-///   trailer: varint 0 (end of run)
-///
-/// Counters (per-query registry, may be null): spill.run.written,
-/// spill.byte.written, spill.byte.read. A run read to its end adds exactly
-/// its written bytes to spill.byte.read.
-class SpillFile {
+/// Counters (per-query registry, may be null): spill.run.written (runs, not
+/// files), spill.byte.written, spill.byte.read. Runs read to their ends add
+/// exactly the written bytes, file header included, to spill.byte.read.
+class Spiller {
  public:
-  SpillFile(FileSystem* fs, std::string path, MetricsRegistry* metrics);
+  /// Spills to `<dir>/spill-<seq>.blk`, `seq` unique in the process.
+  Spiller(FileSystem* fs, const std::string& dir, MetricsRegistry* metrics);
 
-  /// Writes `pages` (already in run order) as one run and closes the file.
-  /// All pages must share the column types of the first.
-  Status WriteRun(const std::vector<Page>& pages);
+  /// Spills `pages` (already in run order, at least one) as one run. All
+  /// pages of all runs share the column types of the first run's first page.
+  Status SpillRun(const std::vector<Page>& pages);
 
-  /// Bytes written by WriteRun.
-  int64_t bytes_written() const { return bytes_written_; }
-  const std::string& path() const { return path_; }
+  int num_runs() const { return static_cast<int>(runs_.size()); }
+  int64_t total_bytes() const { return static_cast<int64_t>(file_.size()); }
 
-  /// Sequential page reader over a written run.
-  class Reader {
-   public:
-    /// Returns the next page, or nullopt at end of run.
-    Result<std::optional<Page>> Next();
-
-   private:
-    friend class SpillFile;
-    /// Counts `bytes` of the run as read. Header, blocks and end marker all
-    /// count, so a run read to its end reads exactly bytes_written().
-    void CountRead(int64_t bytes);
-
-    std::shared_ptr<RandomAccessFile> file_;
-    std::vector<TypePtr> types_;
-    uint64_t offset_ = 0;
-    MetricsRegistry::Counter* bytes_read_counter_ = nullptr;
-  };
-
-  Result<std::unique_ptr<Reader>> OpenReader() const;
-
-  /// Deletes the run file (best effort; called by the owning Spiller).
-  void Remove();
+  /// Closes the file and opens a reader per run, in spill order. The readers
+  /// share one file handle, so one thread must drive them all. SpillRun
+  /// fails afterwards.
+  Result<std::vector<std::unique_ptr<BlockFileReader>>> OpenAllRuns();
 
  private:
-  FileSystem* fs_;
-  std::string path_;
-  int64_t bytes_written_ = 0;
+  BlockFile file_;
+  std::vector<BlockExtent> runs_;
   MetricsRegistry::Counter* runs_written_counter_ = nullptr;
   MetricsRegistry::Counter* bytes_written_counter_ = nullptr;
   MetricsRegistry::Counter* bytes_read_counter_ = nullptr;
 };
 
-/// Owns the spill files of one operator instance: hands out uniquely named
-/// run files under `<dir>/` and deletes them all on destruction.
-class Spiller {
- public:
-  Spiller(FileSystem* fs, std::string dir, MetricsRegistry* metrics);
-  ~Spiller();
-
-  Spiller(const Spiller&) = delete;
-  Spiller& operator=(const Spiller&) = delete;
-
-  /// Spills `pages` (already in run order) as one run.
-  Status SpillRun(const std::vector<Page>& pages);
-
-  int num_runs() const { return static_cast<int>(runs_.size()); }
-  int64_t total_bytes() const { return total_bytes_; }
-
-  /// Opens a reader per run, in spill order.
-  Result<std::vector<std::unique_ptr<SpillFile::Reader>>> OpenAllRuns() const;
-
- private:
-  FileSystem* fs_;
-  std::string dir_;
-  MetricsRegistry* metrics_;
-  std::vector<std::unique_ptr<SpillFile>> runs_;
-  int64_t total_bytes_ = 0;
-};
-
 /// One input of a k-way merge: a spill run read back page by page, or the
-/// pages of a run that never left memory.
+/// pages of a run that never left memory. Reading a spilled run counts as
+/// spill I/O and hits the spill.read fault point once per block and once at
+/// the end of the run.
 class MergeSource {
  public:
-  explicit MergeSource(std::unique_ptr<SpillFile::Reader> reader)
+  explicit MergeSource(std::unique_ptr<BlockFileReader> reader)
       : reader_(std::move(reader)) {}
   explicit MergeSource(std::vector<Page> pages)
       : memory_pages_(std::move(pages)) {}
@@ -128,7 +70,7 @@ class MergeSource {
   const Page& page() const { return page_; }
 
  private:
-  std::unique_ptr<SpillFile::Reader> reader_;  // null for a memory run
+  std::unique_ptr<BlockFileReader> reader_;  // null for a memory run
   std::vector<Page> memory_pages_;
   size_t memory_index_ = 0;
   Page page_;
@@ -144,7 +86,7 @@ class SpillMergeCursor {
  public:
   using Comparator = std::function<int(const Page&, size_t, const Page&, size_t)>;
 
-  SpillMergeCursor(std::vector<std::unique_ptr<SpillFile::Reader>> readers,
+  SpillMergeCursor(std::vector<std::unique_ptr<BlockFileReader>> readers,
                    std::vector<Page> in_memory_run, Comparator cmp);
 
   /// Positions on the smallest remaining row. Returns false at end of data.
@@ -189,7 +131,7 @@ class HashOrderedMerge {
     size_t end = 0;
   };
 
-  HashOrderedMerge(std::vector<std::unique_ptr<SpillFile::Reader>> readers,
+  HashOrderedMerge(std::vector<std::unique_ptr<BlockFileReader>> readers,
                    std::vector<std::vector<Page>> memory_runs,
                    size_t num_keys);
 

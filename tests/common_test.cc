@@ -8,6 +8,7 @@
 
 #include "presto/common/bytes.h"
 #include "presto/common/compression.h"
+#include "presto/common/crc32c.h"
 #include "presto/common/fault_injection.h"
 #include "presto/common/hash.h"
 #include "presto/common/metrics.h"
@@ -231,9 +232,47 @@ TEST(CompressionTest, CorruptFrameRejected) {
   EXPECT_FALSE(out.ok());
 }
 
+// A frame's declared size is untrusted: a 10-byte frame that declares 2^61
+// bytes, or one whose literal run claims 2^40 bytes, must fail as
+// kCorruption before anything is allocated from those sizes.
+TEST(CompressionTest, HugeDeclaredSizeIsCorruption) {
+  for (CompressionKind kind : {CompressionKind::kNone, CompressionKind::kSnappy,
+                               CompressionKind::kGzip}) {
+    ByteBuffer bare;
+    bare.PutVarint(uint64_t{1} << 61);
+    bare.PutU8(0);
+    ASSERT_EQ(bare.size(), 10u);
+    ByteBuffer literal;
+    literal.PutVarint(uint64_t{1} << 61);
+    literal.PutU8(0);  // literal-run token
+    literal.PutVarint(uint64_t{1} << 40);
+    literal.PutU8(7);
+    for (const ByteBuffer* frame : {&bare, &literal}) {
+      auto out = Decompress(kind, frame->data(), frame->size());
+      ASSERT_FALSE(out.ok()) << CompressionKindToString(kind);
+      EXPECT_EQ(out.status().code(), StatusCode::kCorruption)
+          << CompressionKindToString(kind) << ": " << out.status().ToString();
+    }
+  }
+}
+
 TEST(CompressionTest, UnknownKindNameRejected) {
   EXPECT_FALSE(CompressionKindFromString("LZ4").ok());
   EXPECT_EQ(*CompressionKindFromString("SNAPPY"), CompressionKind::kSnappy);
+}
+
+// The standard CRC32C check value, and extension across a split.
+TEST(Crc32cTest, MatchesCheckValueAndExtends) {
+  const std::string check = "123456789";
+  const auto* bytes = reinterpret_cast<const uint8_t*>(check.data());
+  EXPECT_EQ(Crc32c(bytes, check.size()), 0xE3069283u);
+  for (size_t split = 0; split <= check.size(); ++split) {
+    EXPECT_EQ(Crc32c(bytes + split, check.size() - split, Crc32c(bytes, split)),
+              0xE3069283u)
+        << "split at " << split;
+  }
+  std::vector<uint8_t> zeros(32, 0);
+  EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {

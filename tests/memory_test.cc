@@ -165,13 +165,13 @@ TEST(MemoryPoolTest, ReservationRaii) {
 }
 
 // ---------------------------------------------------------------------------
-// Spill files
+// Spill runs
 // ---------------------------------------------------------------------------
 
-TEST(SpillFileTest, RunRoundTripsTypedAndNullData) {
+TEST(SpillerTest, RunRoundTripsTypedAndNullData) {
   MemoryFileSystem fs;
   MetricsRegistry metrics;
-  SpillFile file(&fs, "spill/run0", &metrics);
+  Spiller spiller(&fs, "spill/run0", &metrics);
 
   std::vector<Page> pages;
   for (int p = 0; p < 3; ++p) {
@@ -193,15 +193,18 @@ TEST(SpillFileTest, RunRoundTripsTypedAndNullData) {
     }
     pages.push_back(Page({keys.Build(), names.Build(), vals.Build()}));
   }
-  ASSERT_TRUE(file.WriteRun(pages).ok());
-  EXPECT_GT(file.bytes_written(), 0);
+  ASSERT_TRUE(spiller.SpillRun(pages).ok());
+  EXPECT_GT(spiller.total_bytes(), 0);
   EXPECT_EQ(metrics.Get("spill.run.written"), 1);
 
-  auto reader = file.OpenReader();
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto readers = spiller.OpenAllRuns();
+  ASSERT_TRUE(readers.ok()) << readers.status().ToString();
+  ASSERT_EQ(readers->size(), 1u);
+  auto& reader = readers->front();
   size_t page_index = 0;
   while (true) {
-    auto batch = (*reader)->Next();
+    int64_t block_bytes = 0;
+    auto batch = reader->Next(&block_bytes);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     if (!batch->has_value()) break;
     ASSERT_LT(page_index, pages.size());
@@ -218,8 +221,8 @@ TEST(SpillFileTest, RunRoundTripsTypedAndNullData) {
   }
   EXPECT_EQ(page_index, pages.size());
   EXPECT_GT(metrics.Get("spill.byte.read"), 0);
-  EXPECT_EQ(metrics.Get("spill.byte.read"), file.bytes_written())
-      << "header and end marker count on read as they do on write";
+  EXPECT_EQ(metrics.Get("spill.byte.read"), spiller.total_bytes())
+      << "the file header counts on read as it does on write";
 }
 
 // ---------------------------------------------------------------------------
@@ -382,6 +385,57 @@ TEST(SpillMergeTest, HashMergeKeepsEveryKeyInOneBatch) {
   std::sort(merged.begin(), merged.end());
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(merged, expected);
+}
+
+// Fifty revocations of one operator append fifty runs to one block file, and
+// a full merge reads back exactly the bytes written, file header included.
+TEST(SpillMergeTest, ManyRunsShareOneFile) {
+  MemoryFileSystem fs;
+  MetricsRegistry metrics;
+  constexpr int kRuns = 50;
+  {
+    Spiller spiller(&fs, "spill/many", &metrics);
+    std::vector<KeyTag> expected;
+    for (int r = 0; r < kRuns; ++r) {
+      std::vector<KeyTag> run;
+      for (int64_t i = 0; i < 30; ++i) {
+        run.push_back({i * 3 + r % 3, r * 1000 + i});
+      }
+      expected.insert(expected.end(), run.begin(), run.end());
+      ASSERT_TRUE(spiller.SpillRun(MakeRunPages(run, 8)).ok());
+    }
+    EXPECT_EQ(spiller.num_runs(), kRuns);
+    EXPECT_EQ(metrics.Get("spill.run.written"), kRuns);
+    auto readers = spiller.OpenAllRuns();
+    ASSERT_TRUE(readers.ok()) << readers.status().ToString();
+    ASSERT_EQ(readers->size(), static_cast<size_t>(kRuns));
+    auto files = fs.ListFiles("spill/many");
+    ASSERT_TRUE(files.ok());
+    EXPECT_EQ(files->size(), 1u) << "one file per spiller, not one per run";
+
+    SpillMergeCursor cursor(
+        std::move(*readers), {},
+        [](const Page& a, size_t a_row, const Page& b, size_t b_row) {
+          return a.column(0)->CompareAt(a_row, *b.column(0), b_row);
+        });
+    std::vector<KeyTag> merged;
+    while (true) {
+      auto more = cursor.Advance();
+      ASSERT_TRUE(more.ok()) << more.status().ToString();
+      if (!*more) break;
+      merged.push_back(RowAt(cursor.page(), cursor.row()));
+    }
+    std::stable_sort(
+        expected.begin(), expected.end(),
+        [](const KeyTag& a, const KeyTag& b) { return a.first < b.first; });
+    EXPECT_EQ(merged, expected);
+    EXPECT_EQ(metrics.Get("spill.byte.read"),
+              metrics.Get("spill.byte.written"));
+    EXPECT_FALSE(spiller.SpillRun(MakeRunPages({{1, 1}}, 8)).ok())
+        << "a run spilled after the runs were opened would never be read";
+  }
+  EXPECT_TRUE(fs.ListFiles("spill/many")->empty())
+      << "the spiller deletes its file";
 }
 
 // ---------------------------------------------------------------------------

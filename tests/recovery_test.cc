@@ -123,10 +123,24 @@ TEST_F(ExchangeSpoolTest, RoundTripsPagesPerPartition) {
   EXPECT_FALSE(spool.Append(0, BigintPage({9})).ok());
   EXPECT_FALSE(spool.broken(0));
 
+  // Replay partition 1 too: then every spooled page and byte came back.
+  auto other = spool.OpenReader(1);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  auto only = (*other)->Next();
+  ASSERT_TRUE(only.ok()) << only.status().ToString();
+  ASSERT_TRUE(only->has_value());
+  EXPECT_EQ(PageValues(**only), (std::vector<int64_t>{42}));
+  auto other_eos = (*other)->Next();
+  ASSERT_TRUE(other_eos.ok());
+  EXPECT_FALSE(other_eos->has_value());
+
   EXPECT_GE(metrics_.Get("exchange.spool.page.written"), 3);
-  EXPECT_GT(metrics_.Get("exchange.spool.byte.written"), 0);
+  EXPECT_EQ(metrics_.Get("exchange.spool.byte.written"), spool.bytes_spooled());
   EXPECT_GE(metrics_.Get("exchange.spool.page.replayed"), 2);
-  EXPECT_GT(metrics_.Get("exchange.spool.byte.read"), 0);
+  EXPECT_EQ(metrics_.Get("exchange.spool.page.replayed"),
+            metrics_.Get("exchange.spool.page.written"));
+  EXPECT_EQ(metrics_.Get("exchange.spool.byte.read"),
+            metrics_.Get("exchange.spool.byte.written"));
 }
 
 TEST_F(ExchangeSpoolTest, NeverWrittenPartitionReplaysEmpty) {
