@@ -55,6 +55,76 @@ Status FillFacts(MemoryConnector* memory, const std::string& table,
   return Status::OK();
 }
 
+// The spread of a spilling query over repeated runs: how many runs and
+// bytes it wrote, how they split between the aggregation nodes, and how long
+// its operators waited on the memory arbiter.
+struct SpillSpread {
+  // One value per run, each list sorted ascending.
+  std::vector<int64_t> runs, bytes, leaf_runs, final_runs, wait_nanos;
+  int64_t rows = -1;  // result rows; -1 when two runs disagreed
+};
+
+long long Median(const std::vector<int64_t>& sorted) {
+  return sorted[sorted.size() / 2];
+}
+
+std::string MinMedianMax(const std::vector<int64_t>& v, double scale,
+                         int digits) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%.*f / %.*f / %.*f", digits,
+                v.front() * scale, digits, Median(v) * scale, digits,
+                v.back() * scale);
+  return buf;
+}
+
+// Runs `sql` (a two-stage group-by) `reps` times under `props` and prints
+// the spread. The final aggregation is the node whose output is the
+// result; the other aggregation node is the leaf partial one.
+SpillSpread RunSpillSpread(PrestoCluster& cluster, const std::string& sql,
+                           const std::map<std::string, std::string>& props,
+                           size_t input_rows, int reps) {
+  SpillSpread s;
+  for (int rep = 0; rep < reps; ++rep) {
+    Session session;
+    session.properties = props;
+    auto result = cluster.Execute(sql, session);
+    if (!result.ok()) {
+      std::fprintf(stderr, "%s\n%s\n", sql.c_str(),
+                   result.status().ToString().c_str());
+      std::exit(1);
+    }
+    if (rep == 0) s.rows = result->total_rows;
+    if (s.rows != result->total_rows) s.rows = -1;
+    s.runs.push_back(result->exec_metrics["spill.run.written"]);
+    s.bytes.push_back(result->exec_metrics["spill.byte.written"]);
+    s.wait_nanos.push_back(
+        result->exec_metrics["trace.blocked.memory_wait.nanos"]);
+    int64_t leaf = 0, final_runs = 0;
+    for (const auto& [node_id, op] : result->stats.operators) {
+      if (op.operator_type != "HashAggregation") continue;
+      (op.output_rows == result->total_rows ? final_runs : leaf) +=
+          op.spilled_runs;
+    }
+    s.leaf_runs.push_back(leaf);
+    s.final_runs.push_back(final_runs);
+  }
+  for (auto* v : {&s.runs, &s.bytes, &s.leaf_runs, &s.final_runs,
+                  &s.wait_nanos}) {
+    std::sort(v->begin(), v->end());
+  }
+  std::printf(
+      "  %d runs (min / median / max): runs %s, MB written %s, "
+      "B per input row %s\n"
+      "  runs by node: leaf partial %s, final %s; memory wait ms %s\n",
+      reps, MinMedianMax(s.runs, 1, 0).c_str(),
+      MinMedianMax(s.bytes, 1.0 / 1048576, 1).c_str(),
+      MinMedianMax(s.bytes, 1.0 / input_rows, 2).c_str(),
+      MinMedianMax(s.leaf_runs, 1, 0).c_str(),
+      MinMedianMax(s.final_runs, 1, 0).c_str(),
+      MinMedianMax(s.wait_nanos, 1e-6, 1).c_str());
+  return s;
+}
+
 struct BenchResult {
   std::string query_name;
   std::string sql;
@@ -540,6 +610,19 @@ int main(int argc, char** argv) {
       queries[0].name, in_memory_millis, spilled_millis,
       static_cast<long long>(spill_runs), spill_bytes / 1048576.0,
       spilled_millis / in_memory_millis);
+  // Which operator spills, and how much, depends on which consumer the
+  // memory arbiter revokes; five runs show the spread.
+  SpillSpread spread = RunSpillSpread(
+      cluster, queries[0].sql,
+      {{"query_max_memory", "16777216"},
+       {"spill_path", "/tmp/presto_spill_bench"}},
+      queries[0].input_rows, 5);
+  if (spread.rows != in_memory_result.total_rows) {
+    std::fprintf(stderr, "spill spread row mismatch: %lld vs %lld\n",
+                 static_cast<long long>(spread.rows),
+                 static_cast<long long>(in_memory_result.total_rows));
+    return 1;
+  }
 
   // Interleave the accounted / unaccounted reps: running them as two
   // back-to-back blocks lets allocator and page-cache warmup from the spill
@@ -799,12 +882,22 @@ int main(int argc, char** argv) {
       "  \"memory\": {\"query\": \"%s\",\n"
       "    \"spill\": {\"in_memory_millis\": %.2f, \"spilled_millis\": %.2f, "
       "\"slowdown\": %.2f, \"runs_written\": %lld, \"bytes_written\": %lld},\n"
+      "    \"spill_spread\": {\"runs\": %zu, \"runs_min\": %lld, "
+      "\"runs_median\": %lld, \"runs_max\": %lld, \"bytes_min\": %lld, "
+      "\"bytes_median\": %lld, \"bytes_max\": %lld, "
+      "\"leaf_runs_median\": %lld, \"final_runs_median\": %lld, "
+      "\"memory_wait_nanos_median\": %lld},\n"
       "    \"reservation_overhead\": {\"accounted_millis\": %.2f, "
       "\"unaccounted_millis\": %.2f, \"overhead_pct\": %.2f, "
       "\"budget_pct\": 2.0, \"query_peak_bytes\": %lld}},\n",
       queries[0].name, in_memory_millis, spilled_millis,
       spilled_millis / in_memory_millis, static_cast<long long>(spill_runs),
-      static_cast<long long>(spill_bytes), accounted_millis,
+      static_cast<long long>(spill_bytes), spread.runs.size(),
+      static_cast<long long>(spread.runs.front()), Median(spread.runs),
+      static_cast<long long>(spread.runs.back()),
+      static_cast<long long>(spread.bytes.front()), Median(spread.bytes),
+      static_cast<long long>(spread.bytes.back()), Median(spread.leaf_runs),
+      Median(spread.final_runs), Median(spread.wait_nanos), accounted_millis,
       unaccounted_millis, memory_overhead_pct,
       static_cast<long long>(
           accounted_result.exec_metrics["memory.query.peak_bytes"]));

@@ -43,15 +43,17 @@ CHAOS_ITERS="${PRESTO_CHAOS_ITERS:-8}"
 
 # Memory-pressure stage: the spill / admission / low-memory-killer paths all
 # run with tiny query_max_memory caps, so re-running them under the
-# sanitizers shakes out races in reservation walks, revocation, and the
-# killer's cross-thread cancellation (SpillDifferentialTest also holds the
+# sanitizers shakes out races in reservation walks, the memory arbiter's
+# cross-thread revocation and kill wait (MemoryArbiterTest drives them over a
+# bare pool tree), and the killer's cross-thread cancellation (SpillDifferentialTest also holds the
 # ROW-key, 65-key, adapter and NaN-key group-bys). The acceptance-scale spill
 # test is shrunk for sanitizer speed (full 10M rows runs in the regular suite).
 # The block-file corruption sweeps (their own binary, block_file_tests), the
 # spool round trips and the corrupt spool replay run here too, so every
 # length check is exercised under ASan and the merges that share one spill
 # file handle under TSan.
-MEMORY_FILTER='MemoryPoolTest.*:SpillDifferentialTest.*:SpillLargeScaleTest.*'
+MEMORY_FILTER='MemoryPoolTest.*:MemoryArbiterTest.*'
+MEMORY_FILTER="$MEMORY_FILTER:SpillDifferentialTest.*:SpillLargeScaleTest.*"
 MEMORY_FILTER="$MEMORY_FILTER:SpillMergeTest.*:SpillIsolationTest.*"
 MEMORY_FILTER="$MEMORY_FILTER:AdmissionTest.*:LowMemoryKillerTest.*"
 MEMORY_FILTER="$MEMORY_FILTER:ExchangeMemoryTest.*:MemoryCountersTest.*"

@@ -484,7 +484,7 @@ class QueryRun {
            const FragmentedPlan& plan, const QueryOptions& options,
            bool force_stats, int64_t deadline_steady_nanos,
            MetricsRegistry* query_metrics,
-           const Coordinator::QueryMemoryContext* memory,
+           std::shared_ptr<QueryMemory> memory,
            const ResourceGroupConfig& group, TraceRecorder* recorder,
            int64_t query_span);
   QueryRun(const QueryRun&) = delete;
@@ -586,7 +586,7 @@ class QueryRun {
   const QueryOptions& options_;
   const int64_t deadline_;
   MetricsRegistry* const query_metrics_;
-  const Coordinator::QueryMemoryContext* const memory_;  // null = unaccounted
+  const std::shared_ptr<QueryMemory> memory_;  // null = unaccounted
   const ResourceGroupConfig& group_;
   TraceRecorder* const recorder_;  // null = untraced
   const int64_t query_span_;
@@ -668,46 +668,20 @@ Status Coordinator::RecordFailure(int64_t query_id, const Status& status,
   return status;
 }
 
-bool Coordinator::OnMemoryPressure(int64_t requesting_query_id,
-                                   int64_t bytes_requested) {
-  int64_t victim_id = -1;
-  int64_t victim_reserved = -1;
-  std::string victim_group;
-  {
-    std::lock_guard<std::mutex> lock(active_mu_);
-    // A kill already in flight is freeing memory as the victim unwinds; don't
-    // stack a second victim. The requester retries — unless it *is* the
-    // victim, in which case retrying is pointless (it observes its own flag).
-    for (const auto& [id, query] : active_queries_) {
-      if (query.killed->load(std::memory_order_relaxed)) {
-        return id != requesting_query_id;
-      }
-    }
-    const ActiveQuery* victim = nullptr;
-    for (const auto& [id, query] : active_queries_) {
-      int64_t reserved = query.pool->reserved_bytes();
-      if (reserved > victim_reserved) {
-        victim_reserved = reserved;
-        victim_id = id;
-        victim = &query;
-      }
-    }
-    if (victim == nullptr || victim_reserved <= 0) return false;
-    victim->killed->store(true, std::memory_order_relaxed);
-    victim_group = victim->group;
-  }
+void Coordinator::OnQueryKilled(const QueryMemory& victim,
+                                const QueryMemory& requester,
+                                int64_t bytes_requested) {
   // The flag alone suffices: operators poll it at every batch boundary, so
   // the victim unwinds (releasing its pools) without any exchange plumbing.
   metrics_.Increment("query.killed.memory");
-  if (!victim_group.empty()) {
-    metrics_.Increment("group." + victim_group + ".killed");
+  if (!victim.group.empty()) {
+    metrics_.Increment("group." + victim.group + ".killed");
   }
-  journal_.Record(victim_id, QueryEventKind::kKilledMemory,
+  journal_.Record(victim.query_id, QueryEventKind::kKilledMemory,
                   "largest reservation under worker memory pressure",
-                  {{"reserved_bytes", victim_reserved},
+                  {{"reserved_bytes", victim.query->reserved_bytes()},
                    {"bytes_requested", bytes_requested},
-                   {"requesting_query", requesting_query_id}});
-  return victim_id != requesting_query_id;
+                   {"requesting_query", requester.query_id}});
 }
 
 Status Coordinator::AdmitQuery(int64_t query_id, const std::string& group,
@@ -858,25 +832,11 @@ Result<QueryResult> Coordinator::ExecutePlan(int64_t query_id,
     ~AdmissionGuard() { Release(); }
   } admission{this, group.name};
 
-  // -- Per-query memory context: worker [-> group] -> query.<id> ->
-  // {user, system}, set up once the query is first admitted. The
-  // registration makes the query visible to the low-memory killer; the
-  // guard unregisters it on every exit path and wakes queued queries.
-  QueryMemoryContext memory_ctx;
-  const QueryMemoryContext* memory = nullptr;
-  struct ActiveGuard {
-    Coordinator* coordinator;
-    int64_t query_id;
-    bool armed = false;
-    ~ActiveGuard() {
-      if (!armed) return;
-      {
-        std::lock_guard<std::mutex> lock(coordinator->active_mu_);
-        coordinator->active_queries_.erase(query_id);
-      }
-      coordinator->groups_->NotifyCapacity();
-    }
-  } active_guard{this, query_id};
+  // -- Per-query memory: worker [-> group] -> query.<id> -> {user, system},
+  // set up once the query is first admitted. Registering it with the
+  // arbiter makes the query a kill candidate until its last holder drops
+  // it, which removes it (waking arbiter waiters) and wakes queued queries.
+  std::shared_ptr<QueryMemory> memory;
 
   int64_t queued_nanos = 0;
   Result<QueryResult> run = Status::Internal("query did not run");
@@ -899,28 +859,25 @@ Result<QueryResult> Coordinator::ExecutePlan(int64_t query_id,
     if (pass == 0 && options.memory_accounting) {
       // Query pools hang off the group's pool layer when resource groups
       // are enabled, so the group's memory_fraction cap bounds its tenants'
-      // combined reservations (operators classify a group-cap failure like
-      // a query-cap failure: spill or fail, never the cross-tenant killer).
-      MemoryPool* pool_parent = worker_pool_.get();
-      auto group_pool_it = group_pools_.find(group.name);
-      if (group_pool_it != group_pools_.end()) {
-        pool_parent = group_pool_it->second.get();
-        memory_ctx.group = pool_parent;
-      }
-      memory_ctx.query =
-          pool_parent->AddChild("query." + std::to_string(query_id));
-      memory_ctx.user = memory_ctx.query->AddChild("user", options.max_memory);
-      memory_ctx.system = memory_ctx.query->AddChild("system");
-      memory_ctx.killed = std::make_shared<std::atomic<bool>>(false);
-      memory_ctx.spill_dir = SpillRoot(options.spill_path) + "/query-" +
-                             std::to_string(query_id);
-      memory = &memory_ctx;
-      {
-        std::lock_guard<std::mutex> lock(active_mu_);
-        active_queries_[query_id] =
-            ActiveQuery{memory_ctx.query, memory_ctx.killed, group.name};
-      }
-      active_guard.armed = true;
+      // combined reservations (the arbiter scopes a group-cap failure to
+      // the tenant: spill or fail, never the cross-tenant killer).
+      memory.reset(new QueryMemory(), [this](QueryMemory* exited) {
+        arbiter_->RemoveQuery(exited);
+        groups_->NotifyCapacity();
+        delete exited;
+      });
+      MemoryPool* pool_parent = group_pool(group.name);
+      if (pool_parent == nullptr) pool_parent = worker_pool_.get();
+      memory->query_id = query_id;
+      memory->group = group.name;
+      memory->query = pool_parent->AddChild("query." + std::to_string(query_id));
+      memory->user = memory->query->AddChild("user", options.max_memory);
+      memory->system = memory->query->AddChild("system");
+      memory->deadline_steady_nanos = deadline_steady_nanos;
+      if (options.spill_enabled) memory->spill_fs = spill_fs_.get();
+      memory->spill_dir = SpillRoot(options.spill_path) + "/query-" +
+                          std::to_string(query_id);
+      arbiter_->AddQuery(memory.get());
     }
     run = QueryRun(this, query_id, fragmented, options, force_stats,
                    deadline_steady_nanos, &query_metrics, memory, group,
@@ -954,7 +911,7 @@ QueryRun::QueryRun(Coordinator* coordinator, int64_t query_id,
                    const FragmentedPlan& plan, const QueryOptions& options,
                    bool force_stats, int64_t deadline_steady_nanos,
                    MetricsRegistry* query_metrics,
-                   const Coordinator::QueryMemoryContext* memory,
+                   std::shared_ptr<QueryMemory> memory,
                    const ResourceGroupConfig& group, TraceRecorder* recorder,
                    int64_t query_span)
     : coordinator_(coordinator),
@@ -963,7 +920,7 @@ QueryRun::QueryRun(Coordinator* coordinator, int64_t query_id,
       options_(options),
       deadline_(deadline_steady_nanos),
       query_metrics_(query_metrics),
-      memory_(memory),
+      memory_(std::move(memory)),
       group_(group),
       recorder_(recorder),
       query_span_(query_span),
@@ -979,16 +936,7 @@ QueryRun::QueryRun(Coordinator* coordinator, int64_t query_id,
   limits_.deadline_steady_nanos = deadline_steady_nanos;
   limits_.max_join_build_rows = options.max_join_build_rows;
   limits_.task_threads = options.task_threads;
-  if (memory != nullptr) {
-    limits_.query_user_pool = memory->user.get();
-    limits_.query_group_pool = memory->group;
-    limits_.arbiter = coordinator;
-    limits_.query_id = query_id;
-    limits_.query_killed = memory->killed;
-    limits_.spill_enabled = options.spill_enabled;
-    limits_.spill_fs = coordinator->spill_fs_.get();
-    limits_.spill_dir = memory->spill_dir;
-  }
+  limits_.query_memory = memory_;
 }
 
 Result<QueryResult> QueryRun::Run(const Stopwatch& watch,

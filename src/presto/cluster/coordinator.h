@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -98,14 +99,15 @@ struct CoordinatorOptions {
 /// fragments the physical plan, and schedules tasks on worker execution
 /// slots. There is one coordinator per cluster; it is stateful.
 ///
-/// Memory management: the coordinator owns the worker-level MemoryPool root.
-/// Each query gets a child pool split into a "user" subtree (capped by the
-/// session property query_max_memory; operators reserve there) and a
-/// "system" subtree (exchange buffers). Under pressure it degrades in order:
-/// revocable operators spill, new queries queue at the admission high-water
-/// mark, and as the last resort the low-memory killer (MemoryArbiter)
-/// cancels the query with the largest reservation.
-class Coordinator : public MemoryArbiter {
+/// Memory management: the coordinator owns the worker-level MemoryPool root
+/// and its MemoryArbiter. Each query gets a child pool split into a "user"
+/// subtree (capped by the session property query_max_memory; operators
+/// reserve there) and a "system" subtree (exchange buffers). New queries
+/// queue at the admission high-water mark; a reservation that fails goes to
+/// the arbiter, which revokes (spills) the largest revocable state under the
+/// refused pool and, only at the worker cap, kills the query with the
+/// largest reservation.
+class Coordinator {
  public:
   Coordinator(CatalogRegistry* catalogs,
               CoordinatorOptions options = CoordinatorOptions())
@@ -115,6 +117,8 @@ class Coordinator : public MemoryArbiter {
                  options.journal_capacity) {
     worker_pool_ = MemoryPool::CreateRoot("worker", options_.worker_memory_bytes,
                                           &metrics_);
+    arbiter_ = std::make_unique<MemoryArbiter>(
+        worker_pool_, std::bind_front(&Coordinator::OnQueryKilled, this));
     // Admission gate shared by every group: reserved worker memory must sit
     // below the high-water mark for any query to be admitted.
     const int64_t high_water = static_cast<int64_t>(
@@ -150,7 +154,7 @@ class Coordinator : public MemoryArbiter {
   }
 
   /// Removes the spill and spool directories this coordinator created.
-  ~Coordinator() override;
+  ~Coordinator();
 
   // -- worker membership: elastic expansion / graceful shrink ----------------
   void AddWorker(std::shared_ptr<Worker> worker);
@@ -225,15 +229,6 @@ class Coordinator : public MemoryArbiter {
     return it == group_pools_.end() ? nullptr : it->second.get();
   }
 
-  /// Low-memory killer (MemoryArbiter): invoked by an operator whose
-  /// reservation failed at the worker cap even after self-revocation. Kills
-  /// (sets the cancellation flag of) the active query with the largest
-  /// reservation — at most one victim in flight at a time — and returns true
-  /// when the caller should retry its reservation. Returns false when the
-  /// caller itself is (or just became) the victim, or nothing can be freed.
-  bool OnMemoryPressure(int64_t requesting_query_id,
-                        int64_t bytes_requested) override;
-
   /// Creates `root` and writes its marker file, ".presto_spill_root":
   /// "<pid> <boot id>/<pid namespace>". Only marked roots are ever swept.
   static void MarkSpillRoot(const std::string& root, pid_t pid);
@@ -248,19 +243,10 @@ class Coordinator : public MemoryArbiter {
   /// One run of a query's tasks (coordinator.cc); reads the members below.
   friend class QueryRun;
 
-  /// Per-query memory wiring threaded from ExecutePlan into the execution
-  /// layers. Null when the session disabled accounting.
-  struct QueryMemoryContext {
-    std::shared_ptr<MemoryPool> query;   // worker [-> group] -> query.<id>
-    std::shared_ptr<MemoryPool> user;    // capped at query_max_memory
-    std::shared_ptr<MemoryPool> system;  // exchange buffers (uncapped)
-    /// The group pool layer above the query pool (null when groups are
-    /// disabled): a reservation failing here means the tenant outgrew its
-    /// group cap — spill or fail within the tenant, never the killer.
-    MemoryPool* group = nullptr;
-    std::shared_ptr<std::atomic<bool>> killed;
-    std::string spill_dir;
-  };
+  /// The arbiter's kill path picked `victim`: journals query_killed_memory
+  /// and bumps query.killed.memory (and group.<name>.killed).
+  void OnQueryKilled(const QueryMemory& victim, const QueryMemory& requester,
+                     int64_t bytes_requested);
 
   /// Admission control through the resource-group manager: immediate when
   /// the group has quota and the memory gate is open, else the query parks
@@ -336,14 +322,8 @@ class Coordinator : public MemoryArbiter {
   /// Weighted-fair admission (always present; a single unbounded FIFO group
   /// when resource groups are disabled).
   std::unique_ptr<ResourceGroupManager> groups_;
-  /// Guards the active-query registry below.
-  mutable std::mutex active_mu_;
-  struct ActiveQuery {
-    std::shared_ptr<MemoryPool> pool;            // query.<id> subtree
-    std::shared_ptr<std::atomic<bool>> killed;   // low-memory kill flag
-    std::string group;                           // admission group name
-  };
-  std::map<int64_t, ActiveQuery> active_queries_;
+  /// Every failed reservation of every query on this worker goes here.
+  std::unique_ptr<MemoryArbiter> arbiter_;
 };
 
 }  // namespace presto

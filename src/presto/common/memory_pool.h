@@ -2,14 +2,22 @@
 #define PRESTO_COMMON_MEMORY_POOL_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "presto/common/metrics.h"
 #include "presto/common/status.h"
+#include "presto/common/trace.h"
 
 namespace presto {
+
+class FileSystem;
+class MemoryArbiter;
 
 /// Hierarchical memory accounting. A pool tree mirrors the execution tree —
 /// worker -> query -> task -> operator — and every allocation-ish event
@@ -27,13 +35,17 @@ namespace presto {
 ///
 /// Lifetime: children hold a shared_ptr to their parent, so a leaf pool held
 /// by an operator keeps the whole chain alive. Destroying a pool with a
-/// residual reservation (failure-path backstop; RAII releases normally)
-/// returns the residue to its ancestors.
+/// residual reservation (failure-path backstop; a MemoryConsumer releases
+/// normally) returns the residue to its ancestors.
+///
+/// A reservation that fails is not retried here: operators reserve through a
+/// MemoryConsumer (below), whose failed reservations go to the worker's
+/// MemoryArbiter. The root pool tells its arbiter about every
+/// release, which costs one relaxed atomic load while nobody waits.
 ///
 /// Counters (root's registry, may be null): memory.reserved.bytes is the
 /// cumulative bytes ever reserved anywhere in the tree (monotonic; current
-/// usage is reserved() on the root), memory.revoked.bytes is bumped by
-/// operators when revocation (spill) releases memory.
+/// usage is reserved() on the root).
 class MemoryPool : public std::enable_shared_from_this<MemoryPool> {
  public:
   static constexpr int64_t kUnlimited = 0;
@@ -53,9 +65,9 @@ class MemoryPool : public std::enable_shared_from_this<MemoryPool> {
 
   /// Reserves `bytes` against this pool and every ancestor. On failure
   /// nothing is reserved and the returned kResourceExhausted names the
-  /// exhausted pool; if `failed_pool` is non-null it is set to that pool so
-  /// callers can tell a query-cap failure (spill / fail the query) from a
-  /// worker-cap failure (invoke the low-memory killer).
+  /// exhausted pool; if `failed_pool` is non-null it is set to that pool,
+  /// which scopes the arbiter's response (the query's, the tenant's or
+  /// every consumer).
   Status Reserve(int64_t bytes, const MemoryPool** failed_pool = nullptr);
 
   /// Returns `bytes` previously reserved through this pool.
@@ -72,6 +84,7 @@ class MemoryPool : public std::enable_shared_from_this<MemoryPool> {
   MemoryPool* parent() const { return parent_.get(); }
 
  private:
+  friend class MemoryArbiter;  // sets arbiter_ on the root
   MemoryPool(std::string name, int64_t capacity_bytes,
              std::shared_ptr<MemoryPool> parent, MetricsRegistry* metrics);
 
@@ -83,64 +96,151 @@ class MemoryPool : public std::enable_shared_from_this<MemoryPool> {
   std::atomic<int64_t> reserved_{0};
   std::atomic<int64_t> peak_{0};
   MetricsRegistry::Counter* reserved_counter_ = nullptr;  // root only
+  MemoryArbiter* arbiter_ = nullptr;                      // root only
 };
 
-/// Tracks one logical consumer's reservation against a pool and releases it
-/// on destruction. SetBytes() moves the reservation to a new absolute
-/// footprint (reserving the delta or releasing the surplus), which matches
-/// how operators re-estimate after each consumed page.
-class MemoryReservation {
+/// One query's memory: its pools, its kill flag and deadline, and its spill
+/// area. The coordinator registers it with the worker's arbiter while the
+/// query runs; operators reach it through ExecutionLimits::query_memory.
+struct QueryMemory {
+  int64_t query_id = 0;
+  std::string group;                   // admission (resource) group name
+  std::shared_ptr<MemoryPool> query;   // worker [-> group.<name>] -> query.<id>
+  std::shared_ptr<MemoryPool> user;    // capped at query_max_memory
+  std::shared_ptr<MemoryPool> system;  // exchange buffers (uncapped)
+  std::atomic<bool> killed{false};     // set by the arbiter's kill path
+  int64_t deadline_steady_nanos = 0;   // bounds arbiter waits; 0 = none
+  FileSystem* spill_fs = nullptr;      // null = spill disabled
+  std::string spill_dir;
+  MemoryArbiter* arbiter = nullptr;
+};
+
+/// The classified status of a query the arbiter killed.
+Status QueryKilledStatus();
+
+/// One reservation under a task pool: a join build, or a revocable state
+/// (an aggregation chain's tables, a sort buffer).
+/// Reservations move in kQuantum steps, so a growing consumer touches the
+/// shared pool tree once per quantum rather than once per page. A growth the
+/// pool tree refuses goes to the query's arbiter.
+///
+/// Lock order: the arbiter's mutex, then a consumer's mu(). The owner holds
+/// mu() only while it folds one page into the revocable state; it never
+/// holds it while calling Reserve or Unregister.
+class MemoryConsumer {
  public:
-  MemoryReservation() = default;
-  explicit MemoryReservation(std::shared_ptr<MemoryPool> pool)
-      : pool_(std::move(pool)) {}
+  static constexpr int64_t kQuantum = 1 << 20;
 
-  MemoryReservation(const MemoryReservation&) = delete;
-  MemoryReservation& operator=(const MemoryReservation&) = delete;
+  MemoryConsumer() = default;
+  MemoryConsumer(const MemoryConsumer&) = delete;  // the arbiter holds `this`
+  MemoryConsumer& operator=(const MemoryConsumer&) = delete;
+  /// Unregisters and releases the whole reservation.
+  ~MemoryConsumer();
 
-  ~MemoryReservation() { Clear(); }
+  /// Accounts under `pool`. `query` (may be null) routes refused growth to
+  /// its arbiter; `metrics` (may be null) receives memory.revoked.bytes.
+  /// Until Init every call is a no-op (memory accounting off).
+  ///
+  /// `state_bytes` estimates the state Reserve() reserves. With `revoke`,
+  /// which spills that state, and a query that spills, the consumer is
+  /// revocable until Unregister, ranked by the estimate published here and
+  /// at every Reserve(). Both run under mu(), on whichever thread needs the
+  /// memory.
+  void Init(std::shared_ptr<MemoryPool> pool,
+            std::shared_ptr<QueryMemory> query, MetricsRegistry* metrics,
+            std::function<int64_t()> state_bytes = nullptr,
+            std::function<Status()> revoke = nullptr);
+  /// Leaves the arbiter before the output phase, then settles what
+  /// revocations on other threads left: their spill time and bytes move to
+  /// the calling thread's blocked-time cell, and a failed one returns its
+  /// error. Idempotent.
+  Status Unregister();
 
-  /// Adjusts the reservation to `bytes` total. Shrinking always succeeds;
-  /// growing may fail with kResourceExhausted, leaving the old reservation
-  /// in place.
-  Status SetBytes(int64_t bytes, const MemoryPool** failed_pool = nullptr) {
-    if (!pool_) return Status::OK();
-    if (bytes < 0) bytes = 0;
-    if (bytes > bytes_) {
-      Status st = pool_->Reserve(bytes - bytes_, failed_pool);
-      if (!st.ok()) return st;
-    } else if (bytes < bytes_) {
-      pool_->Release(bytes_ - bytes);
-    }
-    bytes_ = bytes;
-    return Status::OK();
-  }
+  /// Guards the revocable state.
+  std::mutex& mu() { return mu_; }
 
-  /// Releases the whole reservation (idempotent).
-  void Clear() {
-    if (pool_ && bytes_ > 0) pool_->Release(bytes_);
-    bytes_ = 0;
-  }
-
-  int64_t bytes() const { return bytes_; }
-  MemoryPool* pool() const { return pool_.get(); }
+  /// Moves the reservation to `bytes`. Shrinking always succeeds; a growth
+  /// that fails keeps the old reservation and returns kResourceExhausted (or
+  /// kDeadlineExceeded when the query deadline passed while waiting).
+  Status Reserve(int64_t bytes);
+  /// Reserve of a registered consumer: the target is state_bytes(), read
+  /// under mu(), so an estimate a revocation made stale is never reserved.
+  Status Reserve() { return Reserve(kStateBytes); }
 
  private:
+  friend class MemoryArbiter;
+  static constexpr int64_t kStateBytes = -1;
+
+  // Requires mu_. Moves the reservation to `bytes` (kStateBytes: the state
+  // estimate), leaving `margin` free on top of a growth; on refusal sets
+  // `failed` (may be null without a margin) and keeps the old reservation.
+  Status SetLocked(int64_t bytes, int64_t margin, const MemoryPool** failed);
+
   std::shared_ptr<MemoryPool> pool_;
-  int64_t bytes_ = 0;
+  std::shared_ptr<QueryMemory> query_;
+  MetricsRegistry::Counter* revoked_counter_ = nullptr;
+  std::function<int64_t()> state_bytes_;
+  std::function<Status()> revoke_;
+  bool registered_ = false;  // owner thread only
+  std::mutex mu_;
+  int64_t bytes_ = 0;                 // guarded by mu_
+  BlockedCounters carried_;           // guarded by mu_
+  Status error_;                      // guarded by mu_
+  std::atomic<int64_t> estimate_{0};  // last state_bytes(), for ranking
 };
 
-/// Worker-level memory arbitration hook. When an operator's reservation
-/// fails at the *worker* cap (not its query cap) even after revoking itself,
-/// it asks the arbiter to free memory; the coordinator implements this as
-/// the low-memory killer (cancel the largest-reservation query). Returns
-/// true if memory was (or is being) freed and the caller should retry the
-/// reservation.
+/// The worker's memory arbiter: every reservation that fails comes here.
+/// It revokes registered consumers under the pool that refused, largest
+/// estimated state first, until the request fits with kMargin to spare. The
+/// refused pool scopes the victims: the query's own consumers at `user`, the
+/// tenant's at `group.<name>`, every consumer at `worker`. Only at the
+/// worker cap, once revocation cannot free enough, does it kill the query
+/// with the largest reservation (one victim at a time); the requester then
+/// waits on pool releases and query exits, bounded by its query deadline.
 class MemoryArbiter {
  public:
-  virtual ~MemoryArbiter() = default;
-  virtual bool OnMemoryPressure(int64_t requesting_query_id,
-                                int64_t bytes_requested) = 0;
+  /// Called under the arbiter's lock when the kill path picks `victim`.
+  using KillListener = std::function<void(
+      const QueryMemory& victim, const QueryMemory& requester, int64_t bytes)>;
+
+  static constexpr int64_t kMargin = MemoryConsumer::kQuantum;
+
+  /// Arbitrates for the root pool `worker`, whose releases now wake waiters.
+  explicit MemoryArbiter(std::shared_ptr<MemoryPool> worker,
+                         KillListener on_kill = nullptr);
+  MemoryArbiter(const MemoryArbiter&) = delete;  // the worker pool holds `this`
+  MemoryArbiter& operator=(const MemoryArbiter&) = delete;
+  /// Detaches from the worker pool.
+  ~MemoryArbiter();
+
+  /// Makes `query` a kill candidate until RemoveQuery.
+  void AddQuery(QueryMemory* query);
+  /// Forgets `query` (it has exited) and wakes waiters.
+  void RemoveQuery(QueryMemory* query);
+
+  /// Called by the root pool on every release.
+  void OnRelease() {
+    if (waiters_.load(std::memory_order_relaxed) > 0) wake_cv_.notify_all();
+  }
+
+ private:
+  friend class MemoryConsumer;
+
+  Status Arbitrate(MemoryConsumer& requester, int64_t bytes,
+                   const MemoryPool* failed);
+  Status Fits(MemoryConsumer& requester, int64_t bytes, int64_t margin,
+              const MemoryPool** failed);
+  MemoryConsumer* LargestUnder(const MemoryPool* scope);
+  Status Revoke(MemoryConsumer& victim, MemoryConsumer& requester);
+  QueryMemory* KillLargest(const QueryMemory& requester, int64_t bytes);
+
+  const std::shared_ptr<MemoryPool> worker_;
+  const KillListener on_kill_;
+  std::mutex mu_;  // serializes arbitration and guards the registries
+  std::vector<MemoryConsumer*> consumers_;
+  std::vector<QueryMemory*> queries_;
+  std::atomic<int> waiters_{0};  // kill waiters
+  std::condition_variable wake_cv_;  // releases, kills and query exits
 };
 
 /// Process-wide pool that metadata caches (footer / file-list / file-handle)

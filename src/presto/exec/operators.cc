@@ -1,10 +1,8 @@
 #include "presto/exec/operators.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <mutex>
-#include <thread>
 
 #include "presto/common/clock.h"
 #include "presto/common/thread_pool.h"
@@ -20,12 +18,12 @@ Result<std::optional<Page>> Operator::Next() {
     return Status::DeadlineExceeded(
         "query deadline exceeded (query_timeout_millis)");
   }
-  if (kill_flag_ != nullptr && kill_flag_->load(std::memory_order_relaxed)) {
-    return Status::ResourceExhausted(
-        "Query killed: worker memory exhausted (low-memory killer)");
+  if (kill_flag_ != nullptr &&
+      kill_flag_->killed.load(std::memory_order_relaxed)) {
+    return QueryKilledStatus();
   }
   if (!collect_stats_) {
-    // Row/page counts stay on (the engine and tests rely on rows_produced);
+    // Row/page counts stay on (the engine and tests rely on them);
     // only the clock reads and byte estimation are skipped.
     ASSIGN_OR_RETURN(std::optional<Page> page, NextInternal());
     if (page.has_value()) {
@@ -103,6 +101,27 @@ void Operator::FinishTraceSpan() {
        {"scan_rows_pruned_late", stats_.scan_rows_pruned_late}});
 }
 
+void Operator::Arm(const ExecutionLimits& limits) {
+  collect_stats_ = limits.collect_stats;
+  deadline_steady_nanos_ = limits.deadline_steady_nanos;
+  kill_flag_ = limits.query_memory;
+}
+
+Status Operator::RunChains(WorkStealingPool* pool, int n, const char* name,
+                           const std::function<Status(int)>& fn) {
+  return RunParallel(pool, n, [&](int i) {
+    int64_t chain_span = 0;
+    if (trace_recorder_ != nullptr) {
+      chain_span = trace_recorder_->BeginSpan(
+          TraceKind::kChain, name + std::to_string(i), trace_span_id_);
+    }
+    TraceContextScope scope(trace_recorder_, chain_span);
+    Status st = fn(i);
+    if (trace_recorder_ != nullptr) trace_recorder_->EndSpan(chain_span);
+    return st;
+  });
+}
+
 void Operator::CollectStats(std::vector<OperatorStats>* out) const {
   OperatorStats s = stats_;
   if (children_.empty()) {
@@ -133,123 +152,35 @@ void Bump(MetricsRegistry::Counter* counter, int64_t delta) {
   if (counter != nullptr && delta != 0) counter->Add(delta);
 }
 
+// The query's counter `name`, or null when the query keeps no counters.
+MetricsRegistry::Counter* CounterFor(const ExecutionLimits& limits,
+                                     const char* name) {
+  return limits.metrics ? limits.metrics->FindOrRegister(name) : nullptr;
+}
+
 // ---------------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------------
 
-// Per-operator memory accounting: owns a leaf pool under the task pool and a
-// running reservation equal to the operator's estimated footprint. Growing
-// the footprint can fail at two capped levels of the pool tree; callers
-// degrade differently per level:
-//   - query user cap (session query_max_memory): the query outgrew its own
-//     budget -> revoke self (spill) if enabled, else fail the query;
-//   - worker cap: the whole worker is full -> ask the arbiter (the
-//     coordinator's low-memory killer) to free memory elsewhere and retry.
-// When limits.task_pool is null (memory_accounting=false) every call is a
-// no-op, which is also the bench baseline for reservation overhead.
-class OperatorMemory {
- public:
-  void Init(const ExecutionLimits& limits, const std::string& name) {
-    if (limits.task_pool == nullptr) return;
-    pool_ = limits.task_pool->AddChild(name);
-    query_user_pool_ = limits.query_user_pool;
-    query_group_pool_ = limits.query_group_pool;
-    arbiter_ = limits.arbiter;
-    query_id_ = limits.query_id;
-    killed_ = limits.query_killed;
-    if (limits.metrics != nullptr) {
-      revoked_counter_ = limits.metrics->FindOrRegister("memory.revoked.bytes");
-    }
-  }
+// Accounts one operator (or aggregation chain) under the task pool; a no-op
+// while memory accounting is off (no task pool). A state the operator can
+// spill passes `state_bytes`, what Reserve() reserves, and `revoke`, which
+// makes it revocable when the query spills.
+void InitMemory(MemoryConsumer* memory, const ExecutionLimits& limits,
+                const std::string& name,
+                std::function<int64_t()> state_bytes = nullptr,
+                std::function<Status()> revoke = nullptr) {
+  if (limits.task_pool == nullptr) return;
+  memory->Init(limits.task_pool->AddChild(name), limits.query_memory,
+               limits.metrics, std::move(state_bytes), std::move(revoke));
+}
 
-  ~OperatorMemory() { ReleaseAll(); }
+// A spill run writer under the query's spill area.
+std::unique_ptr<Spiller> NewSpiller(const QueryMemory& query,
+                                    MetricsRegistry* metrics) {
+  return std::make_unique<Spiller>(query.spill_fs, query.spill_dir, metrics);
+}
 
-  bool enabled() const { return pool_ != nullptr; }
-  int64_t bytes() const { return bytes_; }
-
-  void ReleaseAll() {
-    if (pool_ != nullptr && bytes_ > 0) pool_->Release(bytes_);
-    bytes_ = 0;
-  }
-
-  /// Revocation released `bytes` of previously-reserved operator state
-  /// (counted once per spill, before the footprint is re-estimated).
-  void RecordRevoked(int64_t bytes) { Bump(revoked_counter_, bytes); }
-
-  /// Moves the reservation to `bytes` total. Shrinking always succeeds;
-  /// growing may fail, in which case `*at_query_cap` tells whether the
-  /// failure was the query's own cap (true) or the worker cap (false).
-  Status ReserveTotal(int64_t bytes, bool* at_query_cap) {
-    *at_query_cap = false;
-    if (pool_ == nullptr) return Status::OK();
-    if (bytes < 0) bytes = 0;
-    // Reservations move in quantum steps: the target is rounded up to the
-    // next multiple, so a steadily growing operator touches the shared pool
-    // tree once per quantum instead of once per page, and shrinks smaller
-    // than a quantum are kept (they are reused a page later). Cap accuracy
-    // degrades by at most one quantum per operator.
-    if (bytes > 0) {
-      bytes += kQuantum - 1 - (bytes + kQuantum - 1) % kQuantum;
-    }
-    if (bytes == bytes_) return Status::OK();
-    if (bytes <= bytes_) {
-      pool_->Release(bytes_ - bytes);
-      bytes_ = bytes;
-      return Status::OK();
-    }
-    const MemoryPool* failed = nullptr;
-    Status st = pool_->Reserve(bytes - bytes_, &failed);
-    if (st.ok()) {
-      bytes_ = bytes;
-      return st;
-    }
-    *at_query_cap =
-        (failed == query_user_pool_ && query_user_pool_ != nullptr) ||
-        (failed == query_group_pool_ && query_group_pool_ != nullptr);
-    return st;
-  }
-
-  /// ReserveTotal plus worker-cap arbitration: on a worker-cap failure asks
-  /// the arbiter (low-memory killer) to free memory and retries for up to
-  /// ~2s, checking the query's own kill flag each round (the killer may pick
-  /// *this* query as the victim).
-  Status ReserveTotalWithArbiter(int64_t bytes, bool* at_query_cap) {
-    Status st = ReserveTotal(bytes, at_query_cap);
-    if (st.ok() || *at_query_cap || arbiter_ == nullptr) return st;
-    // Only reached once the reservation actually failed at the worker cap:
-    // everything below is arbiter-wait time, attributed to the operator that
-    // is growing (and to a memory_wait span when tracing).
-    BlockedTimer blocked(BlockedKind::kMemoryWait);
-    TraceEventScope span(TraceKind::kMemoryWait, "arbiter_wait");
-    span.SetArg("requested_bytes", bytes - bytes_);
-    for (int attempt = 0; attempt < 500; ++attempt) {
-      if (killed_ != nullptr && killed_->load(std::memory_order_relaxed)) {
-        return Status::ResourceExhausted(
-            "Query killed: worker memory exhausted (low-memory killer)");
-      }
-      if (!arbiter_->OnMemoryPressure(query_id_, bytes - bytes_)) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(4));
-      st = ReserveTotal(bytes, at_query_cap);
-      if (st.ok() || *at_query_cap) return st;
-    }
-    if (killed_ != nullptr && killed_->load(std::memory_order_relaxed)) {
-      return Status::ResourceExhausted(
-          "Query killed: worker memory exhausted (low-memory killer)");
-    }
-    return st;
-  }
-
- private:
-  std::shared_ptr<MemoryPool> pool_;
-  MemoryPool* query_user_pool_ = nullptr;
-  MemoryPool* query_group_pool_ = nullptr;
-  MemoryArbiter* arbiter_ = nullptr;
-  int64_t query_id_ = 0;
-  std::shared_ptr<const std::atomic<bool>> killed_;
-  MetricsRegistry::Counter* revoked_counter_ = nullptr;
-  static constexpr int64_t kQuantum = 1 << 20;
-  int64_t bytes_ = 0;
-};
 
 // Rows per spill-run page: a k-way merge holds one such page per run
 // instead of one table-sized page. Also the fewest rows an aggregation
@@ -503,50 +434,33 @@ class HashAggregationOperator final : public Operator {
         aggs_(std::move(aggs)),
         step_(step) {
     for (const OperatorPtr& chain : chains_) AddChild(chain.get());
-    if (limits.metrics != nullptr) {
-      kernel_pages_counter_ =
-          limits.metrics->FindOrRegister("exec.agg.kernel_pages");
-      fallback_pages_counter_ =
-          limits.metrics->FindOrRegister("exec.agg.fallback_pages");
-      hash_probes_counter_ =
-          limits.metrics->FindOrRegister("exec.agg.hash_probes");
-      groups_created_counter_ =
-          limits.metrics->FindOrRegister("exec.agg.groups_created");
-      table_bytes_counter_ =
-          limits.metrics->FindOrRegister("exec.agg.table_bytes");
-    }
+    kernel_pages_counter_ = CounterFor(limits, "exec.agg.kernel_pages");
+    fallback_pages_counter_ = CounterFor(limits, "exec.agg.fallback_pages");
+    hash_probes_counter_ = CounterFor(limits, "exec.agg.hash_probes");
+    groups_created_counter_ = CounterFor(limits, "exec.agg.groups_created");
+    table_bytes_counter_ = CounterFor(limits, "exec.agg.table_bytes");
     for (const TypePtr& t : key_types_) key_kinds_.push_back(t->kind());
     for (size_t k = 0; k < key_channels_.size(); ++k) {
       inter_key_channels_.push_back(static_cast<int>(k));
     }
     radix_target_bits_ = key_channels_.empty() ? 0 : kRadixBits;
-    for (size_t k = 0; k < key_types_.size(); ++k) {
-      run_vars_.push_back(VariableReferenceExpression::Make(
-          "k" + std::to_string(k), key_types_[k]));
-    }
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      run_vars_.push_back(VariableReferenceExpression::Make(
-          "a" + std::to_string(a), aggs_[a].function->intermediate_type));
-    }
     metrics_ = limits.metrics;
+    query_memory_ = limits.query_memory;
     morsel_pool_ = limits.morsel_pool;
     size_t num_chains = chains_.size();
     for (size_t i = 0; i < num_chains; ++i) {
       auto s = std::make_unique<LocalState>();
       s->chain = chains_[i].get();
-      s->memory.Init(limits, num_chains == 1
-                                 ? "op.HashAggregation"
-                                 : "op.HashAggregation.t" + std::to_string(i));
       s->parts.push_back(MakePartition());
+      InitMemory(&s->memory, limits,
+                 num_chains == 1 ? "op.HashAggregation"
+                                 : "op.HashAggregation.t" + std::to_string(i),
+                 [this, st = s.get()] { return EstimateStateBytes(*st); },
+                 [this, st = s.get()] { return SpillPartial(*st); });
       locals_.push_back(std::move(s));
     }
     for (const auto& g : locals_[0]->parts[0].grouped) {
       if (!g->columnar()) uses_adapter_ = true;
-    }
-    if (locals_[0]->memory.enabled() && limits.spill_enabled &&
-        limits.spill_fs != nullptr && !limits.spill_dir.empty()) {
-      spill_fs_ = limits.spill_fs;
-      spill_dir_ = limits.spill_dir;
     }
   }
 
@@ -556,12 +470,15 @@ class HashAggregationOperator final : public Operator {
       consumed_ = true;
       RETURN_IF_ERROR(ConsumeAllChains());
       if (spiller_ != nullptr && spiller_->num_runs() > 0) {
-        // Spilled: every chain's remainder joins the hash-ordered merge as its
-        // own in-memory run, so no cross-chain table merge is needed.
-        RETURN_IF_ERROR(StartMerge());
+        // Spilled: every chain's state is a run by now, so the hash-ordered
+        // merge replaces the cross-chain table merge.
+        ASSIGN_OR_RETURN(std::vector<std::unique_ptr<BlockFileReader>> readers,
+                         spiller_->OpenAllRuns());
+        merge_ = std::make_unique<HashOrderedMerge>(
+            std::move(readers), std::vector<std::vector<Page>>(),
+            key_channels_.size());
       } else if (locals_.size() > 1) {
         RETURN_IF_ERROR(MergeLocalStates());
-        RETURN_IF_ERROR(SettleAfterMerge());
       }
     }
     if (merge_ != nullptr) return NextMergedPage();
@@ -577,9 +494,11 @@ class HashAggregationOperator final : public Operator {
   };
 
   /// Per-chain state: everything a consuming thread touches is confined to
-  /// its own LocalState (tables, scratch, memory reservation, counters), so
-  /// the parallel consume needs no synchronization beyond the morsel source.
-  /// Counters fold into the operator's stats after the chains join.
+  /// its own LocalState (tables, scratch, memory reservation, counters).
+  /// The chain holds memory.mu() while it folds a page, because the memory
+  /// arbiter may revoke (spill) the state from another thread in between;
+  /// the state is registered as revocable until the chains join. Counters
+  /// fold into the operator's stats after that.
   struct LocalState {
     Operator* chain = nullptr;
     // 2^radix_bits partitions routed by the high hash bits; starts at one
@@ -591,7 +510,7 @@ class HashAggregationOperator final : public Operator {
     std::vector<uint64_t> hash_scratch;
     std::vector<std::vector<int32_t>> part_rows;
     // Accounting & counters.
-    OperatorMemory memory;
+    MemoryConsumer memory;
     int64_t kernel_pages = 0;
     int64_t fallback_pages = 0;
     int64_t spilled_bytes = 0;
@@ -609,36 +528,36 @@ class HashAggregationOperator final : public Operator {
   }
 
   Status ConsumeAllChains() {
-    // Each chain runs under its own kChain span (parented to this
-    // operator's span) with the trace context installed on whichever thread
-    // executes it, so the chain's replicated operators self-register their
-    // spans in the right subtree.
-    auto consume_traced = [this](int i) {
-      int64_t chain_span = 0;
-      if (trace_recorder_ != nullptr) {
-        chain_span = trace_recorder_->BeginSpan(
-            TraceKind::kChain, "chain#" + std::to_string(i), trace_span_id_);
-      }
-      TraceContextScope scope(trace_recorder_, chain_span);
-      Status st = ConsumeChain(*locals_[i]);
-      if (trace_recorder_ != nullptr) trace_recorder_->EndSpan(chain_span);
-      return st;
-    };
-    Status st = RunParallel(morsel_pool_, static_cast<int>(locals_.size()),
-                            consume_traced);
-    // Fold per-chain counters into the shared stats record after the chains
-    // join; consuming threads never touch stats_ directly.
+    Status st = RunChains(morsel_pool_, static_cast<int>(locals_.size()),
+                          "chain#",
+                          [this](int i) { return ConsumeChain(*locals_[i]); });
+    // Nothing is revoked from here on; revocations other threads made
+    // settle into this thread's blocked-time cell.
     int64_t total_groups = 0;
     int64_t table_bytes = 0;
+    for (const auto& s : locals_) {
+      Status unregistered = s->memory.Unregister();
+      if (st.ok()) st = std::move(unregistered);
+      for (const KernelPartition& part : s->parts) {
+        total_groups += static_cast<int64_t>(part.table->num_groups());
+        table_bytes += part.table->EstimateBytes();
+      }
+    }
+    // A spilled aggregation merges from its runs anyway: its remainders
+    // become runs too, so its output phase holds no reservation that the
+    // rest of the query (a final aggregation downstream) would need.
+    for (size_t i = 0; st.ok() && spiller_ != nullptr && i < locals_.size();
+         ++i) {
+      st = SpillPartial(*locals_[i]);
+      if (st.ok()) st = locals_[i]->memory.Reserve(0);
+    }
+    // Fold per-chain counters into the shared stats record after the chains
+    // join; consuming threads never touch stats_ directly.
     for (const auto& s : locals_) {
       stats_.kernel_pages += s->kernel_pages;
       stats_.fallback_pages += s->fallback_pages;
       stats_.spilled_bytes += s->spilled_bytes;
       stats_.spilled_runs += s->spilled_runs;
-      for (const KernelPartition& part : s->parts) {
-        total_groups += static_cast<int64_t>(part.table->num_groups());
-        table_bytes += part.table->EstimateBytes();
-      }
     }
     RecordPeakBuffered(total_groups);
     Bump(table_bytes_counter_, table_bytes);
@@ -648,11 +567,13 @@ class HashAggregationOperator final : public Operator {
   Status ConsumeChain(LocalState& s) {
     while (true) {
       ASSIGN_OR_RETURN(std::optional<Page> page, s.chain->Next());
-      if (!page.has_value()) break;
-      RETURN_IF_ERROR(ConsumePage(s, *page));
-      if (s.memory.enabled()) RETURN_IF_ERROR(GrowFootprint(s));
+      if (!page.has_value()) return Status::OK();
+      {
+        std::lock_guard<std::mutex> lock(s.memory.mu());
+        RETURN_IF_ERROR(ConsumePage(s, *page));
+      }
+      RETURN_IF_ERROR(s.memory.Reserve());
     }
-    return Status::OK();
   }
 
   Status ConsumePage(LocalState& s, const Page& page) {
@@ -797,8 +718,9 @@ class HashAggregationOperator final : public Operator {
   // partition-wise, each partition by (potentially) a different pool thread.
   // Partitions are radix-disjoint, so no two merge tasks touch the same
   // table.
+  // A keyless (global) aggregation has one partition and one group per
+  // chain, folded the same way.
   Status MergeLocalStates() {
-    if (key_channels_.empty()) return MergeGlobalStates();
     int target_bits = 0;
     for (const auto& s : locals_) {
       target_bits = std::max(target_bits, s->radix_bits);
@@ -809,7 +731,7 @@ class HashAggregationOperator final : public Operator {
       if (s->radix_bits < target_bits) RETURN_IF_ERROR(UpgradeRadix(*s));
     }
     size_t num_parts = locals_[0]->parts.size();
-    return RunParallel(
+    RETURN_IF_ERROR(RunParallel(
         morsel_pool_, static_cast<int>(num_parts), [this](int p) -> Status {
           for (size_t t = 1; t < locals_.size(); ++t) {
             ASSIGN_OR_RETURN(std::optional<Page> page,
@@ -821,42 +743,14 @@ class HashAggregationOperator final : public Operator {
                 /*merge_mode=*/true));
           }
           return Status::OK();
-        });
-  }
-
-  // Keyless (global) aggregation: each chain holds at most one group; fold
-  // their intermediates into the first chain's global group.
-  Status MergeGlobalStates() {
-    KernelPartition& target = locals_[0]->parts[0];
-    for (size_t t = 1; t < locals_.size(); ++t) {
-      KernelPartition& src = locals_[t]->parts[0];
-      if (src.table->num_groups() == 0) continue;
-      ASSIGN_OR_RETURN(std::optional<Page> page,
-                       BuildPartitionPage(src, /*intermediate=*/true));
-      target.table->EnsureGlobalGroup();
-      for (auto& g : target.grouped) g->EnsureGroups(target.table->num_groups());
-      std::vector<int32_t> gids(page->num_rows(), 0);
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        RETURN_IF_ERROR(target.grouped[a]->MergeBatch(
-            page->column(a), gids.data(), page->num_rows()));
-      }
-    }
-    return Status::OK();
-  }
-
-  // After the merge, the extra chains' states are dead: drop them, release
-  // their reservations, and re-reserve the first chain's (merged) footprint.
-  Status SettleAfterMerge() {
+        }));
+    // The extra chains' states are dead now: drop them, release their
+    // reservations, and re-reserve the first chain's (merged) footprint.
     for (size_t t = 1; t < locals_.size(); ++t) {
       ResetState(*locals_[t]);
-      locals_[t]->memory.ReleaseAll();
+      RETURN_IF_ERROR(locals_[t]->memory.Reserve(0));
     }
-    if (locals_[0]->memory.enabled()) {
-      bool at_query_cap = false;
-      return locals_[0]->memory.ReserveTotalWithArbiter(
-          EstimateStateBytes(*locals_[0]), &at_query_cap);
-    }
-    return Status::OK();
+    return locals_[0]->memory.Reserve(EstimateStateBytes(*locals_[0]));
   }
 
   Result<std::optional<Page>> ProduceOutput() {
@@ -894,81 +788,57 @@ class HashAggregationOperator final : public Operator {
     return total;
   }
 
-  // Degradation ladder for a failed reservation: revoke self (spill the
-  // chain's tables as a hash-ordered run) when spill is enabled; otherwise a
-  // query-cap failure is terminal and a worker-cap failure asks the arbiter
-  // (the low-memory killer) before giving up.
-  Status GrowFootprint(LocalState& s) {
-    bool at_query_cap = false;
-    Status st = s.memory.ReserveTotal(EstimateStateBytes(s), &at_query_cap);
-    if (st.ok()) return st;
-    if (spill_fs_ != nullptr) {
-      RETURN_IF_ERROR(SpillPartial(s));
-      return s.memory.ReserveTotalWithArbiter(EstimateStateBytes(s),
-                                              &at_query_cap);
-    }
-    if (at_query_cap) return st;  // outgrew query_max_memory, spill disabled
-    return s.memory.ReserveTotalWithArbiter(EstimateStateBytes(s),
-                                            &at_query_cap);
-  }
-
   // Materializes one chain's groups as a run: [keys..., intermediates...]
   // pages of at most kRunPageRows rows in the order spill and merge agree on,
   // the 64-bit content hash of the key columns with row index breaking ties.
   // The merge recomputes each page's hashes with the same kernels::HashPage.
   // (The tables' own group hashes cannot serve: they hash interned string
-  // ids, which differ per chain.)
+  // ids, which differ per chain.) Radix partitions hold disjoint ranges of
+  // that hash's top bits, in partition order, so sorting each partition on
+  // its own yields the whole run's order.
   Result<std::vector<Page>> BuildRun(LocalState& s) {
-    std::vector<Page> part_pages;
+    std::vector<Page> run;
+    std::vector<std::pair<uint64_t, int32_t>> order;
+    std::vector<int32_t> rows;
     for (KernelPartition& part : s.parts) {
       ASSIGN_OR_RETURN(std::optional<Page> page,
                        BuildPartitionPage(part, /*intermediate=*/true));
-      if (page.has_value()) part_pages.push_back(std::move(*page));
-    }
-    if (part_pages.empty()) return std::vector<Page>();
-    Page state;
-    if (part_pages.size() == 1) {
-      state = std::move(part_pages[0]);
-    } else {
-      ASSIGN_OR_RETURN(state, ConcatPages(run_vars_, part_pages));
-    }
-    size_t n = state.num_rows();
-    kernels::HashPage(state, inter_key_channels_, &s.hash_scratch);
-    std::vector<std::pair<uint64_t, int32_t>> order(n);
-    for (size_t i = 0; i < n; ++i) {
-      order[i] = {s.hash_scratch[i], static_cast<int32_t>(i)};
-    }
-    std::sort(order.begin(), order.end());
-    std::vector<Page> run;
-    std::vector<int32_t> rows;
-    for (size_t start = 0; start < n; start += kRunPageRows) {
-      rows.clear();
-      for (size_t i = start; i < std::min(n, start + kRunPageRows); ++i) {
-        rows.push_back(order[i].second);
+      if (!page.has_value()) continue;
+      const size_t n = page->num_rows();
+      kernels::HashPage(*page, inter_key_channels_, &s.hash_scratch);
+      order.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        order[i] = {s.hash_scratch[i], static_cast<int32_t>(i)};
       }
-      run.push_back(state.SliceRows(rows));
+      std::sort(order.begin(), order.end());
+      for (size_t start = 0; start < n; start += kRunPageRows) {
+        rows.clear();
+        for (size_t i = start; i < std::min(n, start + kRunPageRows); ++i) {
+          rows.push_back(order[i].second);
+        }
+        run.push_back(page->SliceRows(rows));
+      }
     }
     return run;
   }
 
-  // Revokes one chain: writes its hash-ordered intermediate state as one
-  // spill run, releases its accounted footprint, and starts empty tables.
-  // Ordering and state rebuilding are chain-local; only the spiller append
-  // is shared (and rare), so it hides behind a mutex.
+  // Revokes one chain (the memory arbiter calls it under s.memory.mu(), on
+  // whichever thread needs the memory): writes its hash-ordered intermediate
+  // state as one spill run and starts empty tables. Ordering and state
+  // rebuilding are chain-local; only the spiller append is shared, so it
+  // hides behind a mutex. Spill spans nest under this operator's span.
   Status SpillPartial(LocalState& s) {
+    TraceContextScope trace_scope(trace_recorder_, trace_span_id_);
     ASSIGN_OR_RETURN(std::vector<Page> run, BuildRun(s));
     if (run.empty()) return Status::OK();
     int64_t delta = 0;
     {
       std::lock_guard<std::mutex> lock(spill_mu_);
-      if (spiller_ == nullptr) {
-        spiller_ = std::make_unique<Spiller>(spill_fs_, spill_dir_, metrics_);
-      }
+      if (spiller_ == nullptr) spiller_ = NewSpiller(*query_memory_, metrics_);
       int64_t before = spiller_->total_bytes();
       RETURN_IF_ERROR(spiller_->SpillRun(run));
       delta = spiller_->total_bytes() - before;
     }
-    s.memory.RecordRevoked(s.memory.bytes());
     s.spilled_bytes += delta;
     s.spilled_runs += 1;
     ResetState(s);
@@ -979,22 +849,6 @@ class HashAggregationOperator final : public Operator {
     size_t num_parts = s.parts.size();
     s.parts.clear();
     for (size_t p = 0; p < num_parts; ++p) s.parts.push_back(MakePartition());
-  }
-
-  Status StartMerge() {
-    // Every chain's not-yet-spilled remainder joins the merge as its own
-    // in-memory run — no extra I/O, and already within the query's cap.
-    std::vector<std::vector<Page>> memory_runs;
-    for (auto& s : locals_) {
-      ASSIGN_OR_RETURN(std::vector<Page> run, BuildRun(*s));
-      ResetState(*s);
-      if (!run.empty()) memory_runs.push_back(std::move(run));
-    }
-    ASSIGN_OR_RETURN(std::vector<std::unique_ptr<BlockFileReader>> readers,
-                     spiller_->OpenAllRuns());
-    merge_ = std::make_unique<HashOrderedMerge>(
-        std::move(readers), std::move(memory_runs), key_channels_.size());
-    return Status::OK();
   }
 
   // Output after a spill: each hash batch of the merged runs (every row of a
@@ -1045,28 +899,93 @@ class HashAggregationOperator final : public Operator {
   bool uses_adapter_ = false;  // some aggregate folds row-at-a-time
   std::vector<int> inter_key_channels_;  // 0..num_keys-1 (state pages)
   int radix_target_bits_ = 0;            // 0 = keyless, never partitions
-  std::vector<VariablePtr> run_vars_;    // [keys..., intermediates...] types
 
-  // Per-chain states; locals_[0] belongs to chains_[0] and survives the merge.
   WorkStealingPool* morsel_pool_ = nullptr;
-  std::vector<std::unique_ptr<LocalState>> locals_;
 
   // Memory accounting & spill (the spiller is shared across chains).
   MetricsRegistry* metrics_ = nullptr;
-  FileSystem* spill_fs_ = nullptr;  // null = spill disabled
-  std::string spill_dir_;
+  std::shared_ptr<QueryMemory> query_memory_;  // its spill area
   std::mutex spill_mu_;
   std::unique_ptr<Spiller> spiller_;
   std::unique_ptr<HashOrderedMerge> merge_;
+
+  // Per-chain states; locals_[0] belongs to chains_[0] and survives the
+  // merge. Declared last so that they are destroyed first: each leaves the
+  // memory arbiter before anything its revocation uses is gone.
+  std::vector<std::unique_ptr<LocalState>> locals_;
 };
 
 // ---------------------------------------------------------------------------
 // Joins
 // ---------------------------------------------------------------------------
 
+// A join's probe input and build side: the chains that feed the build (one,
+// or the task's replicated morsel chains) and the reservation its rows hold.
+class JoinOperator : public Operator {
+ protected:
+  JoinOperator(OperatorPtr probe, std::vector<OperatorPtr> build_chains,
+               std::vector<VariablePtr> build_vars,
+               const ExecutionLimits& limits, const char* pool_name)
+      : probe_(std::move(probe)),
+        build_chains_(std::move(build_chains)),
+        build_vars_(std::move(build_vars)),
+        max_build_rows_(limits.max_join_build_rows),
+        morsel_pool_(limits.morsel_pool) {
+    AddChild(probe_.get());
+    for (const OperatorPtr& chain : build_chains_) AddChild(chain.get());
+    InitMemory(&memory_, limits, pool_name);
+  }
+
+  // Drains the build side into one page. Every chain collects its pages
+  // thread-locally; only the row count and the reservation are serialized,
+  // once per page. Build rows are not revocable: a refused reservation has
+  // the memory arbiter revoke other state (or kill, at the worker cap).
+  Result<Page> DrainBuildSide() {
+    std::vector<std::vector<Page>> chain_pages(build_chains_.size());
+    std::mutex mu;
+    int64_t build_rows = 0, build_bytes = 0;  // guarded by mu
+    RETURN_IF_ERROR(RunChains(
+        morsel_pool_, static_cast<int>(build_chains_.size()), "build_chain#",
+        [&](int i) -> Status {
+          while (true) {
+            ASSIGN_OR_RETURN(std::optional<Page> page, build_chains_[i]->Next());
+            if (!page.has_value()) return Status::OK();
+            const int64_t page_rows = static_cast<int64_t>(page->num_rows());
+            const int64_t page_bytes = page->EstimateBytes();
+            chain_pages[i].push_back(std::move(*page));
+            std::lock_guard<std::mutex> lock(mu);
+            build_rows += page_rows;
+            if (build_rows > max_build_rows_) {
+              // Section XII.C: the error users translate Hive/Spark queries
+              // over.
+              return Status::ResourceExhausted(
+                  "Insufficient Resource: join build side exceeds " +
+                  std::to_string(max_build_rows_) +
+                  " rows (set session property max_join_build_rows, or "
+                  "rewrite the query for Presto-on-Spark)");
+            }
+            build_bytes += page_bytes;
+            RETURN_IF_ERROR(memory_.Reserve(build_bytes));
+          }
+        }));
+    std::vector<Page> pages;
+    for (auto& collected : chain_pages) {
+      for (Page& page : collected) pages.push_back(std::move(page));
+    }
+    return ConcatPages(build_vars_, pages);
+  }
+
+  OperatorPtr probe_;
+  std::vector<OperatorPtr> build_chains_;
+  std::vector<VariablePtr> build_vars_;
+  int64_t max_build_rows_;
+  WorkStealingPool* morsel_pool_;
+  MemoryConsumer memory_;
+};
+
 // Hash join for equi-criteria joins; the build (right) side is fully
 // materialized into a hash table (broadcast-style).
-class HashJoinOperator final : public Operator {
+class HashJoinOperator final : public JoinOperator {
  public:
   /// `build_chains` feed the build side (one, or the task's replicated
   /// morsel chains): the chains drain the shared build source in parallel,
@@ -1079,30 +998,19 @@ class HashJoinOperator final : public Operator {
                    std::vector<VariablePtr> build_vars, ExprPtr filter,
                    std::map<std::string, int> combined_layout,
                    FunctionRegistry* functions, const ExecutionLimits& limits)
-      : probe_(std::move(probe)),
-        build_chains_(std::move(build_chains)),
+      : JoinOperator(std::move(probe), std::move(build_chains),
+                     std::move(build_vars), limits, "op.HashJoin"),
         kind_(kind),
         probe_keys_(std::move(probe_keys)),
         build_keys_(std::move(build_keys)),
         key_kinds_(std::move(key_kinds)),
-        build_vars_(std::move(build_vars)),
         filter_(std::move(filter)),
         combined_layout_(std::move(combined_layout)),
-        functions_(functions),
-        max_build_rows_(limits.max_join_build_rows),
-        morsel_pool_(limits.morsel_pool) {
-    AddChild(probe_.get());
-    for (const OperatorPtr& chain : build_chains_) AddChild(chain.get());
-    memory_.Init(limits, "op.HashJoin");
-    if (limits.metrics != nullptr) {
-      build_rows_counter_ = limits.metrics->FindOrRegister("exec.join.build_rows");
-      hash_probes_counter_ =
-          limits.metrics->FindOrRegister("exec.join.hash_probes");
-      kernel_pages_counter_ =
-          limits.metrics->FindOrRegister("exec.join.kernel_pages");
-      table_bytes_counter_ =
-          limits.metrics->FindOrRegister("exec.join.table_bytes");
-    }
+        functions_(functions) {
+    build_rows_counter_ = CounterFor(limits, "exec.join.build_rows");
+    hash_probes_counter_ = CounterFor(limits, "exec.join.hash_probes");
+    kernel_pages_counter_ = CounterFor(limits, "exec.join.kernel_pages");
+    table_bytes_counter_ = CounterFor(limits, "exec.join.table_bytes");
   }
 
  protected:
@@ -1128,66 +1036,7 @@ class HashJoinOperator final : public Operator {
 
  private:
   Status BuildTable() {
-    // Drain the build side; with replicated morsel chains every chain
-    // collects pages thread-locally and only the row/byte bookkeeping (and
-    // its reservation ladder) is serialized, once per page.
-    size_t num_chains = build_chains_.size();
-    std::vector<std::vector<Page>> chain_pages(num_chains);
-    std::mutex mu;
-    int64_t build_rows = 0;   // guarded by mu when parallel
-    int64_t build_bytes = 0;  // guarded by mu when parallel
-    auto consume_chain = [&](int i) -> Status {
-      Operator* chain = build_chains_[i].get();
-      while (true) {
-        ASSIGN_OR_RETURN(std::optional<Page> page, chain->Next());
-        if (!page.has_value()) return Status::OK();
-        int64_t page_rows = static_cast<int64_t>(page->num_rows());
-        int64_t page_bytes = page->EstimateBytes();
-        chain_pages[i].push_back(std::move(*page));
-        std::lock_guard<std::mutex> lock(mu);
-        build_rows += page_rows;
-        if (build_rows > max_build_rows_) {
-          // Section XII.C: the error users translate Hive/Spark queries over.
-          return Status::ResourceExhausted(
-              "Insufficient Resource: join build side exceeds " +
-              std::to_string(max_build_rows_) +
-              " rows (set session property max_join_build_rows, or rewrite "
-              "the query for Presto-on-Spark)");
-        }
-        build_bytes += page_bytes;
-        // Build tables are not revocable: a query-cap failure is terminal, a
-        // worker-cap failure asks the low-memory killer before giving up.
-        if (memory_.enabled()) {
-          bool at_query_cap = false;
-          Status st = memory_.ReserveTotal(build_bytes, &at_query_cap);
-          if (!st.ok() && !at_query_cap) {
-            st = memory_.ReserveTotalWithArbiter(build_bytes, &at_query_cap);
-          }
-          RETURN_IF_ERROR(st);
-        }
-      }
-    };
-    // As in aggregation: each build chain runs under its own kChain span
-    // with the trace context installed on the executing thread.
-    auto consume = [&, this](int i) -> Status {
-      int64_t chain_span = 0;
-      if (trace_recorder_ != nullptr) {
-        chain_span = trace_recorder_->BeginSpan(
-            TraceKind::kChain, "build_chain#" + std::to_string(i),
-            trace_span_id_);
-      }
-      TraceContextScope trace_scope(trace_recorder_, chain_span);
-      Status st = consume_chain(i);
-      if (trace_recorder_ != nullptr) trace_recorder_->EndSpan(chain_span);
-      return st;
-    };
-    RETURN_IF_ERROR(
-        RunParallel(morsel_pool_, static_cast<int>(num_chains), consume));
-    std::vector<Page> pages;
-    for (auto& collected : chain_pages) {
-      for (Page& page : collected) pages.push_back(std::move(page));
-    }
-    ASSIGN_OR_RETURN(build_page_, ConcatPages(build_vars_, pages));
+    ASSIGN_OR_RETURN(build_page_, DrainBuildSide());
     // Append one all-null row used to null-extend LEFT-join misses.
     std::vector<VectorPtr> with_null;
     for (size_t c = 0; c < build_vars_.size(); ++c) {
@@ -1366,19 +1215,13 @@ class HashJoinOperator final : public Operator {
     std::vector<int32_t> rows;
   };
 
-  OperatorPtr probe_;
-  std::vector<OperatorPtr> build_chains_;
   JoinKind kind_;
   std::vector<int> probe_keys_;
   std::vector<int> build_keys_;
   std::vector<TypeKind> key_kinds_;  // one normalized kind per key pair
-  std::vector<VariablePtr> build_vars_;
   ExprPtr filter_;
   std::map<std::string, int> combined_layout_;
   FunctionRegistry* functions_;
-  int64_t max_build_rows_;
-  WorkStealingPool* morsel_pool_ = nullptr;
-  OperatorMemory memory_;
   MetricsRegistry::Counter* build_rows_counter_ = nullptr;
   MetricsRegistry::Counter* hash_probes_counter_ = nullptr;
   MetricsRegistry::Counter* kernel_pages_counter_ = nullptr;
@@ -1400,53 +1243,25 @@ class HashJoinOperator final : public Operator {
 
 // Nested-loop join for joins without equi criteria (cross joins, st_contains
 // joins in their brute-force form).
-class NestedLoopJoinOperator final : public Operator {
+class NestedLoopJoinOperator final : public JoinOperator {
  public:
-  NestedLoopJoinOperator(OperatorPtr probe, OperatorPtr build, JoinKind kind,
-                         std::vector<VariablePtr> build_vars, ExprPtr filter,
+  NestedLoopJoinOperator(OperatorPtr probe, std::vector<OperatorPtr> build,
+                         JoinKind kind, std::vector<VariablePtr> build_vars,
+                         ExprPtr filter,
                          std::map<std::string, int> combined_layout,
                          FunctionRegistry* functions,
                          const ExecutionLimits& limits)
-      : probe_(std::move(probe)),
-        build_(std::move(build)),
+      : JoinOperator(std::move(probe), std::move(build), std::move(build_vars),
+                     limits, "op.NestedLoopJoin"),
         kind_(kind),
-        build_vars_(std::move(build_vars)),
         filter_(std::move(filter)),
         combined_layout_(std::move(combined_layout)),
-        functions_(functions),
-        max_build_rows_(limits.max_join_build_rows) {
-    AddChild(probe_.get());
-    AddChild(build_.get());
-    memory_.Init(limits, "op.NestedLoopJoin");
-  }
+        functions_(functions) {}
 
  protected:
   Result<std::optional<Page>> NextInternal() override {
     if (!built_) {
-      std::vector<Page> pages;
-      int64_t build_rows = 0;
-      int64_t build_bytes = 0;
-      while (true) {
-        ASSIGN_OR_RETURN(std::optional<Page> page, build_->Next());
-        if (!page.has_value()) break;
-        build_rows += static_cast<int64_t>(page->num_rows());
-        if (build_rows > max_build_rows_) {
-          return Status::ResourceExhausted(
-              "Insufficient Resource: join build side exceeds " +
-              std::to_string(max_build_rows_) + " rows");
-        }
-        build_bytes += page->EstimateBytes();
-        pages.push_back(std::move(*page));
-        if (memory_.enabled()) {
-          bool at_query_cap = false;
-          Status st = memory_.ReserveTotal(build_bytes, &at_query_cap);
-          if (!st.ok() && !at_query_cap) {
-            st = memory_.ReserveTotalWithArbiter(build_bytes, &at_query_cap);
-          }
-          RETURN_IF_ERROR(st);
-        }
-      }
-      ASSIGN_OR_RETURN(build_page_, ConcatPages(build_vars_, pages));
+      ASSIGN_OR_RETURN(build_page_, DrainBuildSide());
       built_ = true;
       RecordPeakBuffered(static_cast<int64_t>(build_page_.num_rows()));
     }
@@ -1506,15 +1321,10 @@ class NestedLoopJoinOperator final : public Operator {
   }
 
  private:
-  OperatorPtr probe_;
-  OperatorPtr build_;
   JoinKind kind_;
-  std::vector<VariablePtr> build_vars_;
   ExprPtr filter_;
   std::map<std::string, int> combined_layout_;
   FunctionRegistry* functions_;
-  int64_t max_build_rows_;
-  OperatorMemory memory_;
 
   bool built_ = false;
   Page build_page_;
@@ -1538,13 +1348,10 @@ class SortOperator final : public Operator {
         ascending_(std::move(ascending)),
         limit_(limit) {
     AddChild(child_.get());
-    memory_.Init(limits, "op.Sort");
+    InitMemory(&memory_, limits, "op.Sort", [this] { return buffered_bytes_; },
+               [this] { return SpillBuffered(); });
     metrics_ = limits.metrics;
-    if (memory_.enabled() && limits.spill_enabled &&
-        limits.spill_fs != nullptr && !limits.spill_dir.empty()) {
-      spill_fs_ = limits.spill_fs;
-      spill_dir_ = limits.spill_dir;
-    }
+    query_memory_ = limits.query_memory;
   }
 
  protected:
@@ -1554,15 +1361,23 @@ class SortOperator final : public Operator {
       while (true) {
         ASSIGN_OR_RETURN(std::optional<Page> page, child_->Next());
         if (!page.has_value()) break;
-        buffered_bytes_ += page->EstimateBytes();
-        buffered_rows_ += static_cast<int64_t>(page->num_rows());
-        RecordPeakBuffered(buffered_rows_);
-        pages_.push_back(std::move(*page));
-        if (memory_.enabled()) RETURN_IF_ERROR(GrowFootprint());
+        {
+          std::lock_guard<std::mutex> lock(memory_.mu());
+          buffered_bytes_ += page->EstimateBytes();
+          buffered_rows_ += static_cast<int64_t>(page->num_rows());
+          RecordPeakBuffered(buffered_rows_);
+          pages_.push_back(std::move(*page));
+        }
+        RETURN_IF_ERROR(memory_.Reserve());
       }
+      RETURN_IF_ERROR(memory_.Unregister());
       if (spiller_ != nullptr && spiller_->num_runs() > 0) {
         RETURN_IF_ERROR(StartMerge());
       }
+      // Revocations may have come from other threads; their spill volume
+      // is folded here, on this operator's thread.
+      stats_.spilled_bytes += spilled_bytes_;
+      stats_.spilled_runs += spilled_runs_;
     }
     if (merge_ != nullptr) return NextMergedPage();
     if (produced_) return std::optional<Page>();
@@ -1617,42 +1432,30 @@ class SortOperator final : public Operator {
     return std::optional<Page>(all.SliceRows(order));
   }
 
-  // Same degradation ladder as aggregation: revoke self (spill a sorted
-  // run), else fail at the query cap / arbitrate at the worker cap.
-  Status GrowFootprint() {
-    bool at_query_cap = false;
-    Status st = memory_.ReserveTotal(buffered_bytes_, &at_query_cap);
-    if (st.ok()) return st;
-    if (spill_fs_ != nullptr) {
-      RETURN_IF_ERROR(SpillBuffered());
-      return memory_.ReserveTotalWithArbiter(buffered_bytes_, &at_query_cap);
-    }
-    if (at_query_cap) return st;  // outgrew query_max_memory, spill disabled
-    return memory_.ReserveTotalWithArbiter(buffered_bytes_, &at_query_cap);
-  }
-
+  // Revokes the buffer (the memory arbiter calls it under memory_.mu()):
+  // writes it as one sorted run.
   Status SpillBuffered() {
+    TraceContextScope trace_scope(trace_recorder_, trace_span_id_);
     ASSIGN_OR_RETURN(std::optional<Page> sorted, SortBuffered());
     if (!sorted.has_value()) return Status::OK();
-    if (spiller_ == nullptr) {
-      spiller_ = std::make_unique<Spiller>(spill_fs_, spill_dir_, metrics_);
-    }
+    if (spiller_ == nullptr) spiller_ = NewSpiller(*query_memory_, metrics_);
     int64_t before = spiller_->total_bytes();
     RETURN_IF_ERROR(spiller_->SpillRun(ChunkPage(*sorted)));
-    memory_.RecordRevoked(memory_.bytes());
-    RecordSpill(spiller_->total_bytes() - before);
+    spilled_bytes_ += spiller_->total_bytes() - before;
+    spilled_runs_ += 1;
     buffered_bytes_ = 0;
     return Status::OK();
   }
 
+  // A spilled sort spills its last buffer too, so its output phase holds no
+  // reservation, and merges the runs.
   Status StartMerge() {
-    ASSIGN_OR_RETURN(std::optional<Page> last, SortBuffered());
-    std::vector<Page> memory_run;
-    if (last.has_value()) memory_run = ChunkPage(*last);
+    RETURN_IF_ERROR(SpillBuffered());
+    RETURN_IF_ERROR(memory_.Reserve(0));
     ASSIGN_OR_RETURN(std::vector<std::unique_ptr<BlockFileReader>> readers,
                      spiller_->OpenAllRuns());
     merge_ = std::make_unique<SpillMergeCursor>(
-        std::move(readers), std::move(memory_run),
+        std::move(readers), std::vector<Page>(),
         [this](const Page& a, size_t ar, const Page& b, size_t br) {
           return CompareSortKeys(a, ar, b, br);
         });
@@ -1697,19 +1500,23 @@ class SortOperator final : public Operator {
   bool consumed_ = false;
   bool produced_ = false;
 
+  // The buffer; guarded by memory_.mu() until consumption ends.
   std::vector<Page> pages_;
   int64_t buffered_bytes_ = 0;
   int64_t buffered_rows_ = 0;
 
   // Memory accounting & spill.
   MetricsRegistry* metrics_ = nullptr;
-  OperatorMemory memory_;
-  FileSystem* spill_fs_ = nullptr;  // null = spill disabled
-  std::string spill_dir_;
+  int64_t spilled_bytes_ = 0;  // guarded by memory_.mu() until consumed
+  int64_t spilled_runs_ = 0;
+  std::shared_ptr<QueryMemory> query_memory_;  // its spill area
   std::unique_ptr<Spiller> spiller_;
   std::unique_ptr<SpillMergeCursor> merge_;
   bool merge_done_ = false;
   int64_t emitted_ = 0;
+  // Declared last so that it is destroyed first: the buffer leaves the
+  // memory arbiter before anything a revocation uses is gone.
+  MemoryConsumer memory_;
 };
 
 }  // namespace
@@ -1766,9 +1573,7 @@ Result<OperatorPtr> OperatorBuilder::Build(const PlanNodePtr& node) {
   }
   ASSIGN_OR_RETURN(OperatorPtr op, BuildNode(node));
   op->SetIdentity(node->id(), OperatorTypeName(node->kind()));
-  op->set_collect_stats(limits_.collect_stats);
-  op->set_deadline_nanos(limits_.deadline_steady_nanos);
-  op->set_kill_flag(limits_.query_killed);
+  op->Arm(limits_);
   return op;
 }
 
@@ -1930,7 +1735,8 @@ Result<OperatorPtr> OperatorBuilder::BuildJoin(const JoinNode& join) {
   auto combined_layout = MakeLayout(join.OutputVariables());
   std::vector<VariablePtr> build_vars = join.sources()[1]->OutputVariables();
   if (join.criteria().empty()) {
-    ASSIGN_OR_RETURN(OperatorPtr build, Build(join.sources()[1]));
+    std::vector<OperatorPtr> build(1);
+    ASSIGN_OR_RETURN(build[0], Build(join.sources()[1]));
     return OperatorPtr(new NestedLoopJoinOperator(
         std::move(probe), std::move(build), join.join_kind(),
         std::move(build_vars), join.filter(), std::move(combined_layout),

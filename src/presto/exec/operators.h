@@ -2,6 +2,7 @@
 #define PRESTO_EXEC_OPERATORS_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -22,6 +23,7 @@ namespace presto {
 
 class WorkStealingPool;
 class MorselSource;
+struct ExecutionLimits;
 
 /// Pull-based vectorized operator: Next() produces the next page or nullopt
 /// when exhausted. Each operator instance is driven by one thread at a time;
@@ -46,9 +48,6 @@ class Operator {
   /// Pulls the next page (or nullopt when exhausted), recording stats.
   Result<std::optional<Page>> Next();
 
-  /// Rows this operator has emitted (basic operator stats).
-  int64_t rows_produced() const { return stats_.output_rows; }
-
   const OperatorStats& stats() const { return stats_; }
 
   /// Ties this operator instance to its plan node for the query stats tree
@@ -63,26 +62,19 @@ class Operator {
   /// owned by a subclass member).
   void AddChild(const Operator* child) { children_.push_back(child); }
 
-  /// Turns off the timing portion of stats recording (session property
-  /// query_stats=false); row/page counts are always kept — the engine needs
-  /// them anyway.
-  void set_collect_stats(bool on) { collect_stats_ = on; }
-
-  /// Arms the cooperative per-query deadline (SteadyNowNanos epoch, 0 =
-  /// none): Next() checks it at every batch boundary and returns a clean
-  /// kDeadlineExceeded once it passes, so a hung or fault-looping query unwinds
-  /// instead of running forever (session property query_timeout_millis).
-  void set_deadline_nanos(int64_t steady_nanos) {
-    deadline_steady_nanos_ = steady_nanos;
-  }
-
-  /// Arms the low-memory-killer cancellation flag: Next() checks it at every
-  /// batch boundary (same cadence as the deadline) and returns a classified
-  /// kResourceExhausted once the coordinator sets it, so a killed query's
-  /// tasks unwind cooperatively and release their reservations.
-  void set_kill_flag(std::shared_ptr<const std::atomic<bool>> flag) {
-    kill_flag_ = std::move(flag);
-  }
+  /// Applies what Next() enforces from the query's limits:
+  /// - collect_stats=false (session query_stats=false) turns off the timing
+  ///   portion of stats recording; row/page counts are always kept — the
+  ///   engine needs them anyway;
+  /// - the cooperative deadline (SteadyNowNanos epoch, 0 = none; session
+  ///   query_timeout_millis): checked at every batch boundary, a clean
+  ///   kDeadlineExceeded once it passes, so a hung or fault-looping query
+  ///   unwinds instead of running forever;
+  /// - the kill flag (QueryMemory::killed): checked at the same cadence, a
+  ///   classified kResourceExhausted once the memory arbiter sets it, so a
+  ///   killed query's tasks unwind cooperatively and release their
+  ///   reservations.
+  void Arm(const ExecutionLimits& limits);
 
   /// Appends this operator's stats (input side derived from children, or
   /// mirrored from output for leaves) and recursively every child's.
@@ -97,17 +89,10 @@ class Operator {
     if (rows > stats_.peak_buffered_rows) stats_.peak_buffered_rows = rows;
   }
 
-  /// Records one revocation: `bytes` of in-memory state written out as a
-  /// spill run (surfaced in EXPLAIN ANALYZE per-operator spill stats).
-  void RecordSpill(int64_t bytes) {
-    stats_.spilled_bytes += bytes;
-    stats_.spilled_runs += 1;
-  }
-
   OperatorStats stats_;
   bool collect_stats_ = true;
   int64_t deadline_steady_nanos_ = 0;
-  std::shared_ptr<const std::atomic<bool>> kill_flag_;
+  std::shared_ptr<const QueryMemory> kill_flag_;  // its `killed`
 
   /// This operator instance's trace span, lazily opened at the first Next()
   /// under a live TraceContext (the pull model guarantees the parent's span
@@ -120,6 +105,13 @@ class Operator {
   /// args — the trace and OperatorStats reconcile exactly because both are
   /// the same integers.
   void FinishTraceSpan();
+
+  /// Runs fn(0..n-1) through RunParallel on `pool`, each call under its own
+  /// kChain span `name<i>` parented to this operator's span, with the trace
+  /// context installed on whichever thread executes it, so a chain's
+  /// replicated operators register their spans in the right subtree.
+  Status RunChains(WorkStealingPool* pool, int n, const char* name,
+                   const std::function<Status(int)>& fn);
 
  private:
   std::vector<const Operator*> children_;
@@ -155,35 +147,18 @@ struct ExecutionLimits {
   /// chain itself (correct, just serial).
   WorkStealingPool* morsel_pool = nullptr;
 
-  // -- Memory accounting (null/defaults = accounting off) --------------------
+  // -- Memory accounting (null = accounting off) ------------------------------
   /// Task-level memory pool; memory-hungry operators (aggregation, sort,
   /// join builds) add child pools and reserve their EstimateBytes footprint
-  /// as it grows. Null disables accounting (session memory_accounting=false).
+  /// through a MemoryConsumer as it grows. Null disables accounting (session
+  /// memory_accounting=false).
   std::shared_ptr<MemoryPool> task_pool;
-  /// The query's user-memory pool (the query_max_memory cap level), used to
-  /// classify a reservation failure: failing at this level means the query
-  /// outgrew its own cap (spill or fail); failing above it means the worker
-  /// is full (ask the arbiter / low-memory killer).
-  MemoryPool* query_user_pool = nullptr;
-  /// The resource group's pool (the memory_fraction cap between query and
-  /// worker); null when resource groups are disabled. A failure here is the
-  /// tenant outgrowing its slice, classified like a query-cap failure (spill
-  /// within the tenant) rather than a worker-cap one — the cross-tenant
-  /// low-memory killer is reserved for genuine worker exhaustion.
-  MemoryPool* query_group_pool = nullptr;
-  /// Worker-level arbitration hook (the coordinator's low-memory killer);
-  /// may be null. Invoked only after self-revocation could not free enough.
-  MemoryArbiter* arbiter = nullptr;
-  /// Coordinator-assigned id of the owning query (arbiter bookkeeping).
-  int64_t query_id = 0;
-  /// Low-memory-killer cancellation flag shared with the coordinator.
-  std::shared_ptr<const std::atomic<bool>> query_killed;
-  /// Revocable spill (session spill_enabled / spill_path): when a
-  /// reservation fails at the query cap, HashAggregation and Sort write
-  /// sorted runs to spill_dir behind spill_fs and merge them on output.
-  bool spill_enabled = false;
-  FileSystem* spill_fs = nullptr;
-  std::string spill_dir;
+  /// The query's memory handle: its pools, the kill flag every operator
+  /// polls, its deadline and spill area, and the worker's arbiter that a
+  /// refused reservation goes to. With a spill file system, aggregation
+  /// chains and sort buffers register as revocable consumers; the arbiter
+  /// spills them into sorted runs under spill_dir, merged on output.
+  std::shared_ptr<QueryMemory> query_memory;
 };
 
 /// Builds operator trees from plan fragments. `exchanges` resolves

@@ -31,15 +31,19 @@ struct Session {
   ///                            (default: none)
   ///   query_max_memory       = per-query user-memory cap in bytes; the
   ///                            query's operators (hash tables, sort
-  ///                            buffers, join builds) reserve against it
-  ///                            and spill or fail when it is exceeded
+  ///                            buffers, join builds) reserve against it;
+  ///                            a reservation it refuses has the memory
+  ///                            arbiter revoke (spill) the query's largest
+  ///                            revocable state, else fails
   ///                            (default 1 GiB)
-  ///   spill_enabled          = "true" (default) | "false": revocable
-  ///                            operators (aggregation, order-by) write
-  ///                            sorted runs to disk when the query cap is
-  ///                            hit and merge them on output; off makes
-  ///                            exceeding query_max_memory a
-  ///                            kResourceExhausted failure
+  ///   spill_enabled          = "true" (default) | "false": aggregation
+  ///                            chains and order-by buffers register as
+  ///                            revocable with the memory arbiter, which
+  ///                            writes them to disk as sorted runs when a
+  ///                            cap is hit (merged on output); off
+  ///                            registers none, so exceeding
+  ///                            query_max_memory is a kResourceExhausted
+  ///                            failure
   ///   spill_path             = spill-area directory; each coordinator
   ///                            spills under <spill_path>/<pid>-<seq>
   ///                            (removed when it is destroyed), each query

@@ -150,16 +150,21 @@ TEST(MemoryPoolTest, ConcurrentReservationsNeverOverCommit) {
   EXPECT_LE(root->peak_bytes(), kCap);
 }
 
+// A consumer's reservation moves in whole quanta (1 MiB).
 TEST(MemoryPoolTest, ReservationRaii) {
-  auto root = MemoryPool::CreateRoot("worker", 100);
+  constexpr int64_t kMiB = MemoryConsumer::kQuantum;
+  auto root = MemoryPool::CreateRoot("worker", 100 * kMiB);
   {
-    MemoryReservation reservation(root);
-    EXPECT_TRUE(reservation.SetBytes(60).ok());
-    EXPECT_EQ(root->reserved_bytes(), 60);
-    EXPECT_TRUE(reservation.SetBytes(30).ok());  // shrink always succeeds
-    EXPECT_EQ(root->reserved_bytes(), 30);
-    EXPECT_FALSE(reservation.SetBytes(200).ok());
-    EXPECT_EQ(reservation.bytes(), 30) << "failed grow leaves the old amount";
+    MemoryConsumer consumer;
+    consumer.Init(root, /*query=*/nullptr, /*metrics=*/nullptr);
+    EXPECT_TRUE(consumer.Reserve(60 * kMiB).ok());
+    EXPECT_EQ(root->reserved_bytes(), 60 * kMiB);
+    EXPECT_TRUE(consumer.Reserve(30 * kMiB).ok());  // shrink always succeeds
+    EXPECT_EQ(root->reserved_bytes(), 30 * kMiB);
+    Status grow = consumer.Reserve(200 * kMiB);
+    EXPECT_EQ(grow.code(), StatusCode::kResourceExhausted) << grow.ToString();
+    EXPECT_EQ(root->reserved_bytes(), 30 * kMiB)
+        << "failed grow leaves the old amount";
   }
   EXPECT_EQ(root->reserved_bytes(), 0) << "destructor releases";
 }
@@ -968,6 +973,71 @@ TEST(SpillLargeScaleTest, TenMillionRowGroupBySpillsAndMatches) {
   EXPECT_EQ(SortedRows(*spilled), SortedRows(*reference));
   EXPECT_GT(spilled->exec_metrics.at("spill.run.written"), 0);
   EXPECT_GT(spilled->exec_metrics.at("spill.byte.written"), 0);
+}
+
+// Who is revoked: in a two-stage group-by the leaf partial aggregation (it
+// reads the table) holds nearly all of the query's memory, while the final
+// aggregation folds a few hundred thousand partial rows. A final chain whose
+// reservation fails must not be the one that spills over and over: the
+// memory arbiter revokes the largest state, and a spilled partial spills its
+// remainders before its output phase instead of holding the cap through it.
+// Over five runs the final node writes fewer runs than the leaf partial.
+TEST(SpillAttributionTest, FinalAggregationWritesFewerRunsThanLeafPartial) {
+  PrestoCluster cluster("spill-attribution", 2, 2);
+  auto memory = std::make_shared<MemoryConnector>();
+  ASSERT_TRUE(memory
+                  ->CreateTable("raw", "t",
+                                Type::Row({"k", "v"},
+                                          {Type::Bigint(), Type::Bigint()}))
+                  .ok());
+  uint64_t state = 5;
+  auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  constexpr size_t kPageRows = 8192;
+  for (int p = 0; p < 122; ++p) {  // ~1M rows, 100k keys
+    std::vector<int64_t> k(kPageRows), v(kPageRows);
+    for (size_t i = 0; i < kPageRows; ++i) {
+      k[i] = static_cast<int64_t>(next() % 100'000);
+      v[i] = static_cast<int64_t>(next() % 1000);
+    }
+    ASSERT_TRUE(memory
+                    ->AppendPage("raw", "t",
+                                 Page({MakeBigintVector(std::move(k)),
+                                       MakeBigintVector(std::move(v))}))
+                    .ok());
+  }
+  ASSERT_TRUE(cluster.catalogs().RegisterCatalog("mem", memory).ok());
+
+  const std::string sql = "SELECT k, count(*), sum(v) FROM mem.raw.t GROUP BY k";
+  auto reference = cluster.Execute(sql, Session());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  Session tight;
+  tight.properties["query_max_memory"] = std::to_string(8 << 20);
+  tight.properties["task_threads"] = "1";
+  tight.properties["hash_partition_count"] = "2";
+  tight.properties["spill_path"] = "/tmp/presto_spill_test";
+  int64_t leaf_runs = 0, final_runs = 0;
+  for (int run = 0; run < 5; ++run) {
+    auto result = cluster.Execute(sql, tight);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(SortedRows(*result), SortedRows(*reference));
+    int aggregations = 0;
+    for (const auto& [node_id, op] : result->stats.operators) {
+      if (op.operator_type != "HashAggregation") continue;
+      ++aggregations;
+      // The final node emits the result; the partial emits one row per
+      // group per leaf task.
+      (op.output_rows == result->total_rows ? final_runs : leaf_runs) +=
+          op.spilled_runs;
+    }
+    ASSERT_EQ(aggregations, 2) << "expected a partial and a final node";
+  }
+  EXPECT_GT(leaf_runs, 0) << "the cap must make the partial spill";
+  EXPECT_LT(final_runs, leaf_runs)
+      << "the final aggregation wrote " << final_runs << " runs, the leaf "
+      << "partial that holds the memory " << leaf_runs;
 }
 
 // ---------------------------------------------------------------------------
