@@ -56,13 +56,31 @@ Status FillFacts(MemoryConnector* memory, const std::string& table,
 }
 
 // The spread of a spilling query over repeated runs: how many runs and
-// bytes it wrote, how they split between the aggregation nodes, and how long
-// its operators waited on the memory arbiter.
+// bytes it wrote, how they split between the aggregation nodes, how many
+// pages the final aggregation read, and how long its operators waited on
+// the memory arbiter.
 struct SpillSpread {
   // One value per run, each list sorted ascending.
-  std::vector<int64_t> runs, bytes, leaf_runs, final_runs, wait_nanos;
+  std::vector<int64_t> runs, bytes, leaf_runs, final_runs, final_input_pages,
+      wait_nanos;
   int64_t rows = -1;  // result rows; -1 when two runs disagreed
 };
+
+// Whether `op` is the final aggregation of a two-stage group-by: the
+// aggregation node whose output is the result. The other one is the leaf
+// partial aggregation.
+bool IsFinalAggregation(const OperatorStats& op, const QueryResult& result) {
+  return op.operator_type == "HashAggregation" &&
+         op.output_rows == result.total_rows;
+}
+
+int64_t FinalAggregationInputPages(const QueryResult& result) {
+  int64_t pages = 0;
+  for (const auto& [node_id, op] : result.stats.operators) {
+    if (IsFinalAggregation(op, result)) pages += op.input_pages;
+  }
+  return pages;
+}
 
 long long Median(const std::vector<int64_t>& sorted) {
   return sorted[sorted.size() / 2];
@@ -78,8 +96,7 @@ std::string MinMedianMax(const std::vector<int64_t>& v, double scale,
 }
 
 // Runs `sql` (a two-stage group-by) `reps` times under `props` and prints
-// the spread. The final aggregation is the node whose output is the
-// result; the other aggregation node is the leaf partial one.
+// the spread.
 SpillSpread RunSpillSpread(PrestoCluster& cluster, const std::string& sql,
                            const std::map<std::string, std::string>& props,
                            size_t input_rows, int reps) {
@@ -102,26 +119,28 @@ SpillSpread RunSpillSpread(PrestoCluster& cluster, const std::string& sql,
     int64_t leaf = 0, final_runs = 0;
     for (const auto& [node_id, op] : result->stats.operators) {
       if (op.operator_type != "HashAggregation") continue;
-      (op.output_rows == result->total_rows ? final_runs : leaf) +=
-          op.spilled_runs;
+      (IsFinalAggregation(op, *result) ? final_runs : leaf) += op.spilled_runs;
     }
     s.leaf_runs.push_back(leaf);
     s.final_runs.push_back(final_runs);
+    s.final_input_pages.push_back(FinalAggregationInputPages(*result));
   }
   for (auto* v : {&s.runs, &s.bytes, &s.leaf_runs, &s.final_runs,
-                  &s.wait_nanos}) {
+                  &s.final_input_pages, &s.wait_nanos}) {
     std::sort(v->begin(), v->end());
   }
   std::printf(
       "  %d runs (min / median / max): runs %s, MB written %s, "
       "B per input row %s\n"
-      "  runs by node: leaf partial %s, final %s; memory wait ms %s\n",
+      "  runs by node: leaf partial %s, final %s; memory wait ms %s\n"
+      "  final aggregation input pages %s\n",
       reps, MinMedianMax(s.runs, 1, 0).c_str(),
       MinMedianMax(s.bytes, 1.0 / 1048576, 1).c_str(),
       MinMedianMax(s.bytes, 1.0 / input_rows, 2).c_str(),
       MinMedianMax(s.leaf_runs, 1, 0).c_str(),
       MinMedianMax(s.final_runs, 1, 0).c_str(),
-      MinMedianMax(s.wait_nanos, 1e-6, 1).c_str());
+      MinMedianMax(s.wait_nanos, 1e-6, 1).c_str(),
+      MinMedianMax(s.final_input_pages, 1, 0).c_str());
   return s;
 }
 
@@ -428,77 +447,22 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // -- Spooled-exchange overhead: tee on, fault rate zero --------------------
-  // exchange_spool=true tees every page accepted into an exchange through the
-  // snappy spill codec into a worker-local spool file. The budget is 2% of
-  // the same recovery-armed run without spooling: stage-level recovery that
-  // taxes the fault-free path gets turned off in production. The tee's cost
-  // is the snappy compression of the shuffled bytes — serialize/compress run
-  // outside the spool lock, so on a multi-core worker they overlap operator
-  // work, but on a single-core host they are pure added wall time
-  // proportional to exchanged bytes (the JSON records both so the budget is
-  // judged against the byte volume). Shuffle-raw-rows shapes like the join
-  // pay the most; that cost shows up in the recovery section below, where
-  // its baselines have the tee on.
-  std::printf("\n=== Spooled-exchange tee overhead (fault rate 0) ===\n\n");
-  QueryResult spool_on_result, spool_off_result;
-  double spool_on_millis = 1e18, spool_off_millis = 1e18;
-  for (int rep = 0; rep < 5; ++rep) {
-    spool_on_millis =
-        std::min(spool_on_millis,
-                 best_of(queries[0].sql,
-                         {{"query_max_task_retries", "1"},
-                          {"exchange_spool", "true"}},
-                         1, &spool_on_result));
-    spool_off_millis =
-        std::min(spool_off_millis,
-                 best_of(queries[0].sql, {{"query_max_task_retries", "1"}}, 1,
-                         &spool_off_result));
-  }
-  double spool_overhead_pct =
-      (spool_on_millis - spool_off_millis) / spool_off_millis * 100.0;
-  int64_t spool_pages_written =
-      spool_on_result.exec_metrics["exchange.spool.page.written"];
-  int64_t spool_bytes_written =
-      spool_on_result.exec_metrics["exchange.spool.byte.written"];
-  int64_t spool_bytes_raw =
-      spool_on_result.exec_metrics["exchange.spool.byte.raw"];
-  std::printf(
-      "%-28s spool-on %7.1f ms  spool-off %7.1f ms  overhead %+.2f%% "
-      "(budget 2%%), %lld pages / %.1f MB spooled\n",
-      queries[0].name, spool_on_millis, spool_off_millis, spool_overhead_pct,
-      static_cast<long long>(spool_pages_written),
-      spool_bytes_written / 1048576.0);
-  if (spool_on_result.total_rows != spool_off_result.total_rows) {
-    std::fprintf(stderr, "spool row mismatch: %lld vs %lld\n",
-                 static_cast<long long>(spool_on_result.total_rows),
-                 static_cast<long long>(spool_off_result.total_rows));
-    return 1;
-  }
-  if (spool_pages_written == 0) {
-    std::fprintf(stderr, "spool-on run spooled no pages\n");
-    return 1;
-  }
-
-  // -- Kill-one-worker recovery time: stage re-run vs restart-once -----------
+  // -- Kill-one-worker recovery time: restart-once ---------------------------
   // A fresh 3-worker cluster runs the join while a scripted fault kills one
   // worker host roughly two thirds of the way through the query — late
-  // enough that real upstream work is lost. With exchange_spool on, the lost
-  // intermediate tasks are re-run against the surviving upstream spools
-  // (stage re-run); without it, recovery falls through to restarting the
-  // whole query. Each mode is compared against its own fault-free baseline on
-  // the same cluster shape, so the spool tee cost cancels out and the delta
-  // isolates pure recovery time. Both must produce the fault-free row count.
-  std::printf("\n=== Kill-one-worker recovery (stage re-run vs restart) ===\n\n");
+  // enough that real upstream work is lost. A lost leaf task retries; a lost
+  // stage task fails its run, and the query restarts once. Each faulted run
+  // is paired with a fault-free baseline on a fresh cluster of the same
+  // shape, whose worker.kill call count places the kill; the recovery delta
+  // is faulted minus baseline. Both must produce the fault-free row count.
+  std::printf("\n=== Kill-one-worker recovery (restart-once) ===\n\n");
   struct RecoveryRun {
     double millis = 0;
     int64_t rows = 0;
-    int64_t stage_reruns = 0;
     int64_t restarts = 0;
-    int64_t spool_pages_replayed = 0;
     int64_t kill_point_calls = 0;  // worker.kill evaluations during the run
   };
-  auto run_with_kill = [&](bool spool_on, int64_t kill_at, RecoveryRun* out) {
+  auto run_with_kill = [&](int64_t kill_at, RecoveryRun* out) {
     PrestoCluster recovery_cluster("recovery-bench", 3, 2);
     (void)recovery_cluster.catalogs().RegisterCatalog("mem", memory);
     FaultInjector::Global().Reset();
@@ -507,73 +471,63 @@ int main(int argc, char** argv) {
     } else {
       // Arm at probability 0 so the injector stays enabled and counts
       // worker.kill evaluations: the baseline's call count is how the kill
-      // point for the faulted runs is placed mid-query.
+      // point for the faulted run is placed mid-query.
       FaultInjector::Global().ArmProbabilistic("worker.kill", 0.0);
     }
     Session session;
     session.properties = {{"query_max_task_retries", "2"},
                           {"query_timeout_millis", "600000"}};
-    if (spool_on) session.properties["exchange_spool"] = "true";
     auto result = recovery_cluster.Execute(queries[3].sql, session);
     out->kill_point_calls = FaultInjector::Global().CallCount("worker.kill");
     FaultInjector::Global().Reset();
     if (!result.ok()) {
-      std::fprintf(stderr, "recovery run (spool=%d kill_at=%lld) failed: %s\n",
-                   spool_on ? 1 : 0, static_cast<long long>(kill_at),
+      std::fprintf(stderr, "recovery run (kill_at=%lld) failed: %s\n",
+                   static_cast<long long>(kill_at),
                    result.status().ToString().c_str());
       std::exit(1);
     }
     out->millis = result->wall_millis;
     out->rows = result->total_rows;
-    out->stage_reruns = result->exec_metrics["stage.rerun.count"];
-    out->spool_pages_replayed =
-        result->exec_metrics["exchange.spool.page.replayed"];
     out->restarts =
         recovery_cluster.coordinator().metrics().Get("query.restarted");
   };
-  RecoveryRun baseline_bare, baseline_spooled, recovery_spooled,
-      recovery_restart;
-  run_with_kill(/*spool_on=*/false, /*kill_at=*/0, &baseline_bare);
-  run_with_kill(/*spool_on=*/true, /*kill_at=*/0, &baseline_spooled);
-  const int64_t kill_at = std::max<int64_t>(
-      3, baseline_bare.kill_point_calls * 2 / 3);
-  run_with_kill(/*spool_on=*/true, kill_at, &recovery_spooled);
-  run_with_kill(/*spool_on=*/false, kill_at, &recovery_restart);
-  double spooled_recovery_millis =
-      recovery_spooled.millis - baseline_spooled.millis;
-  double restart_recovery_millis =
-      recovery_restart.millis - baseline_bare.millis;
+  // Microseconds per rep, so MinMedianMax can sort and print them.
+  std::vector<int64_t> kill_baseline_us, kill_faulted_us, kill_delta_us,
+      kill_restarts;
+  constexpr int kRecoveryReps = 5;
+  for (int rep = 0; rep < kRecoveryReps; ++rep) {
+    RecoveryRun baseline, faulted;
+    run_with_kill(/*kill_at=*/0, &baseline);
+    run_with_kill(std::max<int64_t>(3, baseline.kill_point_calls * 2 / 3),
+                  &faulted);
+    if (faulted.rows != baseline.rows) {
+      std::fprintf(stderr, "recovery row mismatch: %lld vs %lld\n",
+                   static_cast<long long>(faulted.rows),
+                   static_cast<long long>(baseline.rows));
+      return 1;
+    }
+    if (faulted.restarts > 1) {
+      std::fprintf(stderr, "recovery restarted the query %lld times\n",
+                   static_cast<long long>(faulted.restarts));
+      return 1;
+    }
+    kill_baseline_us.push_back(static_cast<int64_t>(baseline.millis * 1e3));
+    kill_faulted_us.push_back(static_cast<int64_t>(faulted.millis * 1e3));
+    kill_delta_us.push_back(kill_faulted_us.back() - kill_baseline_us.back());
+    kill_restarts.push_back(faulted.restarts);
+  }
+  for (auto* v : {&kill_baseline_us, &kill_faulted_us, &kill_delta_us,
+                  &kill_restarts}) {
+    std::sort(v->begin(), v->end());
+  }
   std::printf(
-      "%-28s kill at call %lld of ~%lld\n"
-      "%-28s spooled  %8.1f ms vs baseline %8.1f ms  recovery %+8.1f ms "
-      "(%lld stage re-runs, %lld pages replayed, %lld restarts)\n"
-      "%-28s restart  %8.1f ms vs baseline %8.1f ms  recovery %+8.1f ms "
-      "(%lld stage re-runs, %lld restarts)\n",
-      queries[3].name, static_cast<long long>(kill_at),
-      static_cast<long long>(baseline_bare.kill_point_calls), "",
-      recovery_spooled.millis, baseline_spooled.millis,
-      spooled_recovery_millis,
-      static_cast<long long>(recovery_spooled.stage_reruns),
-      static_cast<long long>(recovery_spooled.spool_pages_replayed),
-      static_cast<long long>(recovery_spooled.restarts), "",
-      recovery_restart.millis, baseline_bare.millis, restart_recovery_millis,
-      static_cast<long long>(recovery_restart.stage_reruns),
-      static_cast<long long>(recovery_restart.restarts));
-  if (recovery_spooled.rows != baseline_bare.rows ||
-      recovery_restart.rows != baseline_bare.rows ||
-      baseline_spooled.rows != baseline_bare.rows) {
-    std::fprintf(stderr, "recovery row mismatch: %lld / %lld vs %lld\n",
-                 static_cast<long long>(recovery_spooled.rows),
-                 static_cast<long long>(recovery_restart.rows),
-                 static_cast<long long>(baseline_bare.rows));
-    return 1;
-  }
-  if (recovery_spooled.restarts != 0) {
-    std::fprintf(stderr,
-                 "spooled run restarted the query instead of re-running the "
-                 "lost stage\n");
-    return 1;
-  }
+      "%-28s %d runs (min / median / max): bare %s ms, killed %s ms, "
+      "recovery %s ms, restarts %s\n",
+      queries[3].name, kRecoveryReps,
+      MinMedianMax(kill_baseline_us, 1e-3, 1).c_str(),
+      MinMedianMax(kill_faulted_us, 1e-3, 1).c_str(),
+      MinMedianMax(kill_delta_us, 1e-3, 1).c_str(),
+      MinMedianMax(kill_restarts, 1, 0).c_str());
 
   // -- Memory management: spill throughput and reservation overhead ----------
   // The same 10M-row group-by runs unconstrained (hash tables fully
@@ -623,6 +577,10 @@ int main(int argc, char** argv) {
                  static_cast<long long>(in_memory_result.total_rows));
     return 1;
   }
+  const int64_t in_memory_final_pages =
+      FinalAggregationInputPages(in_memory_result);
+  std::printf("  final aggregation input pages in memory %lld\n",
+              static_cast<long long>(in_memory_final_pages));
 
   // Interleave the accounted / unaccounted reps: running them as two
   // back-to-back blocks lets allocator and page-cache warmup from the spill
@@ -853,30 +811,19 @@ int main(int argc, char** argv) {
                "  ],\n  \"fault_tolerance\": {\"query\": \"%s\", "
                "\"recovery_armed_millis\": %.2f, \"bare_millis\": %.2f, "
                "\"overhead_pct\": %.2f, \"budget_pct\": 2.0,\n"
-               "    \"spool_overhead\": {\"query\": \"%s\", "
-               "\"spool_on_millis\": %.2f, \"spool_off_millis\": %.2f, "
-               "\"overhead_pct\": %.2f, \"budget_pct\": 2.0, "
-               "\"spool_pages_written\": %lld, "
-               "\"spool_bytes_written\": %lld, \"spool_bytes_raw\": %lld},\n"
                "    \"worker_kill_recovery\": {\"query\": \"%s\", "
-               "\"baseline_bare_millis\": %.2f, "
-               "\"baseline_spooled_millis\": %.2f, "
-               "\"stage_rerun_millis\": %.2f, \"restart_millis\": %.2f, "
-               "\"stage_rerun_recovery_millis\": %.2f, "
-               "\"restart_recovery_millis\": %.2f, \"stage_reruns\": %lld, "
-               "\"spool_pages_replayed\": %lld, \"restarts\": %lld}},\n",
+               "\"runs\": %d, \"bare_millis_median\": %.2f, "
+               "\"killed_millis_median\": %.2f, "
+               "\"recovery_millis_min\": %.2f, "
+               "\"recovery_millis_median\": %.2f, "
+               "\"recovery_millis_max\": %.2f, "
+               "\"restarts_max\": %lld}},\n",
                queries[0].name, armed_millis, bare_millis,
-               retry_overhead_pct, queries[0].name, spool_on_millis,
-               spool_off_millis, spool_overhead_pct,
-               static_cast<long long>(spool_pages_written),
-               static_cast<long long>(spool_bytes_written),
-               static_cast<long long>(spool_bytes_raw), queries[3].name,
-               baseline_bare.millis, baseline_spooled.millis,
-               recovery_spooled.millis, recovery_restart.millis,
-               spooled_recovery_millis, restart_recovery_millis,
-               static_cast<long long>(recovery_spooled.stage_reruns),
-               static_cast<long long>(recovery_spooled.spool_pages_replayed),
-               static_cast<long long>(recovery_restart.restarts));
+               retry_overhead_pct, queries[3].name, kRecoveryReps,
+               Median(kill_baseline_us) / 1e3, Median(kill_faulted_us) / 1e3,
+               kill_delta_us.front() / 1e3, Median(kill_delta_us) / 1e3,
+               kill_delta_us.back() / 1e3,
+               static_cast<long long>(kill_restarts.back()));
   std::fprintf(
       f,
       "  \"memory\": {\"query\": \"%s\",\n"
@@ -886,6 +833,8 @@ int main(int argc, char** argv) {
       "\"runs_median\": %lld, \"runs_max\": %lld, \"bytes_min\": %lld, "
       "\"bytes_median\": %lld, \"bytes_max\": %lld, "
       "\"leaf_runs_median\": %lld, \"final_runs_median\": %lld, "
+      "\"final_input_pages_median\": %lld, "
+      "\"in_memory_final_input_pages\": %lld, "
       "\"memory_wait_nanos_median\": %lld},\n"
       "    \"reservation_overhead\": {\"accounted_millis\": %.2f, "
       "\"unaccounted_millis\": %.2f, \"overhead_pct\": %.2f, "
@@ -897,7 +846,9 @@ int main(int argc, char** argv) {
       static_cast<long long>(spread.runs.back()),
       static_cast<long long>(spread.bytes.front()), Median(spread.bytes),
       static_cast<long long>(spread.bytes.back()), Median(spread.leaf_runs),
-      Median(spread.final_runs), Median(spread.wait_nanos), accounted_millis,
+      Median(spread.final_runs), Median(spread.final_input_pages),
+      static_cast<long long>(in_memory_final_pages),
+      Median(spread.wait_nanos), accounted_millis,
       unaccounted_millis, memory_overhead_pct,
       static_cast<long long>(
           accounted_result.exec_metrics["memory.query.peak_bytes"]));

@@ -26,8 +26,8 @@ if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
   (cd build && ctest --output-on-failure)
   # Determinism gate: the whole suite in parallel, repeated. Test processes
   # share /tmp and every coordinator numbers its queries from 1, so a spill
-  # or spool path that is not private to its coordinator shows up here as a
-  # wrong answer.
+  # path that is not private to its coordinator shows up here as a wrong
+  # answer.
   echo "== regular tests, parallel, until-fail:20 =="
   (cd build && ctest -j"$JOBS" --repeat until-fail:20 --output-on-failure)
 fi
@@ -48,18 +48,15 @@ CHAOS_ITERS="${PRESTO_CHAOS_ITERS:-8}"
 # bare pool tree), and the killer's cross-thread cancellation (SpillDifferentialTest also holds the
 # ROW-key, 65-key, adapter and NaN-key group-bys). The acceptance-scale spill
 # test is shrunk for sanitizer speed (full 10M rows runs in the regular suite).
-# The block-file corruption sweeps (their own binary, block_file_tests), the
-# spool round trips and the corrupt spool replay run here too, so every
-# length check is exercised under ASan and the merges that share one spill
-# file handle under TSan.
+# The block-file corruption sweeps (their own binary, block_file_tests) run
+# here too, so every length check is exercised under ASan and the merges
+# that share one spill file handle under TSan.
 MEMORY_FILTER='MemoryPoolTest.*:MemoryArbiterTest.*'
 MEMORY_FILTER="$MEMORY_FILTER:SpillDifferentialTest.*:SpillLargeScaleTest.*"
 MEMORY_FILTER="$MEMORY_FILTER:SpillMergeTest.*:SpillIsolationTest.*"
 MEMORY_FILTER="$MEMORY_FILTER:AdmissionTest.*:LowMemoryKillerTest.*"
 MEMORY_FILTER="$MEMORY_FILTER:ExchangeMemoryTest.*:MemoryCountersTest.*"
 MEMORY_FILTER="$MEMORY_FILTER:SpillerTest.*:CompressionTest.*"
-MEMORY_FILTER="$MEMORY_FILTER:ExchangeSpoolTest.*"
-MEMORY_FILTER="$MEMORY_FILTER:RecoveryClusterTest.CorruptSpoolReplayFallsBackToRestartOnce"
 MEMORY_SCALE_ROWS="${PRESTO_SPILL_SCALE_ROWS:-2000000}"
 
 # Morsel stage: the work-stealing pool and the differential tests that drive
@@ -95,13 +92,13 @@ WORKLOAD_FILTER="$WORKLOAD_FILTER:GatewayShedTest.*:WorkloadChaosTest.*"
 # a recorder race or a context-scope leak would hide.
 TRACE_FILTER='TraceTest.*:TraceClusterTest.*'
 
-# Recovery stage: the stage-level recovery ladder — spool tee/replay racing
-# exchange consumers, attempt-id fencing under concurrent speculative
+# Recovery stage: the stage-level recovery ladder — a lost task's restart
+# racing exchange consumers, attempt-id fencing under concurrent speculative
 # commits, graceful drain racing in-flight submits, and probation heartbeats
 # racing the scheduler. These paths hand pages and task slots across threads
 # at failure boundaries, exactly where a use-after-free or a missed
 # happens-before would hide.
-RECOVERY_FILTER='ExchangeSpoolTest.*:ExchangeFenceTest.*:RecoveryClusterTest.*'
+RECOVERY_FILTER='ExchangeFenceTest.*:RecoveryClusterTest.*'
 RECOVERY_FILTER="$RECOVERY_FILTER:WorkerDrainTest.*"
 RECOVERY_FILTER="$RECOVERY_FILTER:ChaosQueryTest.RetryBackoffHonorsQueryDeadline"
 RECOVERY_FILTER="$RECOVERY_FILTER:WorkloadChaosTest.RestartOnceReentersGroupQueueAndReconciles"

@@ -18,7 +18,6 @@
 
 #include "presto/common/fault_injection.h"
 #include "presto/common/random.h"
-#include "presto/exec/exchange_spool.h"
 #include "presto/exec/operators.h"
 #include "presto/planner/optimizer.h"
 #include "presto/sql/analyzer.h"
@@ -420,8 +419,6 @@ struct QueryOptions {
   int task_threads = 1;
   int hash_partitions = 0;  // hash_partition_count; 0 = one per task slot
   int64_t exchange_capacity = 32LL << 20;    // exchange_buffer_bytes
-  bool exchange_spool = false;
-  int64_t spool_budget_bytes = 256LL << 20;  // exchange_spool_budget_bytes
   bool speculative = false;                  // speculative_execution
   double speculation_quantile = 0.75;
   int64_t max_join_build_rows = ExecutionLimits().max_join_build_rows;
@@ -456,10 +453,6 @@ QueryOptions ParseQueryOptions(const Session& session) {
   }
   int64_t capacity = IntProperty(session, "exchange_buffer_bytes").value_or(0);
   if (capacity > 0) o.exchange_capacity = capacity;
-  o.exchange_spool = session.Property("exchange_spool", "false") == "true";
-  int64_t budget =
-      IntProperty(session, "exchange_spool_budget_bytes").value_or(0);
-  if (budget > 0) o.spool_budget_bytes = budget;
   o.speculative = session.Property("speculative_execution", "false") == "true";
   double quantile = std::strtod(
       session.Property("speculation_quantile", "").c_str(), nullptr);
@@ -509,13 +502,13 @@ class QueryRun {
     std::unique_ptr<PartitionedExchange> exchange;  // null for the root
   };
   // One producer slot: a leaf's split batch, a stage's partition, or the
-  // root. Its attempts (retries, re-runs, a speculative duplicate) commit
+  // root. Its attempts (retries, a speculative duplicate) commit
   // through the slot's fence in the fragment's exchange.
   struct Task {
     FragmentState* state = nullptr;
     std::vector<SplitPtr> splits;  // leaf tasks only
     int partition = 0;
-    int attempt = 0;  // current retry / re-run attempt
+    int attempt = 0;  // current retry attempt
     // -- speculation bookkeeping (read by the monitor thread) --
     std::atomic<int64_t> start_nanos{0};  // first attempt began (0 = not yet)
     std::atomic<int64_t> duration_nanos{0};  // set when the task finished
@@ -552,32 +545,27 @@ class QueryRun {
   QueryResult Complete(const Stopwatch& watch, int64_t queued_nanos);
 
   // Whether the attempt holds its output back until it commits through the
-  // fence: leaf tasks when retries or speculation are armed, stage tasks
-  // when they can re-run, speculative duplicates always.
+  // fence: leaf tasks when retries or speculation are armed, speculative
+  // duplicates always.
   bool Buffered(const Task& task, bool speculative) const {
-    if (speculative) return true;
-    return task.state->fragment->leaf ? buffer_leaf_output_
-                                      : stage_rerun_budget_ > 0;
+    return speculative || (task.state->fragment->leaf && buffer_leaf_output_);
   }
   // The kStage span of `fragment_id`, or the query span.
   int64_t StageSpan(int fragment_id) const {
     auto it = stage_spans_.find(fragment_id);
     return it != stage_spans_.end() ? it->second : query_span_;
   }
-  // Calls fn(exchange, partition) for every upstream exchange partition the
-  // task consumes — its own partition of a hash-partitioned input, partition
-  // 0 of a gathered one — stopping at the first error.
-  template <typename Fn>
-  Status ForEachInput(const Task& task, Fn fn) {
+  // Closes every upstream exchange partition the task consumes — its own
+  // partition of a hash-partitioned input, partition 0 of a gathered one.
+  void CloseInputs(const Task& task) {
     for (const RemoteInput& input : task.state->inputs) {
       auto it = exchange_refs_.find(input.fragment_id);
       if (it == exchange_refs_.end()) continue;
       PartitionedExchange* in = it->second;
-      RETURN_IF_ERROR(fn(*in, input.hash_partitioned
-                                  ? task.partition % in->num_partitions()
-                                  : 0));
+      in->ConsumerDone(input.hash_partitioned
+                           ? task.partition % in->num_partitions()
+                           : 0);
     }
-    return Status::OK();
   }
 
   Coordinator* const coordinator_;
@@ -599,9 +587,6 @@ class QueryRun {
   // two attempts of one task run concurrently and only the fence winner
   // may publish.
   const bool buffer_leaf_output_;
-  // Stage re-runs get the same attempt budget as leaf retries (at least one
-  // when spooling is on — the spool exists precisely to re-run stages).
-  const int stage_rerun_budget_;
   ExecutionLimits limits_;  // shared by every task; pools added per attempt
   int hash_partitions_ = 1;
   QueryResult result_;
@@ -883,13 +868,13 @@ Result<QueryResult> Coordinator::ExecutePlan(int64_t query_id,
                    deadline_steady_nanos, &query_metrics, memory, group,
                    recorder.get(), query_span)
               .Run(watch, queued_nanos);
-    // Leaf-task retry and stage re-run handle transient failures surgically;
-    // a transient error that still escapes them (a stage without a usable
-    // spool fails fast by latching its exchange — its upstream partitions
-    // are already partially consumed) is recovered by running the whole
-    // query once more. The restarted run re-enters its group's admission
-    // queue instead of riding the first run's slot, so weighted-fair
-    // promotion can schedule someone else ahead of it.
+    // Leaf-task retry handles transient failures surgically; a transient
+    // error that still escapes it (a lost stage task fails fast by latching
+    // its exchange — its upstream partitions are already partially
+    // consumed) is recovered by running the whole query once more. The
+    // restarted run re-enters its group's admission queue instead of riding
+    // the first run's slot, so weighted-fair promotion can schedule someone
+    // else ahead of it.
     if (run.ok() || pass > 0 || options.max_task_retries == 0 ||
         DeadlinePassed(deadline_steady_nanos) ||
         !IsRetryableStatus(run.status())) {
@@ -926,8 +911,6 @@ QueryRun::QueryRun(Coordinator* coordinator, int64_t query_id,
       query_span_(query_span),
       collect_stats_(force_stats || recorder != nullptr || options.stats),
       buffer_leaf_output_(options.max_task_retries > 0 || options.speculative),
-      stage_rerun_budget_(
-          options.exchange_spool ? std::max(1, options.max_task_retries) : 0),
       backoff_rng_(static_cast<uint64_t>(query_id)) {
   result_.query_id = query_id;
   result_.num_fragments = static_cast<int>(plan.fragments.size());
@@ -1074,29 +1057,6 @@ void QueryRun::MakeExchange(FragmentState& state) {
     exchange->SetMemoryPool(memory_->system->AddChild(
         "exchange." + std::to_string(fragment.id)));
   }
-  if (options_.exchange_spool) {
-    // Spooled exchange: every page accepted into the exchange is also
-    // written, snappy-compressed in the spill page encoding, to a spool
-    // under the query's spill area, so a lost intermediate task can re-run
-    // against the surviving upstream spools instead of restarting the
-    // query. The framed bytes are capped per query
-    // (exchange_spool_budget_bytes) and charged to the query's system pool
-    // like the buffers they shadow. Each run builds fresh spools (the old
-    // ones are deleted with their exchange).
-    std::string spool_dir =
-        (memory_ != nullptr
-             ? memory_->spill_dir
-             : coordinator_->SpillRoot("/tmp/presto_spool") + "/query-" +
-                   std::to_string(query_id_)) +
-        "/spool-fragment-" + std::to_string(fragment.id);
-    std::shared_ptr<MemoryPool> spool_pool =
-        memory_ != nullptr
-            ? memory_->system->AddChild("spool." + std::to_string(fragment.id))
-            : nullptr;
-    exchange->SetSpool(std::make_shared<ExchangeSpool>(
-        coordinator_->spill_fs_.get(), std::move(spool_dir), partitions,
-        query_metrics_, std::move(spool_pool), options_.spool_budget_bytes));
-  }
   state.exchange = std::move(exchange);
 }
 
@@ -1148,7 +1108,7 @@ void QueryRun::Dispatch(Task& task, int attempt, bool speculative) {
 
 // A dispatched attempt, start to finish. The task's latch count is released
 // once the task reaches a terminal outcome; an attempt that hands the task
-// to a retry or re-run passes the count on instead.
+// to a retry passes the count on instead.
 void QueryRun::Execute(Task& task, int attempt, bool speculative,
                        Worker* host) {
   int64_t not_started = 0;
@@ -1354,57 +1314,34 @@ bool QueryRun::Commit(Task& task, int attempt, bool speculative,
   return true;
 }
 
-// The recovery decision for a failed attempt of a stage or leaf task — the
-// rung table in DESIGN.md "Fault tolerance". A retryable failure within the
-// attempt budget and the query deadline is recovered in place: a leaf
-// retries on a fresh healthy-worker snapshot after backoff (its held-back
-// output leaked nothing); a stage task re-runs against its input
-// partitions replayed from the upstream spools. Anything else finalizes the
-// slot as failed, which fails the run — ExecutePlan's restart-once is the
-// last rung. Returns true when the task was dispatched again.
+// The recovery decision for a failed attempt — the rung table in DESIGN.md
+// "Fault tolerance". A leaf attempt that failed retryably within the retry
+// budget and the query deadline retries on a fresh healthy-worker snapshot
+// after backoff (its held-back output leaked nothing). Anything else —
+// every stage task failure included — finalizes the slot as failed, which
+// fails the run; ExecutePlan's restart-once is the last rung. Returns true
+// when the task was dispatched again.
 bool QueryRun::OnAttemptFailed(Task& task, Status status) {
   const PlanFragment& fragment = *task.state->fragment;
-  const int budget =
-      fragment.leaf ? options_.max_task_retries : stage_rerun_budget_;
-  if (IsRetryableStatus(status) && task.attempt < budget &&
-      !DeadlinePassed(deadline_)) {
-    if (fragment.leaf) {
-      ++task.attempt;
-      Count("task.retry.count");
-      coordinator_->journal_.Record(
-          query_id_, QueryEventKind::kTaskRetried,
-          "fragment " + std::to_string(fragment.id) + " partition " +
-              std::to_string(task.partition) + " attempt " +
-              std::to_string(task.attempt) + ": " + status.ToString());
-      BlacklistDeadWorkers();
-      Backoff(task);
-      if (!DeadlinePassed(deadline_)) {
-        Dispatch(task, task.attempt, false);
-        return true;
-      }
-      // Deadline hit during (or before) the backoff: finalize with the
-      // canonical timeout status instead of burning another attempt.
-      status = Status::DeadlineExceeded(
-          "query deadline exceeded (query_timeout_millis)");
-    } else if (ForEachInput(task, [](PartitionedExchange& in, int partition) {
-                 return in.ResetPartitionForReplay(partition);
-               }).ok()) {
-      // Every input partition flipped to replay mode: the replacement
-      // attempt streams the complete partition history from the upstream
-      // spools. All must succeed — a partially replayable input set would
-      // re-run the task against a mix of replayed and consumed streams.
-      ++task.attempt;
-      Count("stage.rerun.count");
-      coordinator_->journal_.Record(
-          query_id_, QueryEventKind::kStageRerun,
-          "fragment " + std::to_string(fragment.id) + " partition " +
-              std::to_string(task.partition) + " attempt " +
-              std::to_string(task.attempt) +
-              " replaying upstream spools: " + status.ToString());
-      BlacklistDeadWorkers();
+  if (fragment.leaf && IsRetryableStatus(status) &&
+      task.attempt < options_.max_task_retries && !DeadlinePassed(deadline_)) {
+    ++task.attempt;
+    Count("task.retry.count");
+    coordinator_->journal_.Record(
+        query_id_, QueryEventKind::kTaskRetried,
+        "fragment " + std::to_string(fragment.id) + " partition " +
+            std::to_string(task.partition) + " attempt " +
+            std::to_string(task.attempt) + ": " + status.ToString());
+    BlacklistDeadWorkers();
+    Backoff(task);
+    if (!DeadlinePassed(deadline_)) {
       Dispatch(task, task.attempt, false);
       return true;
     }
+    // Deadline hit during (or before) the backoff: finalize with the
+    // canonical timeout status instead of burning another attempt.
+    status = Status::DeadlineExceeded(
+        "query deadline exceeded (query_timeout_millis)");
   }
   FinalizeFailed(task, status);
   return false;
@@ -1468,10 +1405,7 @@ void QueryRun::FinalizeFailed(Task& task, const Status& status) {
 // journals the stage finished (`detail` appended).
 void QueryRun::CloseSlot(Task& task, const std::string& detail) {
   task.state->exchange->ProducerDone();
-  ForEachInput(task, [](PartitionedExchange& in, int partition) {
-    in.ConsumerDone(partition);
-    return Status::OK();
-  });
+  CloseInputs(task);
   if (task.state->unfinished_tasks.fetch_sub(1) == 1) {
     coordinator_->journal_.Record(
         query_id_, QueryEventKind::kStageFinished,

@@ -153,7 +153,7 @@ class Coordinator {
     root_morsel_pool_ = std::make_unique<WorkStealingPool>(2);
   }
 
-  /// Removes the spill and spool directories this coordinator created.
+  /// Removes the spill directories this coordinator created.
   ~Coordinator();
 
   // -- worker membership: elastic expansion / graceful shrink ----------------
@@ -265,9 +265,9 @@ class Coordinator {
   /// Runs a fragmented plan as a QueryRun: arms the query deadline (session
   /// query_timeout_millis), admits the query, and — when recovery is enabled
   /// (query_max_task_retries > 0) and a transient (kUnavailable/kIoError)
-  /// error escapes task retry and stage re-run — releases the group slot,
-  /// re-admits, and runs the query a second time. Records the terminal
-  /// failed/timeout events.
+  /// error escapes task retry — releases the group slot, re-admits, and
+  /// runs the query a second time. Records the terminal failed/timeout
+  /// events.
   Result<QueryResult> ExecutePlan(int64_t query_id, const FragmentedPlan& plan,
                                   const Session& session, Stopwatch watch,
                                   bool force_stats);
@@ -279,7 +279,7 @@ class Coordinator {
 
   /// "<pid>-<seq>": unique among the coordinators alive on this host.
   static std::string NewSpillScope();
-  /// This coordinator's directory in a spill or spool area,
+  /// This coordinator's directory in a spill area,
   /// "<area>/<pid>-<seq>", remembered so the destructor removes it. Query
   /// ids restart at 1 in every coordinator, so without it two coordinators
   /// (in one process or in two) would read and delete each other's files.
@@ -311,7 +311,7 @@ class Coordinator {
   std::shared_ptr<MemoryPool> worker_pool_;
   /// File system behind the spill area (fault-injection covered in tests).
   std::unique_ptr<FileSystem> spill_fs_;
-  /// This coordinator's directory name under every spill and spool area.
+  /// This coordinator's directory name under every spill area.
   const std::string spill_scope_ = NewSpillScope();
   std::mutex spill_roots_mu_;
   std::set<std::string> spill_roots_;  // guarded by spill_roots_mu_

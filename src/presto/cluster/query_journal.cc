@@ -41,8 +41,6 @@ const char* QueryEventKindToString(QueryEventKind kind) {
       return "query_timeout_queued";
     case QueryEventKind::kDegraded:
       return "query_degraded";
-    case QueryEventKind::kStageRerun:
-      return "stage_rerun";
     case QueryEventKind::kTaskSpeculated:
       return "task_speculated";
     case QueryEventKind::kWorkerDrained:

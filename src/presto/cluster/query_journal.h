@@ -31,7 +31,6 @@ enum class QueryEventKind {
   kShed,               // overload protection rejected the query (kRejected)
   kTimeoutQueued,      // query_timeout_millis expired while still queued
   kDegraded,           // memory pressure shrank the query's task_threads
-  kStageRerun,         // lost intermediate task re-run against upstream spools
   kTaskSpeculated,     // duplicate attempt launched for a straggling task
   kWorkerDrained,      // graceful shrink: worker finished its tasks and left
   kWorkerReinstated,   // blacklisted worker passed probation; back in rotation

@@ -42,10 +42,6 @@ const char* TraceKindName(TraceKind kind) {
       return "memory_wait";
     case TraceKind::kScanDecode:
       return "scan_decode";
-    case TraceKind::kSpoolWrite:
-      return "spool_write";
-    case TraceKind::kSpoolRead:
-      return "spool_read";
     case TraceKind::kSpeculation:
       return "speculation";
   }

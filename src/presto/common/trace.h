@@ -106,8 +106,6 @@ enum class TraceKind : int {
   kSpillRead = 9,
   kMemoryWait = 10,   // one arbiter wait loop
   kScanDecode = 11,   // one scan NextBatch: page reads + decode of one batch
-  kSpoolWrite = 12,   // one page appended to an exchange spool
-  kSpoolRead = 13,    // one page (or partition open) replayed from a spool
   kSpeculation = 14,  // a duplicate attempt launched for a straggling task
 };
 

@@ -4,6 +4,7 @@
 #include <random>
 
 #include "presto/common/bytes.h"
+#include "presto/common/compression.h"
 #include "presto/common/crc32c.h"
 #include "presto/common/hash.h"
 #include "presto/expr/serialization.h"
@@ -18,6 +19,9 @@ constexpr uint8_t kVersion = 1;
 // not size an allocation.
 constexpr uint64_t kMaxHeaderFrameBytes = 64 << 10;
 constexpr size_t kFrameHeadBytes = 13;  // seq, codec, stored_len, crc
+// Blocks are stored uncompressed; the codec byte stays in the frame, and a
+// reader refuses any other value.
+constexpr auto kCodecByte = static_cast<uint8_t>(CompressionKind::kNone);
 
 // Distinct within a process (HashMix64 is a bijection) and random across
 // processes.
@@ -110,23 +114,19 @@ Result<VectorPtr> ReadColumn(const TypePtr& type, size_t num_rows,
 
 // One frame minus its sequence number: codec, stored length, CRC32C over
 // the codec byte and the stored bytes, then the stored bytes.
-EncodedBlock Frame(CompressionKind codec, const ByteBuffer& payload) {
-  const std::vector<uint8_t> stored =
-      Compress(codec, payload.data(), payload.size());
-  const auto codec_byte = static_cast<uint8_t>(codec);
+EncodedBlock Frame(const ByteBuffer& payload) {
   ByteBuffer frame;
-  frame.PutU8(codec_byte);
-  frame.PutU32(static_cast<uint32_t>(stored.size()));
-  frame.PutU32(Crc32c(stored.data(), stored.size(), Crc32c(&codec_byte, 1)));
-  frame.PutRaw(stored.data(), stored.size());
-  return EncodedBlock{std::move(frame.bytes()),
-                      static_cast<int64_t>(payload.size())};
+  frame.PutU8(kCodecByte);
+  frame.PutU32(static_cast<uint32_t>(payload.size()));
+  frame.PutU32(Crc32c(payload.data(), payload.size(), Crc32c(&kCodecByte, 1)));
+  frame.PutRaw(payload.data(), payload.size());
+  return EncodedBlock{std::move(frame.bytes())};
 }
 
-// Reads the frame at `offset` and returns its decompressed payload. Checks
-// the sequence number, the codec, the stored length against `limit` (the
-// bytes that may back the frame) before allocating, and the checksum. A
-// short read means the file was cut.
+// Reads the frame at `offset` and returns its payload. Checks the sequence
+// number, the codec, the stored length against `limit` (the bytes that may
+// back the frame) before allocating, and the checksum. A short read means
+// the file was cut.
 Result<std::vector<uint8_t>> ReadFrame(RandomAccessFile* file, uint64_t offset,
                                        uint64_t limit, uint32_t seq,
                                        uint64_t* frame_bytes) {
@@ -139,9 +139,7 @@ Result<std::vector<uint8_t>> ReadFrame(RandomAccessFile* file, uint64_t offset,
   ASSIGN_OR_RETURN(uint32_t stored_len, head.ReadU32());
   ASSIGN_OR_RETURN(uint32_t crc, head.ReadU32());
   if (frame_seq != seq) return Corrupt("block out of sequence");
-  if (codec > static_cast<uint8_t>(CompressionKind::kGzip)) {
-    return Corrupt("unknown codec");
-  }
+  if (codec != kCodecByte) return Corrupt("unknown codec");
   if (limit < kFrameHeadBytes || stored_len > limit - kFrameHeadBytes) {
     return Corrupt("block overruns its extent");
   }
@@ -153,9 +151,7 @@ Result<std::vector<uint8_t>> ReadFrame(RandomAccessFile* file, uint64_t offset,
     return Corrupt("checksum mismatch");
   }
   *frame_bytes = kFrameHeadBytes + stored_len;
-  // Decompress fails unless the output is exactly the frame's declared size.
-  return Decompress(static_cast<CompressionKind>(codec), stored.data(),
-                    stored.size());
+  return stored;
 }
 
 // Reads and checks the header (frame 0) of a file written with `nonce` and
@@ -185,13 +181,13 @@ Result<std::vector<TypePtr>> ReadHeader(RandomAccessFile* file,
 
 }  // namespace
 
-Status EncodeBlock(const Page& page, CompressionKind codec, EncodedBlock* out) {
+Status EncodeBlock(const Page& page, EncodedBlock* out) {
   ByteBuffer payload;
   payload.PutVarint(page.num_rows());
   for (const VectorPtr& column : page.columns()) {
     RETURN_IF_ERROR(WriteColumn(column, &payload));
   }
-  *out = Frame(codec, payload);
+  *out = Frame(payload);
   return Status::OK();
 }
 
@@ -210,7 +206,7 @@ Status BlockFile::Create(const Page& like) {
   for (const VectorPtr& column : like.columns()) {
     body.PutString(column->type()->ToString());
   }
-  EncodedBlock header = Frame(CompressionKind::kNone, body);
+  EncodedBlock header = Frame(body);
   if (header.size() > static_cast<int64_t>(kMaxHeaderFrameBytes)) {
     return Status::InvalidArgument("block file: column types exceed 64 KiB");
   }

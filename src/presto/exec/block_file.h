@@ -7,24 +7,24 @@
 #include <string>
 #include <vector>
 
-#include "presto/common/compression.h"
 #include "presto/common/metrics.h"
 #include "presto/fs/file_system.h"
 #include "presto/vector/page.h"
 
 namespace presto {
 
-/// The one on-disk format for pages that leave memory: spill runs and
-/// exchange spool partitions. Every byte read back is checked, so a torn,
-/// truncated, stale, foreign or bit-flipped file fails with kCorruption (an
-/// I/O failure stays kIoError) and never decodes into rows.
+/// The one on-disk format for pages that leave memory: spill runs. Every
+/// byte read back is checked, so a torn, truncated, stale, foreign or
+/// bit-flipped file fails with kCorruption (an I/O failure stays kIoError)
+/// and never decodes into rows.
 ///
 ///   file   := frame 0 (the header), frame 1, frame 2, ...
 ///   frame  := u32 seq, u8 codec, u32 stored_len, u32 CRC32C(codec, stored),
-///             stored = one Compress(codec, payload) frame
+///             stored = the payload as is (codec kNone; a reader refuses
+///             any other codec byte)
 ///   header payload := u32 magic "PBF1", u8 version, u64 nonce,
 ///             varint num_columns, per column a Type::ToString() string
-///             (codec kNone, frame at most 64 KiB)
+///             (frame at most 64 KiB)
 ///   block payload  := varint num_rows, then per column (typed by the
 ///             header) u8 has_nulls, the null bytes if any, and the raw
 ///             values or length-prefixed strings; types without a flat
@@ -43,13 +43,12 @@ namespace presto {
 /// is built without a lock and only BlockFile::Append needs one.
 struct EncodedBlock {
   std::vector<uint8_t> frame;  // codec, stored_len, CRC32C, stored bytes
-  int64_t raw_bytes = 0;       // the payload's size before compression
 
   /// Bytes the block takes in the file, its sequence number included.
   int64_t size() const { return 4 + static_cast<int64_t>(frame.size()); }
 };
 
-Status EncodeBlock(const Page& page, CompressionKind codec, EncodedBlock* out);
+Status EncodeBlock(const Page& page, EncodedBlock* out);
 
 /// The blocks numbered from `first_seq` that fill bytes [begin, end).
 struct BlockExtent {
@@ -88,8 +87,8 @@ class BlockFileReader {
   MetricsRegistry::Counter* bytes_read_;
 };
 
-/// One block file of one owner (a spill area, a spool partition): written
-/// once, read back by extents, deleted (best effort) with the object.
+/// One block file of one owner (a spill area): written once, read back by
+/// extents, deleted (best effort) with the object.
 class BlockFile {
  public:
   BlockFile(FileSystem* fs, std::string path)

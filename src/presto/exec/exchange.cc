@@ -67,48 +67,9 @@ void PartitionedExchange::SetDeadlineNanos(int64_t steady_deadline_nanos) {
   deadline_steady_nanos_ = steady_deadline_nanos;
 }
 
-void PartitionedExchange::SetSpool(std::shared_ptr<ExchangeSpool> spool) {
-  std::lock_guard<std::mutex> lock(mu_);
-  spool_ = std::move(spool);
-}
-
 bool PartitionedExchange::TryCommitProducer(int slot, int attempt) {
   std::lock_guard<std::mutex> lock(mu_);
   return committed_slots_.emplace(slot, attempt).second;
-}
-
-Status PartitionedExchange::ResetPartitionForReplay(int partition) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (spool_ == nullptr) {
-      return Status::Unavailable(
-          "exchange spool disabled; stage re-run unavailable");
-    }
-    if (!status_.ok()) return status_;
-    Partition& part = partitions_[partition];
-    if (part.closed) {
-      return Status::Internal("cannot replay a closed exchange partition");
-    }
-    if (spool_->broken(partition)) {
-      return Status::Unavailable(
-          "exchange spool partition broken; stage re-run unavailable");
-    }
-    // Queued pages are dropped — the spool holds the complete history, so
-    // the replacement consumer replays from the start. Releasing their bytes
-    // wakes producers blocked on backpressure; from here their pushes to
-    // this partition are spooled but never queued (no one will pop them).
-    for (const Entry& entry : part.pages) {
-      buffered_bytes_ -= entry.bytes;
-      ReleasePoolLocked(entry.bytes);
-    }
-    part.pages.clear();
-    part.replay = true;
-    std::lock_guard<std::mutex> replay_lock(part.replay_mu);
-    part.replay_reader = nullptr;
-  }
-  producer_cv_.notify_all();
-  consumer_cv_.notify_all();
-  return Status::OK();
 }
 
 void PartitionedExchange::Push(int partition, Page page) {
@@ -128,18 +89,9 @@ void PartitionedExchange::PushWithBytes(int partition, Page page,
       return;
     }
   }
-  // Tee copy for the spool, taken before the page moves into the queue.
-  // Pages share immutable vectors by shared_ptr, so the copy is cheap.
-  Page spool_copy;
-  bool spool_tee = false;
-  bool queued = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    auto bypass_queue = [this, partition] {
-      return partitions_[partition].replay;
-    };
-    if (buffered_bytes_ >= capacity_bytes_ && !DropLocked(partition) &&
-        !bypass_queue()) {
+    if (buffered_bytes_ >= capacity_bytes_ && !DropLocked(partition)) {
       if (producer_blocked_counter_ != nullptr) {
         producer_blocked_counter_->Add(1);
       }
@@ -148,9 +100,8 @@ void PartitionedExchange::PushWithBytes(int partition, Page page,
       // push happens outside any operator's Next() frame) and record a span.
       BlockedTimer blocked(BlockedKind::kExchangeWait);
       TraceEventScope span(TraceKind::kExchangeWait, "exchange_produce_wait");
-      auto have_room = [this, partition, &bypass_queue] {
-        return buffered_bytes_ < capacity_bytes_ || DropLocked(partition) ||
-               bypass_queue();
+      auto have_room = [this, partition] {
+        return buffered_bytes_ < capacity_bytes_ || DropLocked(partition);
       };
       if (deadline_steady_nanos_ > 0) {
         if (!producer_cv_.wait_until(lock, ToTimePoint(deadline_steady_nanos_),
@@ -169,49 +120,29 @@ void PartitionedExchange::PushWithBytes(int partition, Page page,
       if (pages_dropped_counter_ != nullptr) pages_dropped_counter_->Add(1);
       return;
     }
-    if (spool_ != nullptr) {
-      spool_copy = page;
-      spool_tee = true;
-    }
-    if (bypass_queue()) {
-      // Replay mode: the replacement consumer reads the spool, not the queue,
-      // so accepted pages skip buffering (and its backpressure/reservation)
-      // but still count toward the push totals the stats reconcile against.
-      bytes_pushed_ += bytes;
-      pages_pushed_ += 1;
-    } else {
-      if (pool_ != nullptr) {
-        Status st = pool_->Reserve(bytes);
-        if (!st.ok()) {
-          // Worker memory exhausted while buffering shuffle data: latch the
-          // classified error so the whole query unwinds instead of queueing
-          // pages the worker has no budget for.
-          FailLocked(std::move(st));
-          if (pages_dropped_counter_ != nullptr) pages_dropped_counter_->Add(1);
-          lock.unlock();
-          producer_cv_.notify_all();
-          consumer_cv_.notify_all();
-          return;
-        }
+    if (pool_ != nullptr) {
+      Status st = pool_->Reserve(bytes);
+      if (!st.ok()) {
+        // Worker memory exhausted while buffering shuffle data: latch the
+        // classified error so the whole query unwinds instead of queueing
+        // pages the worker has no budget for.
+        FailLocked(std::move(st));
+        if (pages_dropped_counter_ != nullptr) pages_dropped_counter_->Add(1);
+        lock.unlock();
+        producer_cv_.notify_all();
+        consumer_cv_.notify_all();
+        return;
       }
-      partitions_[partition].pages.push_back(Entry{std::move(page), bytes});
-      buffered_bytes_ += bytes;
-      peak_buffered_bytes_ = std::max(peak_buffered_bytes_, buffered_bytes_);
-      bytes_pushed_ += bytes;
-      pages_pushed_ += 1;
-      queued = true;
     }
+    partitions_[partition].pages.push_back(Entry{std::move(page), bytes});
+    buffered_bytes_ += bytes;
+    peak_buffered_bytes_ = std::max(peak_buffered_bytes_, buffered_bytes_);
+    bytes_pushed_ += bytes;
+    pages_pushed_ += 1;
   }
   if (pages_pushed_counter_ != nullptr) pages_pushed_counter_->Add(1);
   if (bytes_pushed_counter_ != nullptr) bytes_pushed_counter_->Add(bytes);
-  if (queued) consumer_cv_.notify_all();
-  if (spool_tee) {
-    // Appended outside mu_ (the spool serializes, compresses, and writes
-    // under its own lock). A failed append marks the partition broken inside
-    // the spool; the exchange keeps flowing — spooling is insurance, and the
-    // recovery ladder falls back to restart-once when the insurance lapses.
-    (void)spool_->Append(partition, spool_copy);
-  }
+  consumer_cv_.notify_all();
 }
 
 void PartitionedExchange::PushPartitioned(const Page& page,
@@ -289,7 +220,6 @@ Result<std::optional<Page>> PartitionedExchange::Next(int partition) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     Partition& part = partitions_[partition];
-    if (part.replay) return ReplayNextLocked(lock, partition);
     auto have_page = [this, &part] {
       return !part.pages.empty() || part.closed || producers_ <= 0 ||
              !status_.ok();
@@ -321,56 +251,6 @@ Result<std::optional<Page>> PartitionedExchange::Next(int partition) {
   }
   producer_cv_.notify_all();
   return std::optional<Page>(std::move(entry.page));
-}
-
-Result<std::optional<Page>> PartitionedExchange::ReplayNextLocked(
-    std::unique_lock<std::mutex>& lock, int partition) {
-  Partition& part = partitions_[partition];
-  // The spool is complete only once every producer has committed: wait for
-  // the producer barrier (deadline-aware, like the queue path) before
-  // sealing and streaming it.
-  auto sealed = [this, &part] {
-    return producers_ <= 0 || part.closed || !status_.ok();
-  };
-  if (!sealed()) {
-    BlockedTimer blocked(BlockedKind::kExchangeWait);
-    TraceEventScope span(TraceKind::kExchangeWait, "exchange_replay_wait");
-    if (deadline_steady_nanos_ > 0) {
-      if (!consumer_cv_.wait_until(lock, ToTimePoint(deadline_steady_nanos_),
-                                   sealed)) {
-        FailLocked(DeadlineStatus());
-        producer_cv_.notify_all();
-        consumer_cv_.notify_all();
-        return status_;
-      }
-    } else {
-      consumer_cv_.wait(lock, sealed);
-    }
-  }
-  if (!status_.ok()) return status_;
-  if (part.closed) return std::optional<Page>();
-  // Seal, open and read do file I/O: drop mu_ for them. The partition's
-  // consumers (the replicated chains of one task) take turns on its reader.
-  std::shared_ptr<ExchangeSpool> spool = spool_;
-  lock.unlock();
-  std::lock_guard<std::mutex> replay_lock(part.replay_mu);
-  if (part.replay_reader == nullptr) {
-    auto reader = spool->OpenReader(partition);
-    if (!reader.ok()) {
-      // Any replay failure (broken spool, I/O error, fault point) degrades
-      // to a retryable error so the coordinator's ladder falls through to
-      // restart-once instead of returning partial results.
-      return Status::Unavailable("exchange spool replay failed: " +
-                                 reader.status().message());
-    }
-    part.replay_reader = std::move(*reader);
-  }
-  auto page = part.replay_reader->Next();
-  if (!page.ok()) {
-    return Status::Unavailable("exchange spool replay failed: " +
-                               page.status().message());
-  }
-  return page;  // nullopt at spool end = end-of-stream
 }
 
 void PartitionedExchange::ConsumerDone(int partition) {

@@ -12,7 +12,6 @@
 #include "presto/common/memory_pool.h"
 #include "presto/common/metrics.h"
 #include "presto/common/status.h"
-#include "presto/exec/exchange_spool.h"
 #include "presto/vector/page.h"
 
 namespace presto {
@@ -52,28 +51,12 @@ class PartitionedExchange {
   /// Must be called before producers start.
   void SetProducerCount(int n);
 
-  /// Attaches a spool (session property exchange_spool): every page accepted
-  /// into a partition is also appended to the spool, so a lost consumer task
-  /// can be re-run against the complete partition history instead of
-  /// restarting the query. Must be set before producers start.
-  void SetSpool(std::shared_ptr<ExchangeSpool> spool);
-  ExchangeSpool* spool() const { return spool_.get(); }
-
-  /// Switches `partition` to replay mode for a stage re-run: queued pages are
-  /// dropped (their bytes released, blocked producers woken), further pushes
-  /// to it are spooled but not queued (no backpressure — the replacement
-  /// consumer reads the spool, not the queue), and the next consumer's Next()
-  /// streams the partition's full spool once all producers are done. Fails
-  /// when no spool is attached or the partition's spool is broken — the
-  /// caller then falls back to whole-query restart.
-  Status ResetPartitionForReplay(int partition);
-
   /// Attempt-id fencing for exactly-once publication: the first attempt of a
   /// producer slot to commit (successfully or as the slot's terminal failure)
   /// wins; every later attempt of the same slot observes false and must
   /// discard its buffered output without touching the exchange. Used by task
-  /// retries, stage re-runs, and straggler speculation — all of which hold
-  /// output back (buffer_output) until they commit.
+  /// retries and straggler speculation — both hold output back
+  /// (buffer_output) until they commit.
   bool TryCommitProducer(int slot, int attempt);
 
   /// Arms a cooperative real-time deadline (SteadyNowNanos epoch, 0 = none).
@@ -138,23 +121,11 @@ class PartitionedExchange {
   struct Partition {
     std::deque<Entry> pages;
     bool closed = false;
-    /// Replay mode (stage re-run): pushes bypass the queue — the spool holds
-    /// the complete history — and Next() streams the sealed spool.
-    bool replay = false;
-    /// Serializes the partition's consumers (one per replicated chain of the
-    /// consuming task) on the replay reader, whose file I/O runs outside mu_.
-    std::mutex replay_mu;
-    std::unique_ptr<ExchangeSpool::Reader> replay_reader;  // by replay_mu
   };
 
   // Enqueue with precomputed accounted bytes (Push computes EstimateBytes;
   // PushPartitioned passes each slice's amortized share of the base page).
   void PushWithBytes(int partition, Page page, int64_t bytes);
-
-  // Replay-mode Next(): waits for all producers, then streams the partition's
-  // sealed spool. Enters holding `lock`, may drop it for spool I/O.
-  Result<std::optional<Page>> ReplayNextLocked(
-      std::unique_lock<std::mutex>& lock, int partition);
 
   // True when a push to `partition` should be discarded instead of queued.
   bool DropLocked(int partition) const {
@@ -183,7 +154,6 @@ class PartitionedExchange {
   int64_t deadline_steady_nanos_ = 0;  // 0 = no deadline
   Status status_;
   std::shared_ptr<MemoryPool> pool_;  // null = exchange memory unaccounted
-  std::shared_ptr<ExchangeSpool> spool_;  // null = spooling disabled
   std::map<int, int> committed_slots_;  // producer slot -> winning attempt
 
   MetricsRegistry::Counter* pages_pushed_counter_ = nullptr;

@@ -851,24 +851,28 @@ class HashAggregationOperator final : public Operator {
     for (size_t p = 0; p < num_parts; ++p) s.parts.push_back(MakePartition());
   }
 
-  // Output after a spill: each hash batch of the merged runs (every row of a
-  // key is in one batch) folds into a fresh state that is emitted and
-  // dropped, so the merge never holds more than one batch of groups. Each
-  // key's rows fold in run order.
+  // Output after a spill: hash batches of the merged runs (every row of a
+  // key is in one batch) fold into a fresh state until it holds
+  // kRunPageRows groups or the merge ends; the state is emitted as one page
+  // and dropped. Batches are hash-disjoint, so no key spans two pages, and
+  // the merge holds at most one page of groups plus one batch. Each key's
+  // rows fold in run order.
   Result<std::optional<Page>> NextMergedPage() {
-    ASSIGN_OR_RETURN(std::vector<HashOrderedMerge::Slice> batch,
-                     merge_->NextBatch(kRunPageRows));
-    if (batch.empty()) return std::optional<Page>();
     KernelPartition part = MakePartition();
     std::vector<int32_t> rows;
-    for (const HashOrderedMerge::Slice& slice : batch) {
-      rows.clear();
-      for (size_t r = slice.begin; r < slice.end; ++r) {
-        rows.push_back(static_cast<int32_t>(r));
+    while (part.table->num_groups() < kRunPageRows) {
+      ASSIGN_OR_RETURN(std::vector<HashOrderedMerge::Slice> batch,
+                       merge_->NextBatch(kRunPageRows));
+      if (batch.empty()) break;
+      for (const HashOrderedMerge::Slice& slice : batch) {
+        rows.clear();
+        for (size_t r = slice.begin; r < slice.end; ++r) {
+          rows.push_back(static_cast<int32_t>(r));
+        }
+        RETURN_IF_ERROR(ConsumeIntoPartition(
+            locals_[0].get(), part, slice.page.WrapRows(rows),
+            inter_key_channels_, /*merge_mode=*/true));
       }
-      RETURN_IF_ERROR(ConsumeIntoPartition(
-          locals_[0].get(), part, slice.page.WrapRows(rows),
-          inter_key_channels_, /*merge_mode=*/true));
     }
     return BuildPartitionPage(part,
                               /*intermediate=*/step_ == AggregationStep::kPartial);

@@ -60,7 +60,7 @@ Status Spiller::SpillRun(const std::vector<Page>& pages) {
   for (const Page& page : pages) {
     if (page.empty()) continue;
     RETURN_IF_ERROR(FaultInjector::Global().Hit("spill.write"));
-    RETURN_IF_ERROR(EncodeBlock(page, CompressionKind::kNone, &block));
+    RETURN_IF_ERROR(EncodeBlock(page, &block));
     RETURN_IF_ERROR(file_.Append(block));
   }
   run.end = file_.size();

@@ -23,7 +23,9 @@ struct Session {
   ///   exchange_buffer_bytes  = per-exchange byte budget (default 32 MiB)
   ///   hash_partition_count   = partitions per hash-partitioned stage
   ///   query_max_task_retries = leaf-task retry budget on retryable
-  ///                            failures (default 0: recovery disabled)
+  ///                            failures; > 0 also restarts the whole query
+  ///                            once when a retryable error escapes the
+  ///                            retries (default 0: recovery disabled)
   ///   task_retry_backoff_millis = base retry backoff, doubles per attempt
   ///                            with jitter, capped at 64x (default 2)
   ///   query_timeout_millis   = per-query deadline, enforced cooperatively
@@ -80,16 +82,6 @@ struct Session {
   ///                            journal event is recorded carrying the full
   ///                            per-query counter snapshot, including the
   ///                            trace.blocked.* breakdown (default: off)
-  ///   exchange_spool         = "false" (default) | "true": tee every page
-  ///                            accepted into an exchange to a worker-local
-  ///                            snappy-compressed spool file, so a lost
-  ///                            intermediate task is re-run against the
-  ///                            surviving upstream spools (stage re-run)
-  ///                            instead of restarting the whole query
-  ///   exchange_spool_budget_bytes = per-query cap on spooled (compressed)
-  ///                            bytes; exceeding it marks the partition's
-  ///                            spool broken and recovery falls back to
-  ///                            restart-once (default 256 MiB)
   ///   speculative_execution  = "false" (default) | "true": watch leaf-task
   ///                            progress and launch one duplicate attempt
   ///                            for a task running past the quantile-based

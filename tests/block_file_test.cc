@@ -1,25 +1,21 @@
-// Byte-level corruption sweeps over the block file that holds spill runs and
-// exchange spool partitions. Every flipped byte, truncation, swapped file,
-// stale file and oversized length field must read back as exactly the rows
-// written or fail with a classified kCorruption / kIoError: never as OK with
-// different rows, and never by allocating from an unchecked length.
+// Byte-level corruption sweeps over the block file that holds spill runs.
+// Every flipped byte, truncation, swapped file, stale file and oversized
+// length field must read back as exactly the rows written or fail with a
+// classified kCorruption / kIoError: never as OK with different rows, and
+// never by allocating from an unchecked length.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <new>
 #include <string>
 #include <vector>
 
 #include "presto/common/bytes.h"
-#include "presto/common/memory_pool.h"
-#include "presto/common/metrics.h"
-#include "presto/exec/exchange_spool.h"
+#include "presto/common/compression.h"
+#include "presto/common/crc32c.h"
 #include "presto/exec/spill.h"
-#include "presto/fs/local_file_system.h"
 #include "presto/fs/memory_file_system.h"
 #include "presto/vector/vector_builder.h"
 
@@ -124,18 +120,6 @@ Result<Rows> ReadAllRuns(Spiller* spiller) {
   return rows;
 }
 
-// Replays one spool partition to its end.
-Result<Rows> Replay(ExchangeSpool* spool, int partition) {
-  ASSIGN_OR_RETURN(auto reader, spool->OpenReader(partition));
-  Rows rows;
-  while (true) {
-    ASSIGN_OR_RETURN(std::optional<Page> page, reader->Next());
-    if (!page.has_value()) break;
-    AppendRows(*page, &rows);
-  }
-  return rows;
-}
-
 bool Classified(const Status& status) {
   return status.code() == StatusCode::kCorruption ||
          status.code() == StatusCode::kIoError;
@@ -172,7 +156,9 @@ std::vector<uint8_t> ReadBytes(FileSystem* fs, const std::string& path) {
 // A frame is u32 seq, u8 codec, u32 stored_len, u32 checksum, then the
 // stored bytes; the file is the header frame, then the block frames.
 constexpr size_t kHeaderFrameOffset = 0;
+constexpr size_t kCodecOffset = 4;      // within a frame
 constexpr size_t kStoredLenOffset = 5;  // within a frame
+constexpr size_t kChecksumOffset = 9;   // within a frame
 
 size_t FrameEnd(const std::vector<uint8_t>& file, size_t frame) {
   uint32_t stored_len = 0;
@@ -182,18 +168,6 @@ size_t FrameEnd(const std::vector<uint8_t>& file, size_t frame) {
 
 size_t FirstBlockOffset(const std::vector<uint8_t>& file) {
   return FrameEnd(file, kHeaderFrameOffset);
-}
-
-// Truncation points of a block file: the end of its header, every block
-// boundary, and the middle of every block.
-std::vector<size_t> CutPoints(const std::vector<uint8_t>& file) {
-  std::vector<size_t> cuts;
-  for (size_t offset = FirstBlockOffset(file); offset < file.size();
-       offset = FrameEnd(file, offset)) {
-    cuts.push_back(offset);
-    cuts.push_back((offset + FrameEnd(file, offset)) / 2);
-  }
-  return cuts;
 }
 
 void PutU32At(std::vector<uint8_t>* bytes, size_t offset, uint32_t value) {
@@ -211,23 +185,6 @@ Rows SpillThreeRuns(Spiller* spiller, int64_t key_base) {
   }
   return rows;
 }
-
-// A directory for one test's spool files, removed when the test ends, also
-// when an assertion returns early.
-class LocalDir {
- public:
-  explicit LocalDir(const std::string& name)
-      : path_(::testing::TempDir() + "/presto_block_file_test_" + name +
-              "_" + std::to_string(::getpid())) {}
-  ~LocalDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(path_, ignored);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 // Every single-byte flip of a multi-run spill file, two masks per byte, and
 // every truncation (each block boundary and every point inside a block)
@@ -260,53 +217,6 @@ TEST(BlockFileTest, SpilledRunsSurviveEveryFlipAndTruncation) {
     std::vector<uint8_t> bytes(original.begin(), original.begin() + len);
     ASSERT_TRUE(fs.WriteFile(path, bytes).ok());
     auto got = ReadAllRuns(&spiller);
-    ASSERT_FALSE(got.ok()) << "truncated to " << len << " bytes read OK";
-    EXPECT_TRUE(Classified(got.status())) << got.status().ToString();
-  }
-}
-
-// The same sweep over a snappy-compressed 1,000-row spool partition on the
-// local file system: every byte flipped, and cut at every block boundary and
-// in the middle of every block.
-TEST(BlockFileTest, SpoolPartitionSurvivesEveryFlipAndTruncation) {
-  LocalFileSystem fs;
-  LocalDir local("spool");
-  const std::string& dir = local.path();
-  ExchangeSpool spool(&fs, dir, 1, nullptr, nullptr, /*budget_bytes=*/0);
-  Rows expected;
-  for (int p = 0; p < 10; ++p) {
-    std::vector<int64_t> keys(100);
-    VectorBuilder names(Type::Varchar());
-    for (int i = 0; i < 100; ++i) {
-      keys[i] = p * 100 + i;
-      ASSERT_TRUE(names.Append(Value::String("row-" + std::to_string(i))).ok());
-    }
-    Page page({MakeBigintVector(std::move(keys)), names.Build()});
-    AppendRows(page, &expected);
-    ASSERT_TRUE(spool.Append(0, page).ok());
-  }
-  auto clean = Replay(&spool, 0);
-  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  ASSERT_EQ(*clean, expected);
-  const std::string path = OnlyFile(&fs, dir);
-  const std::vector<uint8_t> original = ReadBytes(&fs, path);
-
-  size_t failed = 0;
-  for (size_t i = 0; i < original.size(); ++i) {
-    std::vector<uint8_t> bytes = original;
-    bytes[i] ^= static_cast<uint8_t>(1u << (i % 8));
-    ASSERT_TRUE(fs.WriteFile(path, bytes).ok());
-    failed += ExpectExactOrClassified(Replay(&spool, 0), expected,
-                                      "flip at " + std::to_string(i));
-  }
-  EXPECT_EQ(failed, original.size()) << "a flipped byte went unnoticed";
-
-  std::vector<size_t> cuts = CutPoints(original);
-  ASSERT_EQ(cuts.size(), 20u);
-  for (size_t len : cuts) {
-    std::vector<uint8_t> bytes(original.begin(), original.begin() + len);
-    ASSERT_TRUE(fs.WriteFile(path, bytes).ok());
-    auto got = Replay(&spool, 0);
     ASSERT_FALSE(got.ok()) << "truncated to " << len << " bytes read OK";
     EXPECT_TRUE(Classified(got.status())) << got.status().ToString();
   }
@@ -364,28 +274,32 @@ TEST(BlockFileTest, HugeLengthFieldsAllocateNothingLarge) {
         << got.status().ToString();
     EXPECT_LT(t_largest_allocation, original.size());
   }
+}
 
-  // The same for a spool partition's first block.
-  LocalFileSystem local_fs;
-  LocalDir local("huge-spool");
-  const std::string& dir = local.path();
-  ExchangeSpool spool(&local_fs, dir, 1, nullptr, nullptr,
-                      /*budget_bytes=*/0);
-  ASSERT_TRUE(spool.Append(0, MakePage(0, 100)).ok());
-  ASSERT_TRUE(Replay(&spool, 0).ok());
-  const std::string spool_path = OnlyFile(&local_fs, dir);
-  std::vector<uint8_t> spooled = ReadBytes(&local_fs, spool_path);
-  PutU32At(&spooled, FirstBlockOffset(spooled) + kStoredLenOffset,
-           0xFFFFFFFFu);
-  ASSERT_TRUE(local_fs.WriteFile(spool_path, spooled).ok());
-  t_largest_allocation = 0;
-  t_count_allocations = true;
-  auto got = Replay(&spool, 0);
-  t_count_allocations = false;
+// Blocks are written uncompressed. A block whose codec byte names a real
+// codec, with a checksum that matches it, is still refused: the reader
+// accepts no codec but kNone.
+TEST(BlockFileTest, CompressedCodecByteIsRefused) {
+  MemoryFileSystem fs;
+  Spiller spiller(&fs, "spill/codec", nullptr);
+  SpillThreeRuns(&spiller, 0);
+  ASSERT_TRUE(ReadAllRuns(&spiller).ok());
+  const std::string path = OnlyFile(&fs, "spill/codec");
+  std::vector<uint8_t> bytes = ReadBytes(&fs, path);
+  const size_t block = FirstBlockOffset(bytes);
+  ASSERT_EQ(bytes[block + kCodecOffset],
+            static_cast<uint8_t>(CompressionKind::kNone));
+  const uint8_t codec = static_cast<uint8_t>(CompressionKind::kSnappy);
+  bytes[block + kCodecOffset] = codec;
+  const size_t stored = block + 13;
+  PutU32At(&bytes, block + kChecksumOffset,
+           Crc32c(bytes.data() + stored, FrameEnd(bytes, block) - stored,
+                  Crc32c(&codec, 1)));
+  ASSERT_TRUE(fs.WriteFile(path, bytes).ok());
+  auto got = ReadAllRuns(&spiller);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kCorruption)
       << got.status().ToString();
-  EXPECT_LT(t_largest_allocation, spooled.size());
 }
 
 // A run file of the earlier one-file-per-run format ("SPL1" magic, type

@@ -186,16 +186,9 @@ TEST_F(ChaosQueryTest, DifferentialUnderInjectedFaults) {
                               StatusCode::kIoError);
     injector.ArmProbabilistic("worker.task.body", rate);
     injector.ArmProbabilistic("exchange.push", rate / 8);
-    // Spool I/O faults ride the same schedule: a failed tee write breaks the
-    // partition (recovery degrades to restart-once), a failed replay read
-    // aborts a stage re-run mid-replay — neither may ever corrupt results.
-    injector.ArmProbabilistic("exchange.spool.write", rate / 4);
-    injector.ArmProbabilistic("exchange.spool.read", rate / 4,
-                              StatusCode::kIoError);
 
     for (const std::string& sql : Corpus()) {
-      auto result = Run(sql, {{"exchange_spool", "true"},
-                              {"query_max_task_retries", "3"},
+      auto result = Run(sql, {{"query_max_task_retries", "3"},
                               {"task_retry_backoff_millis", "1"},
                               {"query_timeout_millis", "30000"}});
       ++runs;

@@ -1040,6 +1040,59 @@ TEST(SpillAttributionTest, FinalAggregationWritesFewerRunsThanLeafPartial) {
       << "partial that holds the memory " << leaf_runs;
 }
 
+// A spilled aggregation whose runs all hold the same keys merges them in
+// hash batches of a few hundred groups each. Its output still comes in full
+// 4096-group pages: one leaf task spills at least eight runs over the same
+// 12,288 keys and emits exactly three pages, with the in-memory rows.
+TEST(SpillMergeTest, SpilledAggregationEmitsFullPages) {
+  constexpr int64_t kKeys = 3 * 4096;
+  constexpr int kPages = 12;
+  PrestoCluster cluster("spill-pages", /*num_workers=*/1, 2);
+  auto memory = std::make_shared<MemoryConnector>();
+  ASSERT_TRUE(memory
+                  ->CreateTable("raw", "t",
+                                Type::Row({"k", "v"},
+                                          {Type::Bigint(), Type::Bigint()}))
+                  .ok());
+  for (int p = 0; p < kPages; ++p) {
+    // Every page holds every key once, in a different order.
+    std::vector<int64_t> k(kKeys), v(kKeys);
+    for (int64_t i = 0; i < kKeys; ++i) {
+      k[i] = (i * 7919 + p * 131) % kKeys;
+      v[i] = p * kKeys + i;
+    }
+    ASSERT_TRUE(memory
+                    ->AppendPage("raw", "t",
+                                 Page({MakeBigintVector(std::move(k)),
+                                       MakeBigintVector(std::move(v))}))
+                    .ok());
+  }
+  ASSERT_TRUE(cluster.catalogs().RegisterCatalog("mem", memory).ok());
+
+  const std::string sql = "SELECT k, count(*), sum(v) FROM mem.raw.t GROUP BY k";
+  auto reference = cluster.Execute(sql, Session());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  Session tight;
+  tight.properties["query_max_memory"] = "65536";
+  tight.properties["task_threads"] = "1";
+  tight.properties["hash_partition_count"] = "1";
+  tight.properties["spill_path"] = "/tmp/presto_spill_test";
+  auto result = cluster.Execute(sql, tight);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(SortedRows(*result), SortedRows(*reference));
+  const OperatorStats* partial = nullptr;
+  for (const auto& [node_id, op] : result->stats.operators) {
+    if (op.operator_type == "HashAggregation" &&
+        op.input_rows == kKeys * kPages) {
+      partial = &op;
+    }
+  }
+  ASSERT_NE(partial, nullptr) << "no aggregation read the whole table";
+  EXPECT_GE(partial->spilled_runs, 8);
+  EXPECT_EQ(partial->output_rows, kKeys);
+  EXPECT_EQ(partial->output_pages, (kKeys + 4095) / 4096);
+}
+
 // ---------------------------------------------------------------------------
 // Admission control
 // ---------------------------------------------------------------------------
@@ -1283,11 +1336,16 @@ TEST(MemoryCountersTest, ReservationsVisibleOnHappyPath) {
   EXPECT_EQ(unaccounted->exec_metrics.count("memory.query.peak_bytes"), 0u);
 }
 
-// Runs the wide two-key group-by four times on each of two clusters at once,
-// under `shared`'s properties plus one spill_path for both. Every run must
-// return the rows of an unconstrained run and must have ticked `counter`;
-// the area must be empty once both clusters are gone.
-void ExpectTwoClustersIsolated(Session shared, const std::string& counter) {
+// Two coordinators in one process share a spill_path and both number their
+// queries from 1. Each must spill under its own directory, so neither reads
+// or deletes the other's run files, and each removes that directory when it
+// is destroyed. The wide two-key group-by runs four times on each cluster at
+// once: every run must return the rows of an unconstrained run and must have
+// spilled, and the area must be empty once both clusters are gone.
+TEST(SpillIsolationTest, TwoClustersShareSpillPathConcurrently) {
+  const std::string counter = "spill.run.written";
+  Session shared;
+  shared.properties["query_max_memory"] = "65536";
   const std::string spill_path = ::testing::TempDir() +
                                  "presto_spill_isolation_" +
                                  std::to_string(::getpid());
@@ -1338,25 +1396,6 @@ void ExpectTwoClustersIsolated(Session shared, const std::string& counter) {
       << "spill files left behind under " << spill_path;
   std::error_code ignored;
   std::filesystem::remove_all(spill_path, ignored);
-}
-
-// Two coordinators in one process share a spill_path and both number their
-// queries from 1. Each must spill under its own directory, so neither reads
-// or deletes the other's run files, and each removes that directory when it
-// is destroyed.
-TEST(SpillIsolationTest, TwoClustersShareSpillPathConcurrently) {
-  Session tight;
-  tight.properties["query_max_memory"] = "65536";
-  ExpectTwoClustersIsolated(tight, "spill.run.written");
-}
-
-// The exchange spool lives under the same per-coordinator spill root, so
-// two clusters spooling every exchange page into one spill_path at once
-// must not read or delete each other's spool files.
-TEST(SpillIsolationTest, TwoClustersShareSpoolPathConcurrently) {
-  Session spooled;
-  spooled.properties["exchange_spool"] = "true";
-  ExpectTwoClustersIsolated(spooled, "exchange.spool.page.written");
 }
 
 // A coordinator's first spill into an area sweeps the marked "<pid>-<seq>"

@@ -1,15 +1,13 @@
-// Stage-level recovery: the spooled exchange, the stage re-run rung of the
-// recovery ladder, straggler speculation with attempt-id fencing, graceful
-// worker drain, and blacklist probation.
+// Stage-level recovery: the recovery ladder, straggler speculation with
+// attempt-id fencing, graceful worker drain, and blacklist probation.
 //
 // The ladder under test (DESIGN.md "Fault tolerance"):
 //   1. leaf-task retry        — transient leaf failures, surgical
 //   2. straggler speculation  — slow tasks, duplicate attempt races the fence
-//   3. stage re-run           — lost intermediate task, replayed from spools
-//   4. restart-once           — everything else that is still transient
+//   3. restart-once           — everything else that is still transient,
+//                               a lost intermediate task included
 //
-// Each rung must hand off to the next without ever returning wrong results:
-// a broken/corrupt spool degrades recovery coverage, never correctness.
+// Each rung must hand off to the next without ever returning wrong results.
 
 #include <gtest/gtest.h>
 
@@ -21,13 +19,9 @@
 
 #include "presto/cluster/cluster.h"
 #include "presto/common/fault_injection.h"
-#include "presto/common/memory_pool.h"
-#include "presto/common/metrics.h"
 #include "presto/common/random.h"
 #include "presto/connectors/memory/memory_connector.h"
 #include "presto/exec/exchange.h"
-#include "presto/exec/exchange_spool.h"
-#include "presto/fs/local_file_system.h"
 #include "presto/vector/vector_builder.h"
 
 namespace presto {
@@ -62,199 +56,9 @@ bool JournalHasEvent(const Coordinator& coordinator, QueryEventKind kind) {
   return false;
 }
 
-Page BigintPage(std::vector<int64_t> values) {
-  return Page({MakeBigintVector(std::move(values))});
-}
-
-std::vector<int64_t> PageValues(const Page& page) {
-  std::vector<int64_t> values;
-  for (size_t r = 0; r < page.num_rows(); ++r) {
-    values.push_back(page.column(0)->GetValue(r).int_value());
-  }
-  return values;
-}
-
 // ---------------------------------------------------------------------------
-// ExchangeSpool unit tests (LocalFileSystem-backed, no cluster)
+// PartitionedExchange attempt fencing (no cluster)
 // ---------------------------------------------------------------------------
-
-class ExchangeSpoolTest : public ::testing::Test {
- protected:
-  void SetUp() override { FaultInjector::Global().Reset(); }
-  void TearDown() override { FaultInjector::Global().Reset(); }
-
-  std::string Dir(const std::string& name) {
-    return ::testing::TempDir() + "/presto_spool_test/" + name;
-  }
-
-  LocalFileSystem fs_;
-  MetricsRegistry metrics_;
-};
-
-TEST_F(ExchangeSpoolTest, RoundTripsPagesPerPartition) {
-  auto pool = MemoryPool::CreateRoot("spool-test");
-  ExchangeSpool spool(&fs_, Dir("roundtrip"), /*num_partitions=*/2, &metrics_,
-                      pool, /*budget_bytes=*/64 << 20);
-
-  ASSERT_TRUE(spool.Append(0, BigintPage({1, 2, 3})).ok());
-  ASSERT_TRUE(spool.Append(0, BigintPage({4, 5})).ok());
-  ASSERT_TRUE(spool.Append(1, BigintPage({42})).ok());
-  EXPECT_EQ(spool.pages_spooled(0), 2);
-  EXPECT_EQ(spool.pages_spooled(1), 1);
-  EXPECT_GT(spool.bytes_spooled(), 0);
-  // Compressed spool bytes are charged to the attached pool.
-  EXPECT_GE(pool->reserved_bytes(), spool.bytes_spooled());
-
-  auto reader = spool.OpenReader(0);
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  auto first = (*reader)->Next();
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  ASSERT_TRUE(first->has_value());
-  EXPECT_EQ(PageValues(**first), (std::vector<int64_t>{1, 2, 3}));
-  auto second = (*reader)->Next();
-  ASSERT_TRUE(second.ok());
-  ASSERT_TRUE(second->has_value());
-  EXPECT_EQ(PageValues(**second), (std::vector<int64_t>{4, 5}));
-  auto eos = (*reader)->Next();
-  ASSERT_TRUE(eos.ok());
-  EXPECT_FALSE(eos->has_value());
-
-  // A sealed partition refuses further appends without becoming broken.
-  EXPECT_FALSE(spool.Append(0, BigintPage({9})).ok());
-  EXPECT_FALSE(spool.broken(0));
-
-  // Replay partition 1 too: then every spooled page and byte came back.
-  auto other = spool.OpenReader(1);
-  ASSERT_TRUE(other.ok()) << other.status().ToString();
-  auto only = (*other)->Next();
-  ASSERT_TRUE(only.ok()) << only.status().ToString();
-  ASSERT_TRUE(only->has_value());
-  EXPECT_EQ(PageValues(**only), (std::vector<int64_t>{42}));
-  auto other_eos = (*other)->Next();
-  ASSERT_TRUE(other_eos.ok());
-  EXPECT_FALSE(other_eos->has_value());
-
-  EXPECT_GE(metrics_.Get("exchange.spool.page.written"), 3);
-  EXPECT_EQ(metrics_.Get("exchange.spool.byte.written"), spool.bytes_spooled());
-  EXPECT_GE(metrics_.Get("exchange.spool.page.replayed"), 2);
-  EXPECT_EQ(metrics_.Get("exchange.spool.page.replayed"),
-            metrics_.Get("exchange.spool.page.written"));
-  EXPECT_EQ(metrics_.Get("exchange.spool.byte.read"),
-            metrics_.Get("exchange.spool.byte.written"));
-}
-
-TEST_F(ExchangeSpoolTest, NeverWrittenPartitionReplaysEmpty) {
-  ExchangeSpool spool(&fs_, Dir("empty"), 2, &metrics_, nullptr,
-                      /*budget_bytes=*/1 << 20);
-  auto reader = spool.OpenReader(1);
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  auto eos = (*reader)->Next();
-  ASSERT_TRUE(eos.ok());
-  EXPECT_FALSE(eos->has_value());
-}
-
-TEST_F(ExchangeSpoolTest, ByteBudgetBreaksPartitionAndRefusesReplay) {
-  ExchangeSpool spool(&fs_, Dir("budget"), 1, &metrics_, nullptr,
-                      /*budget_bytes=*/8);
-  std::vector<int64_t> big(1024);
-  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<int64_t>(i);
-  Status st = spool.Append(0, BigintPage(std::move(big)));
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
-  EXPECT_TRUE(spool.broken(0));
-  // Further appends to the broken partition are dropped quietly.
-  EXPECT_FALSE(spool.Append(0, BigintPage({1})).ok());
-  // Replaying an incomplete spool would silently drop rows: refused.
-  auto reader = spool.OpenReader(0);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kUnavailable);
-  EXPECT_GE(metrics_.Get("exchange.spool.partition.broken"), 1);
-}
-
-TEST_F(ExchangeSpoolTest, InjectedWriteFaultBreaksPartition) {
-  InjectorGuard guard;
-  ExchangeSpool spool(&fs_, Dir("write-fault"), 1, &metrics_, nullptr,
-                      /*budget_bytes=*/1 << 20);
-  FaultInjector::Global().ArmScripted("exchange.spool.write", {1});
-  EXPECT_FALSE(spool.Append(0, BigintPage({1, 2})).ok());
-  EXPECT_TRUE(spool.broken(0));
-  EXPECT_FALSE(spool.OpenReader(0).ok());
-}
-
-TEST_F(ExchangeSpoolTest, InjectedReadFaultFailsReplayNotWrite) {
-  InjectorGuard guard;
-  ExchangeSpool spool(&fs_, Dir("read-fault"), 1, &metrics_, nullptr,
-                      /*budget_bytes=*/1 << 20);
-  ASSERT_TRUE(spool.Append(0, BigintPage({7, 8, 9})).ok());
-  EXPECT_FALSE(spool.broken(0));
-  FaultInjector::Global().ArmScripted("exchange.spool.read", {1});
-  auto reader = spool.OpenReader(0);
-  ASSERT_FALSE(reader.ok()) << "injected read fault did not surface";
-  EXPECT_TRUE(IsRetryableStatus(reader.status())) << reader.status().ToString();
-}
-
-// ---------------------------------------------------------------------------
-// PartitionedExchange spool tee + replay + attempt fencing (no cluster)
-// ---------------------------------------------------------------------------
-
-TEST_F(ExchangeSpoolTest, ExchangeTeesAndReplaysFullPartitionHistory) {
-  PartitionedExchange exchange(/*num_partitions=*/1,
-                               /*capacity_bytes=*/64 << 20);
-  exchange.SetProducerCount(1);
-  exchange.SetSpool(std::make_shared<ExchangeSpool>(
-      &fs_, Dir("exchange-replay"), 1, &metrics_, nullptr, 64 << 20));
-
-  exchange.Push(0, BigintPage({1, 2}));
-  exchange.Push(0, BigintPage({3}));
-  // The original consumer drains part of the stream, then dies: its partition
-  // flips to replay mode for the replacement attempt.
-  auto consumed = exchange.Next(0);
-  ASSERT_TRUE(consumed.ok());
-  ASSERT_TRUE(consumed->has_value());
-  ASSERT_TRUE(exchange.ResetPartitionForReplay(0).ok());
-
-  // Pushes after the reset are spooled but bypass the queue; they still count
-  // toward the push totals.
-  exchange.Push(0, BigintPage({4, 5, 6}));
-  exchange.ProducerDone();
-  EXPECT_EQ(exchange.pages_pushed(), 3);
-
-  // The replacement consumer streams the complete history from the spool —
-  // including the page the dead consumer had already popped.
-  std::vector<int64_t> replayed;
-  while (true) {
-    auto page = exchange.Next(0);
-    ASSERT_TRUE(page.ok()) << page.status().ToString();
-    if (!page->has_value()) break;
-    for (int64_t v : PageValues(**page)) replayed.push_back(v);
-  }
-  EXPECT_EQ(replayed, (std::vector<int64_t>{1, 2, 3, 4, 5, 6}));
-  EXPECT_EQ(exchange.buffered_bytes(), 0);
-}
-
-TEST_F(ExchangeSpoolTest, ReplayUnavailableWithoutSpoolOrWithBrokenSpool) {
-  PartitionedExchange bare(1, 1 << 20);
-  bare.SetProducerCount(1);
-  Status st = bare.ResetPartitionForReplay(0);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kUnavailable);
-
-  InjectorGuard guard;
-  PartitionedExchange spooled(1, 1 << 20);
-  spooled.SetProducerCount(1);
-  spooled.SetSpool(std::make_shared<ExchangeSpool>(
-      &fs_, Dir("broken-replay"), 1, &metrics_, nullptr, 1 << 20));
-  FaultInjector::Global().ArmScripted("exchange.spool.write", {1});
-  spooled.Push(0, BigintPage({1}));  // tee fails, partition marked broken
-  ASSERT_TRUE(spooled.spool()->broken(0));
-  Status broken = spooled.ResetPartitionForReplay(0);
-  ASSERT_FALSE(broken.ok());
-  EXPECT_EQ(broken.code(), StatusCode::kUnavailable);
-  // The exchange itself keeps flowing: spooling is insurance, not the path.
-  auto page = spooled.Next(0);
-  ASSERT_TRUE(page.ok());
-  ASSERT_TRUE(page->has_value());
-}
 
 TEST(ExchangeFenceTest, FirstAttemptToCommitASlotWins) {
   PartitionedExchange exchange(2, 1 << 20);
@@ -273,7 +77,7 @@ TEST(ExchangeFenceTest, FirstAttemptToCommitASlotWins) {
 // ---------------------------------------------------------------------------
 
 // Shared fixture: 3 workers, fact/dim tables for multi-stage join/group-by
-// plans whose intermediate stages give the spool something to recover.
+// plans whose intermediate stages give recovery something to lose.
 class RecoveryClusterTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -328,59 +132,9 @@ class RecoveryClusterTest : public ::testing::Test {
   std::unique_ptr<PrestoCluster> cluster_;
 };
 
-// The tentpole: a lost intermediate task is re-run against the surviving
-// upstream spools — exact results, no restart-once consumed, journaled as
-// stage_rerun.
-TEST_F(RecoveryClusterTest, LostStageTaskRerunsFromSpoolWithoutRestart) {
-  InjectorGuard guard;
-  auto reference = Run(JoinSql(), {});
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-  FaultInjector::Global().ArmScripted("worker.task.stage", {1});
-  auto result = Run(JoinSql(), {{"exchange_spool", "true"},
-                                {"query_max_task_retries", "1"},
-                                {"task_retry_backoff_millis", "1"}});
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(SortedRows(*result), SortedRows(*reference));
-
-  const Coordinator& coordinator = cluster_->coordinator();
-  EXPECT_TRUE(JournalHasEvent(coordinator, QueryEventKind::kStageRerun));
-  EXPECT_FALSE(JournalHasEvent(coordinator, QueryEventKind::kRestarted))
-      << "stage re-run should not have consumed the restart-once budget";
-  EXPECT_GE(coordinator.metrics().Get("stage.rerun.count"), 1);
-  EXPECT_EQ(coordinator.metrics().Get("query.restarted"), 0);
-  EXPECT_GE(result->exec_metrics["stage.rerun.count"], 1);
-  EXPECT_GT(result->exec_metrics["exchange.spool.page.written"], 0);
-  EXPECT_GT(result->exec_metrics["exchange.spool.page.replayed"], 0);
-}
-
-// Corrupted spool read mid-replay: the re-run attempt fails retryably and the
-// ladder falls through to restart-once — still exact results, never wrong.
-TEST_F(RecoveryClusterTest, CorruptSpoolReplayFallsBackToRestartOnce) {
-  InjectorGuard guard;
-  auto reference = Run(JoinSql(), {});
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-  FaultInjector::Global().ArmScripted("worker.task.stage", {1});
-  FaultInjector::Global().ArmScripted("exchange.spool.read", {1},
-                                      StatusCode::kIoError);
-  auto result = Run(JoinSql(), {{"exchange_spool", "true"},
-                                {"query_max_task_retries", "1"},
-                                {"task_retry_backoff_millis", "1"}});
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(SortedRows(*result), SortedRows(*reference));
-
-  const Coordinator& coordinator = cluster_->coordinator();
-  EXPECT_TRUE(JournalHasEvent(coordinator, QueryEventKind::kStageRerun));
-  EXPECT_TRUE(JournalHasEvent(coordinator, QueryEventKind::kRestarted))
-      << "corrupt replay must fall back to restart-once";
-  EXPECT_EQ(coordinator.metrics().Get("query.restarted"), 1);
-  EXPECT_GE(FaultInjector::Global().InjectedCount("exchange.spool.read"), 1)
-      << "the replay never actually touched the corrupted spool";
-}
-
-// Without a spool the same stage loss still recovers — one rung lower, by
-// restarting the query (the pre-spool behavior, unchanged).
+// A lost intermediate task is recovered by restarting the query once: its
+// upstream partitions are already partially consumed, so only a whole run
+// can replay them.
 TEST_F(RecoveryClusterTest, StageLossWithoutSpoolStillRestartsOnce) {
   InjectorGuard guard;
   auto reference = Run(JoinSql(), {});
@@ -391,28 +145,32 @@ TEST_F(RecoveryClusterTest, StageLossWithoutSpoolStillRestartsOnce) {
                                 {"task_retry_backoff_millis", "1"}});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(SortedRows(*result), SortedRows(*reference));
-  EXPECT_FALSE(
-      JournalHasEvent(cluster_->coordinator(), QueryEventKind::kStageRerun));
   EXPECT_TRUE(
       JournalHasEvent(cluster_->coordinator(), QueryEventKind::kRestarted));
 }
 
-// Acceptance: with the spool armed, killing a worker mid-query yields exact
-// results without consuming restart-once — leaf losses retry, stage losses
-// re-run from spools.
-TEST_F(RecoveryClusterTest, WorkerKillWithSpoolRecoversWithoutRestart) {
+// Killing a worker half-way through the staged join yields exact results
+// with at most one restart — a lost leaf retries, a lost stage task restarts
+// the query — and the fleet keeps serving.
+TEST_F(RecoveryClusterTest, WorkerKillMidJoinRestartsAtMostOnce) {
   InjectorGuard guard;
+  // The fault-free run counts the worker.kill evaluations (one per task
+  // page boundary), so the kill lands half-way through the query.
+  FaultInjector::Global().ArmProbabilistic("worker.kill", 0.0);
   auto reference = Run(JoinSql(), {});
   ASSERT_TRUE(reference.ok());
+  const int64_t kill_at = std::max<int64_t>(
+      2, FaultInjector::Global().CallCount("worker.kill") / 2);
 
-  FaultInjector::Global().ArmScripted("worker.kill", {3});
-  auto result = Run(JoinSql(), {{"exchange_spool", "true"},
-                                {"query_max_task_retries", "2"},
+  FaultInjector::Global().Reset();
+  FaultInjector::Global().ArmScripted("worker.kill", {kill_at});
+  auto result = Run(JoinSql(), {{"query_max_task_retries", "2"},
                                 {"task_retry_backoff_millis", "1"}});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(SortedRows(*result), SortedRows(*reference));
-  EXPECT_EQ(cluster_->coordinator().metrics().Get("query.restarted"), 0)
-      << "worker death with spools armed should never need a restart";
+  EXPECT_GE(FaultInjector::Global().InjectedCount("worker.kill"), 1)
+      << "the kill never fired";
+  EXPECT_LE(cluster_->coordinator().metrics().Get("query.restarted"), 1);
 
   // The fleet keeps serving after losing the worker.
   auto again = Run(JoinSql(), {});
@@ -534,7 +292,7 @@ TEST_F(RecoveryClusterTest, DrainWorkerUnderLoadCompletesAllQueries) {
 }
 
 // With every worker drained no worker accepts a task, so every task — leaf
-// and stage first attempts, retries, re-runs and speculative duplicates —
+// and stage first attempts, retries and speculative duplicates —
 // runs on a query-owned thread, and the answer stays exact.
 TEST_F(RecoveryClusterTest, AllWorkersDrainedRunsOnQueryThreads) {
   InjectorGuard guard;
@@ -549,7 +307,6 @@ TEST_F(RecoveryClusterTest, AllWorkersDrainedRunsOnQueryThreads) {
   for (const char* retries : {"0", "2"}) {
     auto result = Run(JoinSql(), {{"exchange_buffer_bytes", "1024"},
                                   {"speculative_execution", "true"},
-                                  {"exchange_spool", "true"},
                                   {"query_max_task_retries", retries}});
     ASSERT_TRUE(result.ok()) << retries << ": " << result.status().ToString();
     EXPECT_EQ(SortedRows(*result), SortedRows(*reference))

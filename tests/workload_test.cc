@@ -575,8 +575,8 @@ TEST(WorkloadChaosTest, RestartOnceReentersGroupQueueAndReconciles) {
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
   // A latched shuffle transfer escapes leaf retry (the stage's upstream
-  // partitions are already partially consumed, and no spool is armed), so
-  // recovery is the restart-once rung.
+  // partitions are already partially consumed), so recovery is the
+  // restart-once rung.
   FaultInjector::Global().ArmScripted("exchange.push", {1});
   session.properties["query_max_task_retries"] = "1";
   session.properties["task_retry_backoff_millis"] = "1";
