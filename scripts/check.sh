@@ -63,9 +63,12 @@ MEMORY_SCALE_ROWS="${PRESTO_SPILL_SCALE_ROWS:-2000000}"
 # parallel operator chains at 2 and 8 threads — the paths where a hot-path
 # lock would hide and a missed happens-before would race (thread-local radix
 # tables merged at finalize, claim-slot protocol, batched reservations) —
-# plus the aggregation/join differential against the reference evaluator.
+# plus the aggregation/join differential against the reference evaluator,
+# and the selection kernels and Project forwarding, which index raw column
+# arrays through selection vectors.
 MORSEL_FILTER='WorkStealingPoolTest.*:RunParallelTest.*:MorselDifferentialTest.*'
 MORSEL_FILTER="$MORSEL_FILTER:KernelDifferentialTest.*"
+MORSEL_FILTER="$MORSEL_FILTER:SelectionKernelDifferentialTest.*:ProjectForwardingTest.*"
 
 # Lazy-scan stage: the v2 page reader (page skipping, dictionary-code
 # predicates, late materialization), the legacy-vs-lazy differential sweep,

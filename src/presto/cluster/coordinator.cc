@@ -1053,9 +1053,11 @@ void QueryRun::MakeExchange(FragmentState& state) {
     // Exchange buffers live in the query's system subtree (uncapped at the
     // query level): a tiny query_max_memory squeezes operators into
     // spilling without starving shuffle buffers, while the worker cap still
-    // sees every buffered byte.
-    exchange->SetMemoryPool(memory_->system->AddChild(
-        "exchange." + std::to_string(fragment.id)));
+    // sees every buffered byte. A refused push goes to the worker's memory
+    // arbiter like any operator's reservation.
+    exchange->SetMemoryPool(
+        memory_->system->AddChild("exchange." + std::to_string(fragment.id)),
+        memory_);
   }
   state.exchange = std::move(exchange);
 }

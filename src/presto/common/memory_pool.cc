@@ -170,7 +170,7 @@ Status MemoryConsumer::SetLocked(int64_t bytes, int64_t margin,
   // Round up to the quantum: shrinks smaller than a quantum are kept (they
   // are reused a page later), and cap accuracy degrades by at most one
   // quantum per consumer.
-  bytes = (std::max<int64_t>(bytes, 0) + kQuantum - 1) / kQuantum * kQuantum;
+  bytes = (std::max<int64_t>(bytes, 0) + quantum_ - 1) / quantum_ * quantum_;
   if (bytes <= bytes_) {
     pool_->Release(bytes_ - bytes);
     bytes_ = bytes;

@@ -119,9 +119,11 @@ struct QueryMemory {
 Status QueryKilledStatus();
 
 /// One reservation under a task pool: a join build, or a revocable state
-/// (an aggregation chain's tables, a sort buffer).
-/// Reservations move in kQuantum steps, so a growing consumer touches the
-/// shared pool tree once per quantum rather than once per page. A growth the
+/// (an aggregation chain's tables, a sort buffer); or, in the query's system
+/// pool, one buffered exchange page.
+/// Reservations move in quantum steps (kQuantum unless constructed
+/// otherwise), so a growing consumer touches the shared pool tree once per
+/// quantum rather than once per page. A growth the
 /// pool tree refuses goes to the query's arbiter.
 ///
 /// Lock order: the arbiter's mutex, then a consumer's mu(). The owner holds
@@ -131,7 +133,9 @@ class MemoryConsumer {
  public:
   static constexpr int64_t kQuantum = 1 << 20;
 
-  MemoryConsumer() = default;
+  /// `quantum` is the reservation step; 1 reserves exact byte counts (one
+  /// buffered exchange page).
+  explicit MemoryConsumer(int64_t quantum = kQuantum) : quantum_(quantum) {}
   MemoryConsumer(const MemoryConsumer&) = delete;  // the arbiter holds `this`
   MemoryConsumer& operator=(const MemoryConsumer&) = delete;
   /// Unregisters and releases the whole reservation.
@@ -176,6 +180,7 @@ class MemoryConsumer {
   // `failed` (may be null without a margin) and keeps the old reservation.
   Status SetLocked(int64_t bytes, int64_t margin, const MemoryPool** failed);
 
+  const int64_t quantum_;
   std::shared_ptr<MemoryPool> pool_;
   std::shared_ptr<QueryMemory> query_;
   MetricsRegistry::Counter* revoked_counter_ = nullptr;

@@ -40,26 +40,25 @@ PartitionedExchange::PartitionedExchange(int num_partitions,
   }
 }
 
-PartitionedExchange::~PartitionedExchange() {
-  // Entries still queued at teardown (e.g. a LIMIT satisfied early) release
-  // their reservation here.
-  std::lock_guard<std::mutex> lock(mu_);
-  ReleasePoolLocked(buffered_bytes_);
-  buffered_bytes_ = 0;
-}
+// Entries still queued at teardown (e.g. a LIMIT satisfied early) release
+// their reservations as they are destroyed.
+PartitionedExchange::~PartitionedExchange() = default;
 
 void PartitionedExchange::SetProducerCount(int n) {
   std::lock_guard<std::mutex> lock(mu_);
   producers_ = n;
 }
 
-void PartitionedExchange::SetMemoryPool(std::shared_ptr<MemoryPool> pool) {
+void PartitionedExchange::SetMemoryPool(std::shared_ptr<MemoryPool> pool,
+                                        std::shared_ptr<QueryMemory> query) {
   std::lock_guard<std::mutex> lock(mu_);
   pool_ = std::move(pool);
+  query_ = std::move(query);
 }
 
-void PartitionedExchange::ReleasePoolLocked(int64_t bytes) {
-  if (pool_ != nullptr && bytes > 0) pool_->Release(bytes);
+void PartitionedExchange::ClearLocked(Partition& part) {
+  for (const Entry& entry : part.pages) buffered_bytes_ -= entry.bytes;
+  part.pages.clear();
 }
 
 void PartitionedExchange::SetDeadlineNanos(int64_t steady_deadline_nanos) {
@@ -120,22 +119,35 @@ void PartitionedExchange::PushWithBytes(int partition, Page page,
       if (pages_dropped_counter_ != nullptr) pages_dropped_counter_->Add(1);
       return;
     }
+    // The page has room: claim its bytes in the buffer, then reserve them
+    // with mu_ released. A refused reservation goes to the memory arbiter
+    // and may wait there for another query to die while consumers keep
+    // popping, and the arbiter is asked only for pages the buffer will take.
+    // pool_ and query_ are fixed before producers start.
+    buffered_bytes_ += bytes;
+    std::unique_ptr<MemoryConsumer> memory;
     if (pool_ != nullptr) {
-      Status st = pool_->Reserve(bytes);
-      if (!st.ok()) {
-        // Worker memory exhausted while buffering shuffle data: latch the
-        // classified error so the whole query unwinds instead of queueing
-        // pages the worker has no budget for.
-        FailLocked(std::move(st));
+      lock.unlock();
+      memory = std::make_unique<MemoryConsumer>(/*quantum=*/1);
+      memory->Init(pool_, query_, nullptr);
+      Status reserved = memory->Reserve(bytes);
+      lock.lock();
+      if (!reserved.ok() || DropLocked(partition)) {
+        buffered_bytes_ -= bytes;
         if (pages_dropped_counter_ != nullptr) pages_dropped_counter_->Add(1);
+        // Worker memory exhausted while buffering shuffle data, and the
+        // arbiter could not make room: latch the classified error so the
+        // whole query unwinds instead of queueing pages the worker has no
+        // budget for.
+        if (!DropLocked(partition)) FailLocked(std::move(reserved));
         lock.unlock();
         producer_cv_.notify_all();
         consumer_cv_.notify_all();
         return;
       }
     }
-    partitions_[partition].pages.push_back(Entry{std::move(page), bytes});
-    buffered_bytes_ += bytes;
+    partitions_[partition].pages.push_back(
+        Entry{std::move(page), bytes, std::move(memory)});
     peak_buffered_bytes_ = std::max(peak_buffered_bytes_, buffered_bytes_);
     bytes_pushed_ += bytes;
     pages_pushed_ += 1;
@@ -201,9 +213,7 @@ void PartitionedExchange::FailLocked(Status status) {
   if (status_.ok()) status_ = std::move(status);
   // The error wins over buffered pages; release their bytes so any blocked
   // producer wakes into the drop path.
-  for (Partition& partition : partitions_) partition.pages.clear();
-  ReleasePoolLocked(buffered_bytes_);
-  buffered_bytes_ = 0;
+  for (Partition& partition : partitions_) ClearLocked(partition);
 }
 
 void PartitionedExchange::Fail(Status status) {
@@ -247,7 +257,7 @@ Result<std::optional<Page>> PartitionedExchange::Next(int partition) {
     entry = std::move(part.pages.front());
     part.pages.pop_front();
     buffered_bytes_ -= entry.bytes;
-    ReleasePoolLocked(entry.bytes);
+    entry.memory.reset();
   }
   producer_cv_.notify_all();
   return std::optional<Page>(std::move(entry.page));
@@ -260,11 +270,7 @@ void PartitionedExchange::ConsumerDone(int partition) {
     if (part.closed) return;
     part.closed = true;
     --open_partitions_;
-    for (const Entry& entry : part.pages) {
-      buffered_bytes_ -= entry.bytes;
-      ReleasePoolLocked(entry.bytes);
-    }
-    part.pages.clear();
+    ClearLocked(part);
   }
   producer_cv_.notify_all();
   consumer_cv_.notify_all();
@@ -277,11 +283,7 @@ void PartitionedExchange::CloseAllPartitions() {
       if (part.closed) continue;
       part.closed = true;
       --open_partitions_;
-      for (const Entry& entry : part.pages) {
-        buffered_bytes_ -= entry.bytes;
-        ReleasePoolLocked(entry.bytes);
-      }
-      part.pages.clear();
+      ClearLocked(part);
     }
   }
   producer_cv_.notify_all();

@@ -40,13 +40,20 @@ class PartitionedExchange {
   int num_partitions() const { return static_cast<int>(partitions_.size()); }
 
   /// Attaches a memory pool (the query's system-memory subtree): every
-  /// buffered entry's bytes are reserved on enqueue and released when the
-  /// entry leaves the buffer, so exchange memory is visible to the worker cap
-  /// alongside operator memory and the pool's peak reconciles with
-  /// peak_buffered_bytes(). A failed reservation (worker full) latches the
-  /// exchange with the classified kResourceExhausted. Must be set before
+  /// buffered entry's bytes are reserved, exactly, before it is enqueued and
+  /// released when the entry leaves the buffer, so exchange memory is
+  /// visible to the worker cap alongside operator memory. A producer
+  /// reserves only once the buffer has room for its page: it claims the
+  /// bytes in buffered_bytes() first, so the pool's peak never exceeds
+  /// peak_buffered_bytes() and equals it with one producer. Each entry
+  /// reserves through its own requester-only MemoryConsumer, outside the
+  /// exchange lock: with `query` (may be null) a refused reservation goes to
+  /// the query's memory arbiter (revoke, kill the largest query, wait up to
+  /// the deadline) like any operator's. A reservation that still fails
+  /// latches the exchange with the classified error. Must be set before
   /// producers start.
-  void SetMemoryPool(std::shared_ptr<MemoryPool> pool);
+  void SetMemoryPool(std::shared_ptr<MemoryPool> pool,
+                     std::shared_ptr<QueryMemory> query = nullptr);
 
   /// Must be called before producers start.
   void SetProducerCount(int n);
@@ -117,6 +124,7 @@ class PartitionedExchange {
   struct Entry {
     Page page;
     int64_t bytes = 0;
+    std::unique_ptr<MemoryConsumer> memory;  // holds `bytes`; null unaccounted
   };
   struct Partition {
     std::deque<Entry> pages;
@@ -136,9 +144,9 @@ class PartitionedExchange {
   // notify both condition variables after releasing it.
   void FailLocked(Status status);
 
-  // Releases `bytes` back to the attached pool (caller holds mu_; pool ops
-  // are lock-free atomics, safe under the lock).
-  void ReleasePoolLocked(int64_t bytes);
+  // Drops every entry queued for `part`, releasing their bytes (caller
+  // holds mu_; releases are lock-free pool atomics, safe under the lock).
+  void ClearLocked(Partition& part);
 
   mutable std::mutex mu_;
   std::condition_variable producer_cv_;  // space freed / close / failure
@@ -154,6 +162,7 @@ class PartitionedExchange {
   int64_t deadline_steady_nanos_ = 0;  // 0 = no deadline
   Status status_;
   std::shared_ptr<MemoryPool> pool_;  // null = exchange memory unaccounted
+  std::shared_ptr<QueryMemory> query_;  // routes refusals to its arbiter
   std::map<int, int> committed_slots_;  // producer slot -> winning attempt
 
   MetricsRegistry::Counter* pages_pushed_counter_ = nullptr;

@@ -322,44 +322,18 @@ Status NormalizedKeyTable::NormalizeStrings(const Vector& col, size_t k,
   if (!TryDecode(col, &tc)) {
     return Status::Internal("kernel decode failed for VARCHAR key");
   }
-  if (tc.indices != nullptr) {
-    // Dictionary-encoded strings: intern each distinct base value once,
-    // then the row loop is a pure index gather.
-    const auto& dict = static_cast<const DictionaryVector&>(col);
-    const auto& base_vec = static_cast<const StringVector&>(*dict.base());
-    size_t base_n = base_vec.size();
-    std::vector<uint64_t> base_ids(base_n, 0);
-    std::vector<uint8_t> base_miss(base_n, 0);
-    for (size_t b = 0; b < base_n; ++b) {
-      if (base_vec.IsNull(b)) continue;
-      if (insert_missing) {
-        base_ids[b] = strings_.Intern(base_vec.ValueAt(b));
-      } else if (auto id = strings_.Find(base_vec.ValueAt(b))) {
-        base_ids[b] = *id;
-      } else {
-        base_miss[b] = 1;
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (tc.IsNull(i)) {
-        set_null(i);
-      } else if (base_miss[tc.indices[i]] != 0) {
-        scratch_miss_[i] = 1;
-      } else {
-        slots[i * row_width_] = base_ids[tc.indices[i]];
-      }
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      if (tc.IsNull(i)) {
-        set_null(i);
-      } else if (insert_missing) {
-        slots[i * row_width_] = strings_.Intern(tc.At(i));
-      } else if (auto id = strings_.Find(tc.At(i))) {
-        slots[i * row_width_] = *id;
-      } else {
-        scratch_miss_[i] = 1;
-      }
+  // Flat and dictionary strings alike intern row by row (a dictionary
+  // through its indices), so strings of base rows a selection does not
+  // reach are neither hashed nor interned.
+  for (size_t i = 0; i < n; ++i) {
+    if (tc.IsNull(i)) {
+      set_null(i);
+    } else if (insert_missing) {
+      slots[i * row_width_] = strings_.Intern(tc.At(i));
+    } else if (auto id = strings_.Find(tc.At(i))) {
+      slots[i * row_width_] = *id;
+    } else {
+      scratch_miss_[i] = 1;
     }
   }
   return Status::OK();

@@ -7,6 +7,7 @@
 #include "presto/common/clock.h"
 #include "presto/common/thread_pool.h"
 #include "presto/exec/kernels/kernels.h"
+#include "presto/exec/kernels/selection.h"
 #include "presto/exec/morsel.h"
 #include "presto/exec/spill.h"
 #include "presto/vector/vector_builder.h"
@@ -357,6 +358,15 @@ class ProjectOperator final : public Operator {
         layout_(std::move(layout)),
         functions_(functions) {
     AddChild(child_.get());
+    for (const ProjectNode::Assignment& a : assignments_) {
+      const RowExpression& e = *a.expression;
+      auto it = e.expression_kind() == ExpressionKind::kVariableReference
+                    ? layout_.find(
+                          static_cast<const VariableReferenceExpression&>(e)
+                              .name())
+                    : layout_.end();
+      forwarded_.push_back(it == layout_.end() ? -1 : it->second);
+    }
   }
 
  protected:
@@ -365,10 +375,26 @@ class ProjectOperator final : public Operator {
     if (!page.has_value()) return std::optional<Page>();
     std::vector<VectorPtr> columns;
     columns.reserve(assignments_.size());
-    for (const ProjectNode::Assignment& a : assignments_) {
-      ASSIGN_OR_RETURN(VectorPtr column,
-                       Evaluator::EvalExpression(*a.expression, *page, layout_,
-                                                 functions_));
+    for (size_t i = 0; i < assignments_.size(); ++i) {
+      VectorPtr column;
+      if (forwarded_[i] >= 0) {
+        // A bare column passes on as it is (lazy columns load whole, as the
+        // evaluator would load them), unless it is a dictionary selecting
+        // fewer than half of its base's rows: forwarded, that base would stay
+        // alive, and be charged, in every operator or exchange that holds
+        // the page, at more than twice the bytes of the rows it carries.
+        ASSIGN_OR_RETURN(column,
+                         kernels::PrepareColumn(page->column(forwarded_[i])));
+        if (column->encoding() == VectorEncoding::kDictionary &&
+            2 * column->size() <
+                static_cast<const DictionaryVector&>(*column).base()->size()) {
+          ASSIGN_OR_RETURN(column, Vector::Flatten(column));
+        }
+      } else {
+        ASSIGN_OR_RETURN(column,
+                         Evaluator::EvalExpression(*assignments_[i].expression,
+                                                   *page, layout_, functions_));
+      }
       columns.push_back(std::move(column));
     }
     return std::optional<Page>(Page(std::move(columns), page->num_rows()));
@@ -379,6 +405,9 @@ class ProjectOperator final : public Operator {
   std::vector<ProjectNode::Assignment> assignments_;
   std::map<std::string, int> layout_;
   FunctionRegistry* functions_;
+  // Per assignment: the input channel a bare column reference forwards,
+  // else -1 (evaluated).
+  std::vector<int> forwarded_;
 };
 
 class LimitOperator final : public Operator {

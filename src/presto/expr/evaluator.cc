@@ -389,6 +389,24 @@ class EvalContext {
 
 Result<VectorPtr> MakeConstantVector(const Value& value, const TypePtr& type,
                                      size_t n) {
+  // Scalar literals fill typed storage directly; NULLs, nested values and
+  // shape mismatches go through the builder (and keep its errors).
+  auto fill = [&](auto v) -> VectorPtr {
+    using T = decltype(v);
+    return std::make_shared<FlatVector<T>>(type, std::vector<T>(n, v),
+                                           std::vector<uint8_t>{});
+  };
+  const TypeKind kind = type->kind();
+  if (kind == TypeKind::kBoolean && value.is_bool()) {
+    return fill(static_cast<uint8_t>(value.bool_value() ? 1 : 0));
+  }
+  if (IsIntegerLike(kind) && value.is_int()) return fill(value.int_value());
+  if (kind == TypeKind::kDouble && (value.is_int() || value.is_double())) {
+    return fill(value.AsDouble());
+  }
+  if (kind == TypeKind::kVarchar && value.is_string()) {
+    return fill(value.string_value());
+  }
   VectorBuilder builder(type);
   for (size_t i = 0; i < n; ++i) {
     RETURN_IF_ERROR(builder.Append(value));
@@ -407,25 +425,6 @@ Result<VectorPtr> Evaluator::EvalExpression(const RowExpression& expr,
                                             const FunctionRegistry* registry) {
   EvalContext context(input, layout, registry);
   return context.Eval(expr);
-}
-
-Result<std::vector<int32_t>> EvalPredicate(
-    const RowExpression& predicate, const Page& input,
-    const std::map<std::string, int>& layout, const FunctionRegistry* registry) {
-  if (predicate.type()->kind() != TypeKind::kBoolean) {
-    return Status::UserError("predicate must be BOOLEAN, got " +
-                             predicate.type()->ToString());
-  }
-  ASSIGN_OR_RETURN(VectorPtr result,
-                   Evaluator::EvalExpression(predicate, input, layout, registry));
-  std::vector<int32_t> rows;
-  for (size_t i = 0; i < result->size(); ++i) {
-    if (!result->IsNull(i) &&
-        static_cast<const BoolVector&>(*result).ValueAt(i) != 0) {
-      rows.push_back(static_cast<int32_t>(i));
-    }
-  }
-  return rows;
 }
 
 }  // namespace presto

@@ -42,13 +42,6 @@ class Evaluator {
 Result<VectorPtr> MakeConstantVector(const Value& value, const TypePtr& type,
                                      size_t n);
 
-/// Evaluates a boolean predicate and returns the indices of rows where it is
-/// true (NULL counts as false, per SQL WHERE semantics).
-Result<std::vector<int32_t>> EvalPredicate(
-    const RowExpression& predicate, const Page& input,
-    const std::map<std::string, int>& layout,
-    const FunctionRegistry* registry = &FunctionRegistry::Default());
-
 }  // namespace presto
 
 #endif  // PRESTO_EXPR_EVALUATOR_H_

@@ -19,6 +19,7 @@ namespace {
 std::vector<uint8_t> GatherNulls(const std::vector<int32_t>& rows,
                                  const Vector& v) {
   std::vector<uint8_t> nulls;
+  if (!v.MayHaveNulls()) return nulls;
   bool any = false;
   nulls.resize(rows.size(), 0);
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -257,14 +258,49 @@ int64_t MapVector::EstimateBytes() const {
 
 // -- DictionaryVector ---------------------------------------------------------
 
+namespace {
+
+template <typename T>
+void HashFlatRows(const FlatVector<T>& base, const std::vector<int32_t>& rows,
+                  uint64_t* out) {
+  // FlatVector is final: HashAt binds statically, one tight loop.
+  for (size_t i = 0; i < rows.size(); ++i) out[i] = base.HashAt(rows[i]);
+}
+
+// out[i] = base.HashAt(rows[i]), statically typed for flat scalar bases.
+void HashBaseRows(const Vector& base, const std::vector<int32_t>& rows,
+                  uint64_t* out) {
+  if (base.encoding() == VectorEncoding::kFlat) {
+    switch (base.type()->kind()) {
+      case TypeKind::kBoolean:
+        return HashFlatRows(static_cast<const BoolVector&>(base), rows, out);
+      case TypeKind::kInteger:
+      case TypeKind::kBigint:
+      case TypeKind::kTimestamp:
+        return HashFlatRows(static_cast<const Int64Vector&>(base), rows, out);
+      case TypeKind::kDouble:
+        return HashFlatRows(static_cast<const DoubleVector&>(base), rows, out);
+      case TypeKind::kVarchar:
+        return HashFlatRows(static_cast<const StringVector&>(base), rows, out);
+      default:
+        break;
+    }
+  }
+  for (size_t i = 0; i < rows.size(); ++i) out[i] = base.HashAt(rows[i]);
+}
+
+}  // namespace
+
 void DictionaryVector::HashBatch(uint64_t* out, bool combine) const {
-  // Hash each distinct base value once, then gather through the indices —
-  // the dictionary-encoding payoff the engine's kernels rely on.
-  std::vector<uint64_t> base_hashes(base_->size());
-  if (!base_hashes.empty()) base_->HashBatch(base_hashes.data(), false);
+  // Hash only the rows the dictionary selects, gathered through its indices:
+  // the work follows the dictionary's rows, not its base's (a filter's
+  // survivors or an exchange slice select a fraction of a shared base).
+  std::vector<uint64_t> hashes(size_);
+  HashBaseRows(*base_, indices_, hashes.data());
+  const bool may_have_nulls = MayHaveNulls();
   const uint64_t null_hash = Value::Null().Hash();
   for (size_t i = 0; i < size_; ++i) {
-    uint64_t h = IsNull(i) ? null_hash : base_hashes[indices_[i]];
+    uint64_t h = may_have_nulls && IsNull(i) ? null_hash : hashes[i];
     out[i] = combine ? HashCombine(out[i], h) : h;
   }
 }
@@ -283,6 +319,10 @@ int DictionaryVector::CompareAt(size_t row, const Vector& other,
 VectorPtr DictionaryVector::Slice(const std::vector<int32_t>& rows) const {
   std::vector<int32_t> indices;
   indices.reserve(rows.size());
+  if (!MayHaveNulls()) {
+    for (int32_t r : rows) indices.push_back(indices_[r]);
+    return std::make_shared<DictionaryVector>(base_, std::move(indices));
+  }
   for (int32_t r : rows) indices.push_back(IsNull(r) ? 0 : indices_[r]);
   return std::make_shared<DictionaryVector>(base_, std::move(indices),
                                             GatherNulls(rows, *this));
@@ -347,6 +387,7 @@ Result<VectorPtr> Vector::Flatten(const VectorPtr& vector) {
     case VectorEncoding::kDictionary: {
       const auto* dict = static_cast<const DictionaryVector*>(vector.get());
       ASSIGN_OR_RETURN(VectorPtr base, Flatten(dict->base()));
+      if (!dict->MayHaveNulls()) return base->Slice(dict->indices());
       // Gather base rows; null rows of the dictionary map to base row 0 and
       // are re-marked null afterwards.
       std::vector<int32_t> rows(dict->size());

@@ -41,6 +41,10 @@ class Vector {
 
   virtual bool IsNull(size_t row) const = 0;
 
+  /// False only when no row can be NULL, so whole-vector loops (Slice,
+  /// Flatten, batch hashing) may skip the per-row IsNull walk.
+  virtual bool MayHaveNulls() const { return true; }
+
   /// Boxes row `row` as a Value. This is the slow row-by-row path — used by
   /// result output, tests, and deliberately by the "old reader"/"old writer"
   /// baselines.
@@ -98,6 +102,7 @@ class FlatVector final : public Vector {
   bool IsNull(size_t row) const override {
     return !nulls_.empty() && nulls_[row] != 0;
   }
+  bool MayHaveNulls() const override { return !nulls_.empty(); }
 
   const T& ValueAt(size_t row) const { return values_[row]; }
   const std::vector<T>& values() const { return values_; }
@@ -140,6 +145,7 @@ class RowVector final : public Vector {
   bool IsNull(size_t row) const override {
     return !nulls_.empty() && nulls_[row] != 0;
   }
+  bool MayHaveNulls() const override { return !nulls_.empty(); }
 
   size_t NumChildren() const { return children_.size(); }
   const VectorPtr& child(size_t i) const { return children_[i]; }
@@ -172,6 +178,7 @@ class ArrayVector final : public Vector {
   bool IsNull(size_t row) const override {
     return !nulls_.empty() && nulls_[row] != 0;
   }
+  bool MayHaveNulls() const override { return !nulls_.empty(); }
 
   int32_t OffsetAt(size_t row) const { return offsets_[row]; }
   int32_t LengthAt(size_t row) const { return lengths_[row]; }
@@ -206,6 +213,7 @@ class MapVector final : public Vector {
   bool IsNull(size_t row) const override {
     return !nulls_.empty() && nulls_[row] != 0;
   }
+  bool MayHaveNulls() const override { return !nulls_.empty(); }
 
   int32_t OffsetAt(size_t row) const { return offsets_[row]; }
   int32_t LengthAt(size_t row) const { return lengths_[row]; }
@@ -241,6 +249,9 @@ class DictionaryVector final : public Vector {
   bool IsNull(size_t row) const override {
     if (!nulls_.empty() && nulls_[row] != 0) return true;
     return base_->IsNull(indices_[row]);
+  }
+  bool MayHaveNulls() const override {
+    return !nulls_.empty() || base_->MayHaveNulls();
   }
 
   const VectorPtr& base() const { return base_; }

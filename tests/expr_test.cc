@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "presto/exec/kernels/selection.h"
 #include "presto/expr/evaluator.h"
 #include "presto/expr/expression.h"
 #include "presto/expr/function_registry.h"

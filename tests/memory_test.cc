@@ -24,6 +24,7 @@
 
 #include "presto/cache/lru_cache.h"
 #include "presto/cluster/cluster.h"
+#include "presto/common/clock.h"
 #include "presto/common/fault_injection.h"
 #include "presto/common/memory_pool.h"
 #include "presto/connectors/memory/memory_connector.h"
@@ -471,6 +472,34 @@ TEST(ExchangeMemoryTest, PoolReconcilesWithBufferedBytes) {
   EXPECT_EQ(exchange.buffered_bytes(), 0);
 }
 
+TEST(ExchangeMemoryTest, BlockedProducerHoldsNoReservation) {
+  // A producer waiting on backpressure has not reserved its page yet: the
+  // pool holds only what the buffer holds, and the waiting page reserves
+  // once it gets in.
+  auto root = MemoryPool::CreateRoot("worker");
+  auto pool = root->AddChild("exchange.1");
+  PartitionedExchange exchange(1, /*capacity_bytes=*/1);
+  exchange.SetMemoryPool(pool);
+  exchange.SetProducerCount(1);
+  exchange.Push(0, Page({MakeBigintVector(std::vector<int64_t>(100, 1))}));
+  const int64_t first = exchange.buffered_bytes();
+  ASSERT_EQ(pool->reserved_bytes(), first);
+
+  std::thread producer([&] {
+    exchange.Push(0, Page({MakeBigintVector(std::vector<int64_t>(300, 2))}));
+    exchange.ProducerDone();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(pool->reserved_bytes(), first) << "blocked page reserved early";
+
+  auto page = exchange.Next(0);  // makes room for the blocked page
+  ASSERT_TRUE(page.ok());
+  producer.join();
+  EXPECT_GT(exchange.buffered_bytes(), first);
+  EXPECT_EQ(pool->reserved_bytes(), exchange.buffered_bytes());
+  EXPECT_EQ(pool->peak_bytes(), exchange.peak_buffered_bytes());
+}
+
 TEST(ExchangeMemoryTest, FailedReservationLatchesClassifiedError) {
   auto root = MemoryPool::CreateRoot("worker", 64);  // absurdly small worker
   PartitionedExchange exchange(1, 1 << 20);
@@ -483,6 +512,54 @@ TEST(ExchangeMemoryTest, FailedReservationLatchesClassifiedError) {
   EXPECT_FALSE(page.ok());
   EXPECT_EQ(page.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(root->reserved_bytes(), 0);
+}
+
+TEST(ExchangeMemoryTest, RefusedPushWaitsForTheArbiterToKillTheHog) {
+  // A hog with nothing revocable (spill off) holds the whole worker. A small
+  // query's 8-byte push must reach the arbiter, which kills the hog and
+  // waits for its memory, instead of failing the small query outright.
+  constexpr int64_t kWorker = 4 << 20;
+  auto worker = MemoryPool::CreateRoot("worker", kWorker);
+  MemoryArbiter arbiter(worker);
+  auto add_query = [&](int64_t id) {
+    auto q = std::make_shared<QueryMemory>();
+    q->query_id = id;
+    q->query = worker->AddChild("query." + std::to_string(id));
+    q->user = q->query->AddChild("user");
+    q->system = q->query->AddChild("system");
+    q->deadline_steady_nanos = SteadyNowNanos() + 30'000'000'000LL;
+    arbiter.AddQuery(q.get());
+    return q;
+  };
+  auto hog = add_query(1);
+  auto small = add_query(2);
+  ASSERT_TRUE(hog->user->Reserve(kWorker).ok());
+  std::atomic<bool> test_done{false};
+  std::thread hog_exit([&] {
+    // The killed hog unwinds: its memory goes back and it leaves the worker.
+    while (!hog->killed.load() && !test_done.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    hog->user->Release(kWorker);
+    arbiter.RemoveQuery(hog.get());
+  });
+
+  PartitionedExchange exchange(1, 1 << 20);
+  exchange.SetMemoryPool(small->system->AddChild("exchange.1"), small);
+  exchange.SetProducerCount(1);
+  exchange.Push(0, Page({MakeBigintVector({42})}));
+  exchange.ProducerDone();
+  auto page = exchange.Next(0);
+  test_done.store(true);
+  hog_exit.join();
+
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  ASSERT_TRUE(page->has_value());
+  EXPECT_EQ((*page)->column(0)->GetValue(0), Value::Int(42));
+  EXPECT_TRUE(hog->killed.load());
+  EXPECT_FALSE(small->killed.load());
+  EXPECT_EQ(small->system->reserved_bytes(), 0);
+  arbiter.RemoveQuery(small.get());
 }
 
 // ---------------------------------------------------------------------------
@@ -1334,6 +1411,49 @@ TEST(MemoryCountersTest, ReservationsVisibleOnHappyPath) {
       "SELECT k, count(*), sum(v) FROM mem.raw.t GROUP BY k", off);
   ASSERT_TRUE(unaccounted.ok()) << unaccounted.status().ToString();
   EXPECT_EQ(unaccounted->exec_metrics.count("memory.query.peak_bytes"), 0u);
+}
+
+// A 1 %-selective filter feeding ORDER BY: the sort holds only the rows
+// that passed. Were Project to forward the filter's sparse selections, every
+// held page would pin, and be charged for, its whole input page, and the
+// query's peak would come close to that of the unfiltered sort.
+TEST(MemoryCountersTest, SelectiveFilterIntoOrderByReservesOnlyItsRows) {
+  PrestoCluster cluster("memory-selective-sort", 1, 2);
+  auto memory = std::make_shared<MemoryConnector>();
+  ASSERT_TRUE(
+      memory->CreateTable("raw", "t", Type::Row({"k", "v"},
+                                                {Type::Bigint(), Type::Bigint()}))
+          .ok());
+  constexpr int64_t kPageRows = 1 << 16;
+  for (int p = 0; p < 8; ++p) {
+    std::vector<int64_t> k(kPageRows), v(kPageRows);
+    for (int64_t i = 0; i < kPageRows; ++i) {
+      k[i] = i % 7;
+      v[i] = (i * 7919 + p) % 100;
+    }
+    ASSERT_TRUE(memory
+                    ->AppendPage("raw", "t",
+                                 Page({MakeBigintVector(std::move(k)),
+                                       MakeBigintVector(std::move(v))}))
+                    .ok());
+  }
+  ASSERT_TRUE(cluster.catalogs().RegisterCatalog("mem", memory).ok());
+
+  auto peak = [&](const std::string& where) -> int64_t {
+    auto result = cluster.Execute(
+        "SELECT v, k + 1 AS k1 FROM mem.raw.t WHERE " + where + " ORDER BY v",
+        Session());
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return -1;
+    return result->exec_metrics.at("memory.query.peak_bytes");
+  };
+  const int64_t all = peak("v >= 0");
+  const int64_t selective = peak("v = 3");
+  RecordProperty("peak_bytes_all", std::to_string(all));
+  RecordProperty("peak_bytes_selective", std::to_string(selective));
+  EXPECT_GT(all, 0);
+  EXPECT_GT(selective, 0);
+  EXPECT_LT(selective * 4, all) << "selective " << selective << " all " << all;
 }
 
 // Two coordinators in one process share a spill_path and both number their

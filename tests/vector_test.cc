@@ -155,6 +155,66 @@ TEST(DictionaryVectorTest, NestedDictionaryFlattens) {
   EXPECT_EQ((*flat)->GetValue(2), Value::Int(10));
 }
 
+TEST(DictionaryVectorTest, HashBatchMatchesTheFlattenedRows) {
+  // A dictionary hashes the rows it selects through its indices, with fewer
+  // or more rows than its base: the hashes must equal, bit for bit, those of
+  // its flattened rows, with NULLs at either level.
+  std::vector<VectorPtr> bases = {
+      std::make_shared<Int64Vector>(Type::Bigint(),
+                                    std::vector<int64_t>{5, -3, 0, 9, 5, 1},
+                                    std::vector<uint8_t>{0, 0, 1, 0, 0, 0}),
+      std::make_shared<DoubleVector>(
+          Type::Double(), std::vector<double>{-0.0, 0.0, 2.5, -1.0, 7.0, 2.5},
+          std::vector<uint8_t>{}),
+      std::make_shared<StringVector>(
+          Type::Varchar(),
+          std::vector<std::string>{"a", "", "bc", "a", "zz", "q"},
+          std::vector<uint8_t>{0, 1, 0, 0, 0, 0}),
+      MakeBooleanVector({1, 0, 0, 1, 1, 0})};
+  const std::vector<std::vector<int32_t>> selections = {
+      {4, 1, 2},                       // fewer rows than the base
+      {0, 1, 2, 3, 4, 5, 5, 2, 0, 3},  // more rows than the base
+      {}};
+  for (const VectorPtr& base : bases) {
+    for (const auto& indices : selections) {
+      for (bool top_nulls : {false, true}) {
+        std::vector<uint8_t> nulls;
+        if (top_nulls) {
+          for (size_t i = 0; i < indices.size(); ++i) nulls.push_back(i % 2);
+        }
+        auto dict = std::make_shared<DictionaryVector>(base, indices, nulls);
+        auto flat = Vector::Flatten(dict);
+        ASSERT_TRUE(flat.ok());
+        std::vector<uint64_t> got(indices.size(), 11), want(indices.size(), 11);
+        dict->HashBatch(got.data(), /*combine=*/true);
+        (*flat)->HashBatch(want.data(), /*combine=*/true);
+        EXPECT_EQ(got, want) << base->type()->ToString() << " rows "
+                             << indices.size() << " top nulls " << top_nulls;
+      }
+    }
+  }
+}
+
+TEST(DictionaryVectorTest, NullFreeSliceAndFlattenSkipNullFlags) {
+  VectorPtr base = MakeBigintVector({10, 20, 30});
+  auto dict = std::make_shared<DictionaryVector>(
+      base, std::vector<int32_t>{2, 0, 1, 2});
+  EXPECT_FALSE(dict->MayHaveNulls());
+  VectorPtr sliced = dict->Slice({3, 1});
+  EXPECT_FALSE(sliced->MayHaveNulls());
+  EXPECT_EQ(sliced->GetValue(0), Value::Int(30));
+  EXPECT_EQ(sliced->GetValue(1), Value::Int(10));
+  auto flat = Vector::Flatten(dict);
+  ASSERT_TRUE(flat.ok());
+  EXPECT_FALSE((*flat)->MayHaveNulls());
+  EXPECT_EQ((*flat)->GetValue(0), Value::Int(30));
+
+  auto with_nulls = std::make_shared<DictionaryVector>(
+      base, std::vector<int32_t>{0, 1}, std::vector<uint8_t>{0, 1});
+  EXPECT_TRUE(with_nulls->MayHaveNulls());
+  EXPECT_TRUE(with_nulls->Slice({1, 0})->IsNull(0));
+}
+
 TEST(LazyVectorTest, LoadsOnDemandOnce) {
   int loads = 0;
   auto lazy = std::make_shared<LazyVector>(
