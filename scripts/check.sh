@@ -37,7 +37,11 @@ fi
 # iteration counts are env knobs so CI can rotate fault schedules:
 #   PRESTO_CHAOS_SEED   base seed for fault schedules (default 20260806)
 #   PRESTO_CHAOS_ITERS  fault-schedule iterations     (default 8 here)
+# ExchangeWakeupTest rides along: per-partition consumer waits with one
+# wakeup per page, where a missed notify would hang a consumer and a racing
+# Fail / ConsumerDone / deadline would lose or duplicate a page.
 CHAOS_FILTER='ChaosQueryTest.*:QueryTimeoutTest.*:ExchangeFaultFuzzTest.*'
+CHAOS_FILTER="$CHAOS_FILTER:ExchangeWakeupTest.*"
 CHAOS_SEED="${PRESTO_CHAOS_SEED:-20260806}"
 CHAOS_ITERS="${PRESTO_CHAOS_ITERS:-8}"
 

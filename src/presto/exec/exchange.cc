@@ -5,6 +5,7 @@
 
 #include "presto/common/clock.h"
 #include "presto/common/fault_injection.h"
+#include "presto/common/hash.h"
 #include "presto/common/trace.h"
 #include "presto/exec/kernels/kernels.h"
 
@@ -22,6 +23,39 @@ std::chrono::steady_clock::time_point ToTimePoint(int64_t steady_nanos) {
       std::chrono::nanoseconds(steady_nanos));
 }
 
+// The partition a row with content hash `hash` (kernels::HashPage) goes to:
+// a remix, so routing does not pick the low bits the consumer's tables
+// index by.
+int PartitionOf(uint64_t hash, int num_partitions) {
+  return static_cast<int>(HashMix64(hash) %
+                          static_cast<uint64_t>(num_partitions));
+}
+
+// Bytes a buffered vector is charged: its EstimateBytes(), except that a
+// dictionary pays its nulls and indices plus rows/base-rows of its base.
+int64_t SharedVectorBytes(const Vector& vector) {
+  if (vector.encoding() != VectorEncoding::kDictionary) {
+    return vector.EstimateBytes();
+  }
+  const auto& dict = static_cast<const DictionaryVector&>(vector);
+  const Vector& base = *dict.base();
+  const auto rows = static_cast<int64_t>(dict.size());
+  const int64_t own = (dict.raw_nulls() != nullptr ? rows : 0) +
+                      rows * static_cast<int64_t>(sizeof(int32_t));
+  if (base.size() == 0) return own;
+  // A dictionary never pays more than its whole base (a nested-loop join's
+  // output has more rows than its base).
+  const int64_t base_bytes = SharedVectorBytes(base);
+  return own + std::min(base_bytes,
+                        base_bytes * rows / static_cast<int64_t>(base.size()));
+}
+
+int64_t SharedBytes(const Page& page) {
+  int64_t bytes = 0;
+  for (const VectorPtr& col : page.columns()) bytes += SharedVectorBytes(*col);
+  return bytes;
+}
+
 }  // namespace
 
 PartitionedExchange::PartitionedExchange(int num_partitions,
@@ -37,6 +71,8 @@ PartitionedExchange::PartitionedExchange(int num_partitions,
     producer_blocked_counter_ =
         metrics->FindOrRegister("exchange.producer.blocked");
     zero_copy_counter_ = metrics->FindOrRegister("exchange.page.zero_copy");
+    consumer_wakeups_counter_ =
+        metrics->FindOrRegister("exchange.consumer.wakeups");
   }
 }
 
@@ -72,7 +108,7 @@ bool PartitionedExchange::TryCommitProducer(int slot, int attempt) {
 }
 
 void PartitionedExchange::Push(int partition, Page page) {
-  const int64_t bytes = page.EstimateBytes();
+  const int64_t bytes = SharedBytes(page);
   PushWithBytes(partition, std::move(page), bytes);
 }
 
@@ -108,8 +144,7 @@ void PartitionedExchange::PushWithBytes(int partition, Page page,
           // Deadline while blocked on backpressure: latch the timeout so the
           // whole query unwinds instead of wedging this producer forever.
           FailLocked(DeadlineStatus());
-          producer_cv_.notify_all();
-          consumer_cv_.notify_all();
+          WakeAll();
         }
       } else {
         producer_cv_.wait(lock, have_room);
@@ -141,8 +176,7 @@ void PartitionedExchange::PushWithBytes(int partition, Page page,
         // budget for.
         if (!DropLocked(partition)) FailLocked(std::move(reserved));
         lock.unlock();
-        producer_cv_.notify_all();
-        consumer_cv_.notify_all();
+        WakeAll();
         return;
       }
     }
@@ -154,7 +188,9 @@ void PartitionedExchange::PushWithBytes(int partition, Page page,
   }
   if (pages_pushed_counter_ != nullptr) pages_pushed_counter_->Add(1);
   if (bytes_pushed_counter_ != nullptr) bytes_pushed_counter_->Add(bytes);
-  consumer_cv_.notify_all();
+  // One page feeds one consumer: wake one waiter of this partition only.
+  // partitions_ never resizes, so the reference outlives the lock.
+  partitions_[partition].consumer_cv.notify_one();
 }
 
 void PartitionedExchange::PushPartitioned(const Page& page,
@@ -168,9 +204,9 @@ void PartitionedExchange::PushPartitioned(const Page& page,
   std::vector<uint64_t> hashes;
   kernels::HashPage(page, channels, &hashes);
   std::vector<std::vector<int32_t>> rows(partitions_.size());
-  const auto n = static_cast<uint64_t>(partitions_.size());
+  const int n = num_partitions();
   for (size_t r = 0; r < hashes.size(); ++r) {
-    rows[hashes[r] % n].push_back(static_cast<int32_t>(r));
+    rows[PartitionOf(hashes[r], n)].push_back(static_cast<int32_t>(r));
   }
   int only = -1;
   for (size_t p = 0; p < rows.size(); ++p) {
@@ -184,7 +220,7 @@ void PartitionedExchange::PushPartitioned(const Page& page,
     Push(only, page);
     return;
   }
-  const int64_t base_bytes = page.EstimateBytes();
+  const int64_t base_bytes = SharedBytes(page);
   const auto total_rows = static_cast<int64_t>(page.num_rows());
   for (size_t p = 0; p < rows.size(); ++p) {
     if (rows[p].empty()) continue;
@@ -204,9 +240,11 @@ void PartitionedExchange::PushPartitioned(const Page& page,
 void PartitionedExchange::ProducerDone() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    --producers_;
+    if (--producers_ > 0) return;
   }
-  consumer_cv_.notify_all();
+  // The last producer finished: every partition reaches end-of-stream once
+  // drained, so every waiting consumer must see it.
+  for (Partition& part : partitions_) part.consumer_cv.notify_all();
 }
 
 void PartitionedExchange::FailLocked(Status status) {
@@ -216,13 +254,40 @@ void PartitionedExchange::FailLocked(Status status) {
   for (Partition& partition : partitions_) ClearLocked(partition);
 }
 
+void PartitionedExchange::WakeAll() {
+  producer_cv_.notify_all();
+  for (Partition& part : partitions_) part.consumer_cv.notify_all();
+}
+
 void PartitionedExchange::Fail(Status status) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     FailLocked(std::move(status));
   }
-  producer_cv_.notify_all();
-  consumer_cv_.notify_all();
+  WakeAll();
+}
+
+int64_t PartitionedExchange::WaitForPageLocked(
+    std::unique_lock<std::mutex>& lock, Partition& part) {
+  // Nothing buffered: this consumer blocks on upstream producers. The wait
+  // lands in the pulling operator's Next() frame (RemoteSource / morsel
+  // exchange source), so it attributes to that operator.
+  BlockedTimer blocked(BlockedKind::kExchangeWait);
+  TraceEventScope span(TraceKind::kExchangeWait, "exchange_consume_wait");
+  int64_t wakeups = 0;
+  while (!HavePageLocked(part)) {
+    ++wakeups;
+    if (deadline_steady_nanos_ <= 0) {
+      part.consumer_cv.wait(lock);
+    } else if (part.consumer_cv.wait_until(
+                   lock, ToTimePoint(deadline_steady_nanos_)) ==
+                   std::cv_status::timeout &&
+               !HavePageLocked(part)) {
+      FailLocked(DeadlineStatus());
+      WakeAll();
+    }
+  }
+  return wakeups;
 }
 
 Result<std::optional<Page>> PartitionedExchange::Next(int partition) {
@@ -230,26 +295,10 @@ Result<std::optional<Page>> PartitionedExchange::Next(int partition) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     Partition& part = partitions_[partition];
-    auto have_page = [this, &part] {
-      return !part.pages.empty() || part.closed || producers_ <= 0 ||
-             !status_.ok();
-    };
-    if (!have_page()) {
-      // Nothing buffered: this consumer blocks on upstream producers. The
-      // wait lands in the pulling operator's Next() frame (RemoteSource /
-      // morsel exchange source), so it attributes to that operator.
-      BlockedTimer blocked(BlockedKind::kExchangeWait);
-      TraceEventScope span(TraceKind::kExchangeWait, "exchange_consume_wait");
-      if (deadline_steady_nanos_ > 0) {
-        if (!consumer_cv_.wait_until(lock, ToTimePoint(deadline_steady_nanos_),
-                                     have_page)) {
-          FailLocked(DeadlineStatus());
-          producer_cv_.notify_all();
-          consumer_cv_.notify_all();
-          return status_;
-        }
-      } else {
-        consumer_cv_.wait(lock, have_page);
+    if (!HavePageLocked(part)) {
+      const int64_t wakeups = WaitForPageLocked(lock, part);
+      if (consumer_wakeups_counter_ != nullptr) {
+        consumer_wakeups_counter_->Add(wakeups);
       }
     }
     if (!status_.ok()) return status_;
@@ -272,8 +321,7 @@ void PartitionedExchange::ConsumerDone(int partition) {
     --open_partitions_;
     ClearLocked(part);
   }
-  producer_cv_.notify_all();
-  consumer_cv_.notify_all();
+  WakeAll();
 }
 
 void PartitionedExchange::CloseAllPartitions() {
@@ -286,8 +334,7 @@ void PartitionedExchange::CloseAllPartitions() {
       ClearLocked(part);
     }
   }
-  producer_cv_.notify_all();
-  consumer_cv_.notify_all();
+  WakeAll();
 }
 
 bool PartitionedExchange::AllConsumersDone() const {

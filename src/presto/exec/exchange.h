@@ -29,8 +29,17 @@ namespace presto {
 /// pages, by partition close (ConsumerDone — e.g. a satisfied LIMIT), or by
 /// failure.
 ///
+/// Consumers wait on their own partition's condition variable: a pushed
+/// page wakes one waiter of the partition it went to, the last
+/// ProducerDone() wakes every partition's waiters (end-of-stream), and
+/// Fail(), ConsumerDone(), CloseAllPartitions() and a deadline expiry wake
+/// everyone. A consumer of one partition therefore sleeps through the
+/// traffic of every other partition.
+///
 /// Counters (per-query registry, may be null): exchange.page.pushed,
-/// exchange.byte.pushed, exchange.page.dropped, exchange.producer.blocked.
+/// exchange.byte.pushed, exchange.page.dropped, exchange.producer.blocked,
+/// exchange.page.zero_copy, exchange.consumer.wakeups (one per return from
+/// a consumer's wait).
 class PartitionedExchange {
  public:
   PartitionedExchange(int num_partitions, int64_t capacity_bytes,
@@ -75,17 +84,24 @@ class PartitionedExchange {
 
   /// Enqueues a whole page into one partition; blocks while the exchange is
   /// over budget. Pages pushed after Fail() or into a closed partition are
-  /// dropped (counted in exchange.page.dropped).
+  /// dropped (counted in exchange.page.dropped). A dictionary column is
+  /// charged its nulls and indices plus its rows' share of its base, so
+  /// pages that wrap one shared base (join output, filter survivors) are
+  /// not each charged the whole base.
   void Push(int partition, Page page);
 
-  /// Routes each row of `page` to partition hash(channels) % num_partitions
-  /// using the typed kernels' batch hashing, then pushes the per-partition
-  /// slices (zero-copy dictionary wraps). A slice's buffered bytes are its
-  /// amortized share of the base page (indices plus base * rows/total), so
-  /// the fan-out does not multiply accounted shuffle bytes. When every row
-  /// lands in one partition — always true for gather, common for clustered
-  /// input — the original page is passed through by shared_ptr without
-  /// rewrapping (counted in exchange.page.zero_copy).
+  /// Routes each row of `page` to partition HashMix64(hash(channels)) %
+  /// num_partitions using the typed kernels' batch hashing, then pushes the
+  /// per-partition slices (zero-copy dictionary wraps). Routing remixes the
+  /// content hash because a consuming task's tables index by its low bits:
+  /// routed on `hash % n`, every key a task received would share its low
+  /// log2(n) bits and crowd onto 1/n of the table's home slots. A slice's
+  /// buffered bytes are its amortized share of the page (indices plus the
+  /// page's charge * rows/total), so the fan-out does not multiply
+  /// accounted shuffle bytes. When every row lands in one partition —
+  /// always true for gather, common for clustered input — the original page
+  /// is passed through by shared_ptr without rewrapping (counted in
+  /// exchange.page.zero_copy).
   void PushPartitioned(const Page& page, const std::vector<int>& channels);
 
   /// Marks one producer finished; a partition reaches end-of-stream when all
@@ -129,10 +145,11 @@ class PartitionedExchange {
   struct Partition {
     std::deque<Entry> pages;
     bool closed = false;
+    std::condition_variable consumer_cv;  // page here / end-of-stream / failure
   };
 
-  // Enqueue with precomputed accounted bytes (Push computes EstimateBytes;
-  // PushPartitioned passes each slice's amortized share of the base page).
+  // Enqueue with precomputed accounted bytes (Push charges the page's shared
+  // bytes; PushPartitioned passes each slice's amortized share of them).
   void PushWithBytes(int partition, Page page, int64_t bytes);
 
   // True when a push to `partition` should be discarded instead of queued.
@@ -141,8 +158,24 @@ class PartitionedExchange {
   }
 
   // Latches `status` and clears buffered pages; caller holds mu_ and must
-  // notify both condition variables after releasing it.
+  // WakeAll() (with or without the lock).
   void FailLocked(Status status);
+
+  // Wakes every blocked producer and every partition's consumers.
+  void WakeAll();
+
+  // True when a consumer of `part` has something to return: a page,
+  // end-of-stream, or an error (caller holds mu_).
+  bool HavePageLocked(const Partition& part) const {
+    return !part.pages.empty() || part.closed || producers_ <= 0 ||
+           !status_.ok();
+  }
+
+  // Blocks on `part`'s condition variable until HavePageLocked(part), and
+  // returns how many times the wait returned. A deadline expiry latches the
+  // timeout and wakes everyone.
+  int64_t WaitForPageLocked(std::unique_lock<std::mutex>& lock,
+                            Partition& part);
 
   // Drops every entry queued for `part`, releasing their bytes (caller
   // holds mu_; releases are lock-free pool atomics, safe under the lock).
@@ -150,8 +183,7 @@ class PartitionedExchange {
 
   mutable std::mutex mu_;
   std::condition_variable producer_cv_;  // space freed / close / failure
-  std::condition_variable consumer_cv_;  // page arrived / producers done / failure
-  std::vector<Partition> partitions_;
+  std::vector<Partition> partitions_;  // sized once; never moves
   const int64_t capacity_bytes_;
   int64_t buffered_bytes_ = 0;
   int64_t peak_buffered_bytes_ = 0;
@@ -170,6 +202,7 @@ class PartitionedExchange {
   MetricsRegistry::Counter* pages_dropped_counter_ = nullptr;
   MetricsRegistry::Counter* producer_blocked_counter_ = nullptr;
   MetricsRegistry::Counter* zero_copy_counter_ = nullptr;
+  MetricsRegistry::Counter* consumer_wakeups_counter_ = nullptr;
 };
 
 }  // namespace presto

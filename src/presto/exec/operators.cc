@@ -678,8 +678,9 @@ class HashAggregationOperator final : public Operator {
   }
 
   // Routes each row of `page` to its radix partition — the high bits of the
-  // content hash, disjoint from the low bits the exchange's hash routing
-  // uses — and consumes each partition's rows as a zero-copy row wrap.
+  // raw content hash; the exchange routes on a remix of it, so a consuming
+  // task's keys still spread over every radix partition and table slot —
+  // and consumes each partition's rows as a zero-copy row wrap.
   Status RouteToPartitions(LocalState& s, const Page& page,
                            const std::vector<int>& keys, bool merge_mode) {
     size_t n = page.num_rows();

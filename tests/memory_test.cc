@@ -500,6 +500,36 @@ TEST(ExchangeMemoryTest, BlockedProducerHoldsNoReservation) {
   EXPECT_EQ(pool->peak_bytes(), exchange.peak_buffered_bytes());
 }
 
+TEST(ExchangeMemoryTest, DictionaryPagesPayTheirShareOfTheBase) {
+  // A join's output pages wrap one probe page each: eight 8,192-row pages
+  // over one 65,536-row base pay the base about once between them, not
+  // once each.
+  std::vector<int64_t> values(65'536);
+  std::iota(values.begin(), values.end(), 0);
+  VectorPtr base = MakeBigintVector(std::move(values));
+  const int64_t base_bytes = base->EstimateBytes();
+  auto root = MemoryPool::CreateRoot("worker");
+  auto pool = root->AddChild("exchange.1");
+  PartitionedExchange exchange(1, int64_t{64} << 20);
+  exchange.SetMemoryPool(pool);
+  exchange.SetProducerCount(1);
+  constexpr int kPages = 8;
+  constexpr int kRows = 8'192;
+  for (int i = 0; i < kPages; ++i) {
+    std::vector<int32_t> indices(kRows);
+    std::iota(indices.begin(), indices.end(), i * kRows);
+    exchange.Push(0, Page({std::make_shared<DictionaryVector>(
+                      base, std::move(indices))}));
+    EXPECT_EQ(pool->reserved_bytes(), exchange.buffered_bytes());
+  }
+  const int64_t indices_bytes =
+      int64_t{kPages} * kRows * static_cast<int64_t>(sizeof(int32_t));
+  EXPECT_LE(exchange.bytes_pushed(), base_bytes + indices_bytes);
+  EXPECT_GE(exchange.bytes_pushed(), indices_bytes);
+  exchange.ConsumerDone(0);
+  EXPECT_EQ(pool->reserved_bytes(), 0);
+}
+
 TEST(ExchangeMemoryTest, FailedReservationLatchesClassifiedError) {
   auto root = MemoryPool::CreateRoot("worker", 64);  // absurdly small worker
   PartitionedExchange exchange(1, 1 << 20);
